@@ -8,8 +8,18 @@
 //   call returns), then enter barrier A, draining membership-filtered
 //   probes while it completes.
 // Phase B: barrier A complete means every member has posted all its sends,
-//   so every message owed to the caller already sits in the mailbox: drain
-//   until the probe reports nothing, then enter barrier B.
+//   so every message owed to the caller already sits in the mailbox. Drain
+//   it with the wildcard probe, then member by member with source-specific
+//   probes, then enter barrier B. The wildcard probe alone cannot end this
+//   drain: when two ranges overlap in one rank and run sparse exchanges on
+//   the same tag, a message of the other range at the head of the queue
+//   makes the membership-filtered wildcard probe report "no message"
+//   (Section V-C) while messages of this range still wait behind it. A
+//   source-specific probe is never blocked by another range's message.
+//   The wildcard pass goes first so that, without an overlap, messages are
+//   received in arrival order as in phase A; a sweep in source order would
+//   charge the single-ported receiver for a late message before earlier
+//   ones.
 // Phase C: barrier B fences the operation against its successor -- a
 //   member may post sends of a *following* sparse exchange on the same tag
 //   only after every rank finished draining this one, so the final drain
@@ -97,8 +107,13 @@ class SparseAlltoallvSM final : public RequestImpl {
       Drain();
       if (!barrier_.Poll()) return false;
       // Every member has posted its sends (entered barrier A after them),
-      // and eager deposit makes them all visible: this drain is exact.
+      // and eager deposit makes them all visible. The wildcard drain takes
+      // them in arrival order but stops at another range's message; the
+      // per-source sweep collects whatever waits behind it.
       Drain();
+      for (int src = 0; src < comm_.Size(); ++src) {
+        if (src != comm_.Rank()) Drain(src);
+      }
       std::stable_sort(received_->begin() + static_cast<std::ptrdiff_t>(
                                                 first_incoming_),
                        received_->end(),
@@ -116,9 +131,11 @@ class SparseAlltoallvSM final : public RequestImpl {
   }
 
  private:
-  void Drain() {
+  /// Receives every message from `src` (kAnySource: from any member, up
+  /// to the first probe miss) that is already queued on the payload tag.
+  void Drain(int src = kAnySource) {
     Status st;
-    while (IprobeInternal(kAnySource, tag_, comm_, &st)) {
+    while (IprobeInternal(src, tag_, comm_, &st)) {
       std::vector<std::byte> first(st.bytes);
       RecvInternal(first.data(), static_cast<int>(st.bytes),
                    Datatype::kByte, st.source, tag_, comm_);

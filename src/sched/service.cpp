@@ -5,6 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 
 #include "mpisim/runtime.hpp"
 #include "query/quantile.hpp"
@@ -102,6 +103,17 @@ SortService::~SortService() = default;
 
 namespace {
 
+/// Polls one of the verification collectives to completion, yielding
+/// between polls so the group's other rank threads get the cores they need
+/// to progress it, and unwinding when another rank failed.
+void WaitVerify(const Poll& poll) {
+  while (!poll()) {
+    mpisim::Runtime* rt = mpisim::Ctx().runtime;
+    if (rt->Aborted()) throw mpisim::AbortedError(rt->FirstFailedRank());
+    std::this_thread::yield();
+  }
+}
+
 /// Off-the-clock verification of one job's output on its own group:
 /// every member contributes (locally_sorted, count, first, last); the
 /// group root checks the boundary chain and element conservation and
@@ -119,10 +131,8 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
       out.empty() ? 0.0 : out.back(),
   };
   std::vector<double> all(static_cast<std::size_t>(4 * p));
-  Poll gather = sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
-                             kVerifyGatherTag);
-  while (!gather()) {
-  }
+  WaitVerify(sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
+                         kVerifyGatherTag));
   double verdict = 1.0;
   if (sub->Rank() == 0) {
     bool ok = true;
@@ -143,10 +153,8 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
     ok = ok && total == spec.n_total;
     verdict = ok ? 1.0 : 0.0;
   }
-  Poll bcast =
-      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag);
-  while (!bcast()) {
-  }
+  WaitVerify(
+      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag));
   rc.clock.Reset();
   rc.clock.Advance(saved);
   return verdict != 0.0;

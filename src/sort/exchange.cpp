@@ -71,36 +71,28 @@ void AddHierStats(ExchangeStats* stats, const topo::HierLevelStats& hs) {
 /// decision must be identical on every rank of the group (receivers
 /// behave differently per mode), so it may only depend on quantities all
 /// ranks share: the group size, the segment count, the layout and the
-/// segment limit. An interval redistribution sends each segment to at
-/// most a handful of contiguous destinations (greedy chunks of a run no
-/// longer than the uniform quota span <= 4 ranks), so with k segments a
-/// rank reaches at most ~4k peers -- the estimated non-empty-destination
-/// fraction is min(4k, p-1)/(p-1). At f >= 1/2 the dense path wins (most
-/// peers are hit anyway); below it a skewed path. Coalesced is preferred
-/// (segment exchanges know their receive expectations, and the
-/// expectation-terminated drain adds zero messages where the sparse
-/// collective pays two barriers) -- unless the large-message regime could
-/// be hit: the largest message any rank can owe one destination is the
-/// k-counts header plus at most the destination's whole capacity, a bound
-/// every rank computes identically from the layout. Past segment_bytes
-/// the chunk-capable sparse collective takes over, because the coalesced
-/// eager sends cannot bound their message size. (ExchangeGroupwise is the
-/// kAuto branch that resolves to kSparse unconditionally: there receive
-/// counts are unknown and expectation-based termination is impossible.)
+/// segment limit. There are two routes, and neither is dense: receive
+/// expectations follow from the layout arithmetic, so the coalesced path
+/// (one eager message per non-empty destination, at most p-1; no counts
+/// round, no termination messages) never pays more startups than the
+/// dense path's 2(p-1) per rank, and a jquick level reaches only O(1)
+/// destinations. The only reason to leave it is the large-message regime:
+/// the largest message any rank can owe one destination is the k-counts
+/// header plus at most the destination's whole capacity, a bound every
+/// rank computes identically from the layout. Past segment_bytes the
+/// chunk-capable sparse collective takes over, because the coalesced
+/// eager sends cannot bound their message size. (ExchangeGroupwise
+/// resolves separately: there receive counts are unknown and
+/// expectation-based termination is impossible.)
 Mode Resolve(Mode mode, int p, std::size_t k, const CapacityLayout& layout,
              std::int64_t segment_bytes) {
   if (mode != Mode::kAuto) return mode;
-  const std::int64_t max_targets = 4 * static_cast<std::int64_t>(k);
-  if (2 * max_targets >= p - 1) return Mode::kAlltoallv;
-  if (segment_bytes > 0) {
-    std::int64_t max_cap = std::max(layout.cap_first, layout.cap_last);
-    if (p > 2) max_cap = std::max(max_cap, layout.quota);
-    const std::int64_t bound =
-        (static_cast<std::int64_t>(k) + max_cap) *
-        static_cast<std::int64_t>(sizeof(double));
-    if (bound > segment_bytes) return Mode::kSparse;
-  }
-  return Mode::kCoalesced;
+  if (segment_bytes <= 0) return Mode::kCoalesced;
+  std::int64_t max_cap = std::max(layout.cap_first, layout.cap_last);
+  if (p > 2) max_cap = std::max(max_cap, layout.quota);
+  const std::int64_t bound = (static_cast<std::int64_t>(k) + max_cap) *
+                             static_cast<std::int64_t>(sizeof(double));
+  return bound > segment_bytes ? Mode::kSparse : Mode::kCoalesced;
 }
 
 /// Shared state of one in-flight segment exchange; the returned Poll holds

@@ -27,19 +27,19 @@
 //    O(log p) barrier tokens; the only sparse option when receive counts
 //    are unknown (ExchangeGroupwise), and the robust choice at scale.
 //
-// kAuto resolves among the three from globally shared quantities only (the
-// decision must be identical on every rank): the non-empty-destination
-// fraction, estimated as f = min(4k, p-1) / (p-1) for a segment exchange
-// (a segment of an interval redistribution spans at most ~4 ranks, so k
-// segments reach at most 4k peers) and as out.size() / (p-1) for a
-// group-wise exchange. f >= 1/2 picks the dense path (most peers are hit
-// anyway, and the pairwise Alltoallv schedule avoids contention). Below
-// that the exchange is skewed and a sparse-style path wins; which one
-// depends on whether receive expectations exist: segment exchanges know
-// them from the layout arithmetic, so they take the coalesced path (its
-// expectation-driven termination adds zero messages), while group-wise
-// exchanges cannot know their receive counts and take the sparse path
-// (barrier-based termination, O(log p) tokens).
+// kAuto resolves from globally shared quantities only (the decision must
+// be identical on every rank). A segment exchange (StartSegmentExchange,
+// jquick's per-level redistribution) has exactly two routes and never goes
+// dense: its receive expectations follow from the layout arithmetic, so it
+// takes the coalesced path -- at most one message per non-empty
+// destination and no counts round, where the dense path pays 2(p-1)
+// startups per rank -- unless a single per-destination message could
+// exceed the segment limit, in which case it takes the chunk-capable
+// sparse path. A group-wise exchange cannot know its receive counts: it
+// estimates the non-empty-destination fraction as f = out.size() / (p-1),
+// takes the dense path at f >= 1/2 (most peers are hit anyway, and the
+// pairwise Alltoallv schedule avoids contention) and the sparse path below
+// it (barrier-based termination, O(log p) tokens).
 #pragma once
 
 #include <cstdint>
@@ -107,13 +107,13 @@ enum class Mode {
   kAuto,       // On a two-level cost model (CostModel::Hierarchical())
                // with more than one node in the group: kHierarchical --
                // matching the exchange structure to the machine beats
-               // every flat path on inter-node traffic. Otherwise:
-               // dense / coalesced / sparse by the estimated non-empty-
-               // destination fraction (see the header comment); with a
-               // segment limit, flips coalesced -> sparse exactly when a
-               // single per-destination message could exceed
+               // every flat path on inter-node traffic. Otherwise a
+               // segment exchange takes kCoalesced, or kSparse exactly
+               // when a single per-destination message could exceed
                // segment_bytes (the sparse backend chunks its payloads,
-               // the coalesced eager sends cannot)
+               // the coalesced eager sends cannot); a group-wise exchange
+               // takes dense or sparse by its estimated non-empty-
+               // destination fraction (see the header comment)
 };
 
 /// Exclusive prefix sum of per-rank element counts over the transport --

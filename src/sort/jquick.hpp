@@ -39,9 +39,13 @@ struct JQuickConfig {
   SampleParams samples{};
   SplitSchedule schedule = SplitSchedule::kAlternating;
   /// Delivery path of the per-level data exchange (jsort::exchange).
-  /// kAuto coalesces the (small, large) sides into one sparse message per
-  /// destination on large groups and falls back to the dense Alltoallv on
-  /// small ones.
+  /// kAuto coalesces the (small, large) sides into one message per
+  /// non-empty destination on every group size: eager coalesced sends, or
+  /// the chunk-capable sparse collective when one such message could
+  /// exceed segment_bytes. Either way a level costs a rank one payload
+  /// startup per destination it reaches (O(1) under the greedy
+  /// assignment; the sparse route adds O(log p) barrier tokens) instead
+  /// of the dense Alltoallv's 2(p-1).
   exchange::Mode exchange_mode = exchange::Mode::kAuto;
   /// Large-message segment limit of the per-level exchange (bytes; 0 =
   /// unsegmented). Past it, payload messages are pipelined/chunked and

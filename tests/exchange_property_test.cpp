@@ -418,8 +418,8 @@ ExchangeStats RotationOnce(const std::shared_ptr<Transport>& tr,
 /// whole message per destination, exactly one wire message); one byte
 /// below it must chunk via the sparse collective.
 TEST(ExchangeAutoThreshold, FlipsExactlyAtSegmentBytes) {
-  // p must clear the dense threshold (2 * 4k < p-1 with k = 1 segment) so
-  // kAuto reaches the coalesced-vs-sparse decision.
+  // Coalesced vs sparse is kAuto's only decision for a segment exchange on
+  // a flat cost model, at every group size.
   constexpr int kP = 12;
   constexpr std::int64_t kCap = 16;
   constexpr std::int64_t kBound = 8 + kCap * 8;  // header + payload bytes
@@ -450,6 +450,27 @@ TEST(ExchangeAutoThreshold, FlipsExactlyAtSegmentBytes) {
               mpisim::SparseChunksOf(kBound, kBound - 1));
     EXPECT_EQ(below.segments, 2);
   });
+}
+
+/// Mode::kAuto never takes the dense path for a segment exchange, however
+/// small the group: below the segment limit every rank sends exactly one
+/// message per non-empty destination, with no counts round (the dense
+/// path would cost it 2(p-1) messages).
+TEST(ExchangeAutoThreshold, SmallGroupsStayCoalesced) {
+  constexpr std::int64_t kCap = 16;
+  for (int p : {3, 5, 9, 17}) {
+    RunRanks(p, [&](mpisim::Comm& world) {
+      rbc::Comm rw;
+      rbc::Create_RBC_Comm(world, &rw);
+      auto tr = jsort::MakeRbcTransport(rw);
+      const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
+      const ExchangeStats st =
+          RotationOnce(tr, UniformLayout(p, kCap), Mode::kAuto, 53,
+                       jsort::exchange::kDefaultSegmentBytes);
+      EXPECT_EQ(st.messages_sent, 1) << "p=" << p;
+      EXPECT_EQ(mpisim::Ctx().stats.messages_sent - before, 1u) << "p=" << p;
+    });
+  }
 }
 
 /// ExchangeStats.segments must reconcile with the substrate's measured

@@ -129,6 +129,39 @@ TEST(JQuick, LargerRun) {
   CheckJQuick(16, 512, InputKind::kUniform, Backend::kRbc, JQuickConfig{});
 }
 
+/// Forced sparse exchange on RBC at every level. A janus rank runs the
+/// sparse collectives of both its groups on one level tag, so each
+/// collective's final drain must find its own members' blocks behind the
+/// other group's.
+class JQuickSparseRbc
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, JQuickSparseRbc,
+    ::testing::Combine(::testing::Values(5, 9, 16, 32),   // p
+                       ::testing::Values(16, 64, 256)));  // n/p
+
+TEST_P(JQuickSparseRbc, SortsAcrossSeeds) {
+  const auto [p, quota] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    JQuickConfig cfg;
+    cfg.exchange_mode = jsort::exchange::Mode::kSparse;
+    cfg.seed = seed;
+    CheckJQuick(p, quota, InputKind::kUniform, Backend::kRbc, cfg);
+  }
+}
+
+TEST(JQuick, DefaultConfigAboveSegmentFlip) {
+  // One per-destination message may carry (2 counts + 8192 elements) * 8
+  // bytes, above the default 64 KiB segment limit: kAuto sends every
+  // level's exchange over the sparse collective, janus overlaps included.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    JQuickConfig cfg;
+    cfg.seed = seed;
+    CheckJQuick(32, 8192, InputKind::kUniform, Backend::kRbc, cfg);
+  }
+}
+
 TEST(JQuick, PaddedHandlesUnevenInput) {
   // Rank r contributes r elements: n is not a multiple of p and per-rank
   // sizes differ.

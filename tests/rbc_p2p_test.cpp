@@ -2,6 +2,7 @@
 // wildcard operations of Section V-C.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "testutil.hpp"
@@ -62,16 +63,38 @@ TEST(RbcP2P, IprobeFiltersForeignSources) {
       const int v = 10;
       rbc::Send(&v, 1, Datatype::kInt32, 2, kTag, left);  // to MPI rank 2
     } else if (world.Rank() == 2) {
-      // Drain the left message via a wildcard on `left`; the right-range
-      // message must never be matched by it.
-      int got = 0;
-      rbc::Status st;
-      rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, kTag, left, &st);
-      EXPECT_EQ(got, 10);
-      EXPECT_EQ(st.source, 0);
-      rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, kTag, right, &st);
-      EXPECT_EQ(got, 40);
-      EXPECT_EQ(st.source, 2);  // rank 4 is RBC rank 2 of the right range
+      // Drain each message via a wildcard on its own range; the other
+      // range's message must never be matched by it. Serve both ranges
+      // alternately, as a janus does: a wildcard on one range sees nothing
+      // while the other range's message heads the queue (next test), so
+      // waiting on `left` alone would spin until the deadlock timeout
+      // whenever rank 4's message arrives first. Once a range's probe hits,
+      // its message heads the queue and the wildcard receive takes it.
+      const auto ready = [&](const rbc::Comm& range) {
+        int flag = 0;
+        rbc::Iprobe(rbc::kAnySource, kTag, range, &flag);
+        return flag != 0;
+      };
+      bool got_left = false, got_right = false;
+      while (!got_left || !got_right) {
+        int got = 0;
+        rbc::Status st;
+        if (!got_left && ready(left)) {
+          rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, kTag, left,
+                    &st);
+          EXPECT_EQ(got, 10);
+          EXPECT_EQ(st.source, 0);
+          got_left = true;
+        }
+        if (!got_right && ready(right)) {
+          rbc::Recv(&got, 1, Datatype::kInt32, rbc::kAnySource, kTag, right,
+                    &st);
+          EXPECT_EQ(got, 40);
+          EXPECT_EQ(st.source, 2);  // rank 4 is RBC rank 2 of the right range
+          got_right = true;
+        }
+        std::this_thread::yield();
+      }
     }
   });
 }

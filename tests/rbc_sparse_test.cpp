@@ -1,7 +1,8 @@
 // rbc::SparseAlltoallv / IsparseAlltoallv: sparse destination sets, empty
 // senders, all-to-one skew, self blocks, source ordering, back-to-back
-// operations on one tag (the second-barrier fence), sub-ranges, and the
-// message budget (no dense counts round).
+// operations on one tag (the second-barrier fence), sub-ranges, ranges
+// that share a rank on one tag, and the message budget (no dense counts
+// round).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,6 +208,67 @@ TEST(RbcSparse, SubRangeIgnoresNonMembers) {
     rbc::SparseAlltoallv(sends, Datatype::kFloat64, &got, sub, 5);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].source, (me + p - 1) % p);
+  });
+}
+
+TEST(RbcSparse, OverlappingRangesOnOneTagDeliverBehindForeignHead) {
+  // Regression: the ranges {0,1,2} and {2,3,4} share rank 2 and run sparse
+  // exchanges on the same tag. Handshakes queue rank 3's block for rank 2
+  // ahead of rank 0's, and rank 2 finishes the {0,1,2} exchange before it
+  // touches the {2,3,4} one. A membership-filtered wildcard probe of
+  // {0,1,2} reports "no message" while rank 3's block heads the queue
+  // (Section V-C), so the post-barrier drain must probe per source to
+  // find rank 0's block behind it. Every member uses the nonblocking form
+  // (the collective sanitizer checks that members agree on it).
+  constexpr int kTag = 5;
+  constexpr int kHandshakeTag = 6;
+  RunRbc(5, [](rbc::Comm& world) {
+    rbc::Comm left, right;
+    rbc::Split_RBC_Comm(world, 0, 2, &left);   // {0,1,2}
+    rbc::Split_RBC_Comm(world, 2, 4, &right);  // {2,3,4}
+    const int me = world.Rank();
+    const std::vector<double> payload = PayloadOf(me, 2, 0);
+    const auto start = [&](const rbc::Comm& range, bool to_rank2,
+                           std::vector<SparseRecvMessage>* got) {
+      std::vector<SparseSendBlock> sends;
+      if (to_rank2) {
+        sends.push_back(SparseSendBlock{range.FromMpi(2), payload.data(),
+                                        static_cast<int>(payload.size())});
+      }
+      rbc::Request req;
+      rbc::IsparseAlltoallv(sends, Datatype::kFloat64, got, range, &req,
+                            kTag);
+      return req;
+    };
+    std::vector<SparseRecvMessage> got;
+    if (me == 3) {
+      rbc::Request req = start(right, true, &got);
+      // The block sits in rank 2's queue once the call returns (eager
+      // deposit): tell rank 0 it may send.
+      const int token = 0;
+      rbc::Send(&token, 1, Datatype::kInt32, 0, kHandshakeTag, world);
+      rbc::Wait(&req);
+    } else if (me == 0) {
+      int token = 0;
+      rbc::Recv(&token, 1, Datatype::kInt32, 3, kHandshakeTag, world);
+      rbc::Request req = start(left, true, &got);
+      rbc::Wait(&req);
+    } else if (me == 1 || me == 4) {
+      rbc::Request req = start(me == 1 ? left : right, false, &got);
+      rbc::Wait(&req);
+    } else {
+      std::vector<SparseRecvMessage> from_left, from_right;
+      rbc::Request req = start(left, false, &from_left);
+      rbc::Wait(&req);
+      req = start(right, false, &from_right);
+      rbc::Wait(&req);
+      ASSERT_EQ(from_left.size(), 1u);
+      EXPECT_EQ(from_left[0].source, left.FromMpi(0));
+      EXPECT_EQ(AsDoubles(from_left[0].bytes), PayloadOf(0, 2, 0));
+      ASSERT_EQ(from_right.size(), 1u);
+      EXPECT_EQ(from_right[0].source, right.FromMpi(3));
+      EXPECT_EQ(AsDoubles(from_right[0].bytes), PayloadOf(3, 2, 0));
+    }
   });
 }
 

@@ -156,19 +156,29 @@ TEST_P(TransportSweep, OverlappingSplitsAtOneRank) {
       right->Send(&v, 1, jsort::Datatype::kFloat64, 0, kTag);
     }
     if (r == 2) {
-      // Drain both, each strictly from its own subgroup.
-      jsort::Status st;
-      while (!left->IprobeAny(kTag, &st)) {
+      // Drain both, each strictly from its own subgroup. Poll the two
+      // alternately, as a janus does: on RBC a wildcard probe of one
+      // subgroup reports nothing while the other subgroup's message heads
+      // the queue (Section V-C), so waiting on one subgroup alone would
+      // spin forever whenever rank 4's message arrives first.
+      bool got_left = false, got_right = false;
+      while (!got_left || !got_right) {
+        jsort::Status st;
+        double got = 0;
+        if (!got_left && left->IprobeAny(kTag, &st)) {
+          EXPECT_EQ(st.source, 0);
+          left->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
+          EXPECT_DOUBLE_EQ(got, 10);
+          got_left = true;
+        }
+        if (!got_right && right->IprobeAny(kTag, &st)) {
+          EXPECT_EQ(st.source, 2);
+          right->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
+          EXPECT_DOUBLE_EQ(got, 40);
+          got_right = true;
+        }
         std::this_thread::yield();
       }
-      double got = 0;
-      left->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
-      EXPECT_DOUBLE_EQ(got, 10);
-      while (!right->IprobeAny(kTag, &st)) {
-        std::this_thread::yield();
-      }
-      right->Recv(&got, 1, jsort::Datatype::kFloat64, st.source, kTag);
-      EXPECT_DOUBLE_EQ(got, 40);
     }
   });
 }
