@@ -1,6 +1,6 @@
 // Node-aware hierarchical transport (src/topo) on a two-level machine:
-// does routing the exchange through node leaders pay off once inter-node
-// messages cost 10-50x an intra-node one?
+// does routing the exchange through per-node gateways pay off once
+// inter-node messages cost 10-50x an intra-node one?
 //
 // Every section installs the same topology (8-rank nodes at p=64) and a
 // two-level cost model derived from the run's base model (--cost-model

@@ -5,11 +5,13 @@
 // virtual time each pays under a two-level cost model whose network
 // startup is 25x the shared-memory one.
 //
-// The hierarchical path coalesces per-destination traffic on each node,
-// crosses the network once leader-to-leader, and scatters locally -- so
-// the number of messages paying the expensive inter-node alpha collapses
-// from O(p^2) (every cross pair) to O(nodes^2), while delivered bytes
-// stay identical.
+// The hierarchical path gathers each node's traffic for every remote node
+// at one gateway rank (a different one per remote node), crosses the
+// network once gateway-to-gateway, and scatters locally -- so the number
+// of messages paying the expensive inter-node alpha collapses from O(p^2)
+// (every cross pair) to O(nodes^2), at most one sent and one received per
+// rank when nodes <= ranks per node + 1, while delivered bytes stay
+// identical.
 //
 // Run:  ./examples/topo_demo
 #include <cstdint>

@@ -101,12 +101,13 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //   * kTagHierAllreduce = kReservedTagBase + 33
 //   * kTagHierGatherv   = kReservedTagBase + 34
 //   * kTagHierAlltoallv = kReservedTagBase + 35
-// Each owns its leader-phase point-to-point traffic; the intra-node
-// phases run flat collectives on vnode sub-ranges under the tags above
-// (never concurrently on overlapping ranges). HierAlltoallv's three
-// sparse phases share kTagHierAlltoallv -- fenced by the sparse
-// exchange's second barrier -- and derive barrier/chunk tags from it
-// exactly as described for the sparse exchange.
+// Each owns its point-to-point traffic; the intra-node phases of the
+// bcast, allreduce and gatherv run flat collectives on vnode sub-ranges
+// under the tags above (never concurrently on overlapping ranges).
+// HierAlltoallv's three point-to-point phases use kTagHierAlltoallv alone
+// -- source-specific receives and a fixed message count per pair keep
+// back-to-back calls apart -- and derive no barrier or chunk tags from
+// it.
 //
 // Sequence tracking (MPISIM_SANITIZE=1): every public entry above --
 // blocking or nonblocking -- records exactly one logical collective in
@@ -129,8 +130,8 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //     kHierAllreduce / kHierGatherv / kHierAlltoallv) in the *parent*
 //     range's ledger, carrying the elected leader list so ranks that
 //     derive divergent topologies raise a "different elected leader
-//     sets" mismatch at entry; their intra-phase sub-collectives and
-//     sparse fences are suppressed by the per-rank depth guard.
+//     sets" mismatch at entry; their intra-phase sub-collectives are
+//     suppressed by the per-rank depth guard.
 inline constexpr int RBC_IALLREDUCE_TAG = kReservedTagBase + 22;
 inline constexpr int RBC_IALLGATHER_TAG = kReservedTagBase + 23;
 inline constexpr int RBC_IEXSCAN_TAG = kReservedTagBase + 24;  // +25 too

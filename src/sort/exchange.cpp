@@ -40,21 +40,34 @@ bool AutoHier(const Transport& tr) {
   return VnodesOfGroup(tr).Count() > 1;
 }
 
-/// Runs the three-phase node-aware exchange over the transport's sparse
-/// collective: one blocking sparse call per phase, all on the caller's
-/// tag (the sparse termination barriers fence the back-to-back phases).
-std::vector<std::byte> RunHier(Transport& tr,
-                               std::span<const topo::BytePiece> pieces,
-                               int tag, std::int64_t segment_bytes,
-                               topo::HierLevelStats* hs) {
-  const topo::VnodeMap vn = VnodesOfGroup(tr);
-  auto sparse = [&](std::span<const SparseBlock> sends) {
-    std::vector<SparseDelivery> deliveries;
-    WaitPoll(tr.IsparseAlltoallv(sends, Datatype::kByte, &deliveries, tag,
-                                 segment_bytes));
-    return deliveries;
-  };
-  return topo::HierExchangeBytes(vn, tr.Rank(), pieces, sparse, hs);
+/// Runs the three-phase node-aware exchange over the transport's
+/// point-to-point Send/Recv, every phase on the caller's tag (the engine's
+/// source-specific receives need no termination traffic). Blocking.
+topo::HierReceived RunHier(Transport& tr,
+                           std::span<const topo::BytePiece> pieces, int tag,
+                           std::int64_t segment_bytes,
+                           topo::HierLevelStats* hs) {
+  const topo::HierWire wire{
+      .send =
+          [&](int dest, const std::byte* data, int bytes) {
+            tr.Send(data, bytes, Datatype::kByte, dest, tag);
+          },
+      .recv =
+          [&](int src, std::byte* buf, int capacity) {
+            Status st;
+            tr.Recv(buf, capacity, Datatype::kByte, src, tag, &st);
+            return static_cast<int>(st.bytes);
+          }};
+  return topo::HierExchangeBytes(VnodesOfGroup(tr), tr.Rank(), pieces,
+                                 segment_bytes, wire, hs);
+}
+
+/// The received doubles of a hierarchical exchange, source-ordered.
+std::vector<double> ToDoubles(const topo::HierReceived& got) {
+  std::vector<double> out(static_cast<std::size_t>(got.bytes) /
+                          sizeof(double));
+  got.CopyTo(reinterpret_cast<std::byte*>(out.data()));
+  return out;
 }
 
 /// Folds one hierarchical run's per-level traffic into the caller stats.
@@ -93,6 +106,25 @@ Mode Resolve(Mode mode, int p, std::size_t k, const CapacityLayout& layout,
   const std::int64_t bound = (static_cast<std::int64_t>(k) + max_cap) *
                              static_cast<std::int64_t>(sizeof(double));
   return bound > segment_bytes ? Mode::kSparse : Mode::kCoalesced;
+}
+
+/// Extent of the self-describing segment message ([int64 counts[k]]
+/// [payload]) at the front of `bytes`.
+std::size_t MessageExtent(std::span<const std::byte> bytes, std::size_t k) {
+  std::size_t len = k * sizeof(std::int64_t);
+  if (bytes.size() < len) {
+    throw mpisim::Error("jsort::exchange: malformed exchange message");
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    std::int64_t n = 0;
+    std::memcpy(&n, bytes.data() + j * sizeof n, sizeof n);
+    if (n < 0 || static_cast<std::uint64_t>(n) >
+                     (bytes.size() - len) / sizeof(double)) {
+      throw mpisim::Error("jsort::exchange: malformed exchange message");
+    }
+    len += static_cast<std::size_t>(n) * sizeof(double);
+  }
+  return len;
 }
 
 /// Shared state of one in-flight segment exchange; the returned Poll holds
@@ -363,16 +395,14 @@ std::vector<double> ExchangeBuckets(Transport& tr,
       }
     }
     topo::HierLevelStats hs;
-    const std::vector<std::byte> bytes =
+    const topo::HierReceived got =
         RunHier(tr, pieces, tag, segment_bytes, &hs);
     if (stats != nullptr) {
       stats->messages_sent += nonempty;
       stats->elements_sent += total_out;
     }
     AddHierStats(stats, hs);
-    std::vector<double> out(bytes.size() / sizeof(double));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+    return ToDoubles(got);
   }
   // Bucket-major input needs no send-side copy: the per-peer blocks are
   // already contiguous, and the self bucket rides along as a zero-count
@@ -533,12 +563,10 @@ std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
           to[di] * static_cast<std::int64_t>(sizeof(double))});
     }
     topo::HierLevelStats hs;
-    const std::vector<std::byte> bytes =
+    const topo::HierReceived got =
         RunHier(*tr, pieces, tag, segment_bytes, &hs);
     AddHierStats(stats, hs);
-    std::vector<double> result(bytes.size() / sizeof(double));
-    std::memcpy(result.data(), bytes.data(), bytes.size());
-    return result;
+    return ToDoubles(got);
   }
 
   if (resolved == Mode::kSparse) {
@@ -748,15 +776,14 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
     if (hier) {
       // Node-aware delivery of the same self-describing messages: the
       // engine merges them per node and per destination on the wire, and
-      // hands back the concatenation of the messages addressed to this
-      // rank in source-rank order. Each message's extent is recomputed
-      // from its own counts header ([k int64s] + payload), so the merged
-      // blob splits without any extra framing. Blocking at start: the
-      // three sparse phases complete before this returns with an
-      // already-done Poll (the engine is a collective, so every group
-      // member reaches this same call; a janus rank simply finishes one
-      // group's exchange before starting the other's -- the waits-for
-      // chain over adjacent groups is acyclic and cannot deadlock).
+      // hands back the messages addressed to this rank in source-rank
+      // order, each part a run of whole messages whose extents follow
+      // from their own counts headers ([k int64s] + payload). Blocking at
+      // start: the three point-to-point phases complete before this
+      // returns with an already-done Poll (every group member reaches
+      // this same call; a janus rank simply finishes one group's exchange
+      // before starting the other's -- the waits-for chain over adjacent
+      // groups is acyclic and cannot deadlock).
       std::vector<topo::BytePiece> pieces;
       for (int d = 0; d < st->p; ++d) {
         const auto& msg = msgs[static_cast<std::size_t>(d)];
@@ -765,35 +792,15 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
             d, msg.data(), static_cast<std::int64_t>(msg.size())});
       }
       topo::HierLevelStats hs;
-      const std::vector<std::byte> bytes =
+      const topo::HierReceived got =
           RunHier(*st->tr, pieces, tag, segment_bytes, &hs);
       AddHierStats(stats, hs);
-      std::size_t off2 = 0;
-      while (off2 < bytes.size()) {
-        if (bytes.size() - off2 < header) {
-          throw mpisim::Error(
-              "jsort::exchange: malformed hierarchical exchange blob");
+      for (const std::span<const std::byte> part : got.parts) {
+        for (std::size_t at = 0; at < part.size();) {
+          const std::size_t len = MessageExtent(part.subspan(at), st->k);
+          st->UnpackMessage(part.data() + at, len);
+          at += len;
         }
-        std::int64_t in_msg = 0;
-        for (std::size_t j = 0; j < st->k; ++j) {
-          std::int64_t n = 0;
-          std::memcpy(&n, bytes.data() + off2 + j * sizeof(std::int64_t),
-                      sizeof n);
-          if (n < 0 || static_cast<std::uint64_t>(n) >
-                           (bytes.size() - off2 - header) / sizeof(double)) {
-            throw mpisim::Error(
-                "jsort::exchange: malformed hierarchical exchange blob");
-          }
-          in_msg += n;
-        }
-        const std::size_t len =
-            header + static_cast<std::size_t>(in_msg) * sizeof(double);
-        if (len > bytes.size() - off2) {
-          throw mpisim::Error(
-              "jsort::exchange: malformed hierarchical exchange blob");
-        }
-        st->UnpackMessage(bytes.data() + off2, len);
-        off2 += len;
       }
       for (std::size_t j = 0; j < st->k; ++j) {
         if (st->remaining[j] != 0) {

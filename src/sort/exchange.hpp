@@ -8,7 +8,7 @@
 // jsort::Transport abstraction, so the same code runs on RBC, native-MPI
 // and Icomm backends.
 //
-// Three delivery paths are provided:
+// Four delivery paths are provided:
 //  * the dense Alltoallv path -- a counts exchange followed by a payload
 //    Transport::Ialltoallv. Predictable p-1 message rounds, right when
 //    most destinations receive something (single-level sample sort);
@@ -24,14 +24,23 @@
 //    collective (Transport::IsparseAlltoallv), whose two-lightweight-
 //    barrier termination detection replaces the coalesced path's
 //    expectation-driven drain. One startup per non-empty destination plus
-//    O(log p) barrier tokens; the only sparse option when receive counts
-//    are unknown (ExchangeGroupwise), and the robust choice at scale.
+//    O(log p) barrier tokens; the only flat sparse option when receive
+//    counts are unknown (ExchangeGroupwise), and the robust choice at
+//    scale;
+//  * the hierarchical path on two-level machines (topo/hier_exchange.hpp)
+//    -- traffic gathers at one gateway per (node, remote node) pair,
+//    crosses the network in one bundle per node pair and is scattered on
+//    the node. Every receiver knows its senders and their message count
+//    from the node map, even where element counts are unknown, so it
+//    needs neither a counts round nor termination barriers.
 //
 // kAuto resolves from globally shared quantities only (the decision must
-// be identical on every rank). A segment exchange (StartSegmentExchange,
-// jquick's per-level redistribution) has exactly two routes and never goes
-// dense: its receive expectations follow from the layout arithmetic, so it
-// takes the coalesced path -- at most one message per non-empty
+// be identical on every rank). On a two-level cost model, a group that
+// spans nodes takes the hierarchical path at every entry point. Otherwise
+// a segment exchange (StartSegmentExchange, jquick's per-level
+// redistribution) has exactly two routes and never goes dense: its
+// receive expectations follow from the layout arithmetic, so it takes the
+// coalesced path -- at most one message per non-empty
 // destination and no counts round, where the dense path pays 2(p-1)
 // startups per rank -- unless a single per-destination message could
 // exceed the segment limit, in which case it takes the chunk-capable
@@ -77,13 +86,14 @@ struct ExchangeStats {
   /// segment limit applies). Matches the backend arithmetic
   /// (mpisim::AlltoallvSegmentsOf / SparseChunksOf) exactly, so tests can
   /// reconcile this against the substrate's measured message counters.
-  /// The hierarchical path reports its phase messages here (chunking
-  /// excluded; see the per-level counters below).
+  /// The hierarchical path reports every wire message of its three
+  /// phases here, frames included (the per-level counters below).
   std::int64_t segments = 0;
   /// Per-level traffic of the hierarchical path (Mode::kHierarchical /
-  /// kAuto on a two-level cost model): payload messages and bytes of the
-  /// intra-node phases (coalescing + local scatter) and of the
-  /// leader-to-leader inter-node phase. Zero on every flat path.
+  /// kAuto on a two-level cost model): wire messages and bytes of the
+  /// intra-node phases (relay to the gateways + local scatter) and of the
+  /// gateway-to-gateway inter-node phase, exactly as the substrate counts
+  /// them. Zero on every flat path.
   std::int64_t intra_messages = 0;
   std::int64_t intra_bytes = 0;
   std::int64_t inter_messages = 0;
@@ -97,13 +107,15 @@ enum class Mode {
                // expectation-terminated probe drain
   kSparse,     // skewed: one message per destination over the transport's
                // sparse collective (barrier-terminated, no expectations)
-  kHierarchical,  // node-aware: per-destination traffic coalesces on each
-                  // node, crosses the network once leader-to-leader, and
-                  // is scattered locally (topo/hier_exchange.hpp); byte-
-                  // identical results to the flat paths. Collective and
-                  // blocking at start. Degrades gracefully on a flat or
-                  // single-node topology (the phases collapse to the
-                  // intra case).
+  kHierarchical,  // node-aware: per-destination traffic gathers on each
+                  // node at one gateway per remote node, crosses the
+                  // network once gateway-to-gateway in one bundle per node
+                  // pair, and is scattered locally -- three point-to-point
+                  // phases with known expectations, no barrier
+                  // (topo/hier_exchange.hpp); byte-identical results to
+                  // the flat paths. Collective and blocking at start.
+                  // Degrades gracefully on a flat or single-node topology
+                  // (only the intra phase runs).
   kAuto,       // On a two-level cost model (CostModel::Hierarchical())
                // with more than one node in the group: kHierarchical --
                // matching the exchange structure to the machine beats
@@ -223,9 +235,10 @@ struct Segment {
 /// The hierarchical path (kHierarchical, or kAuto on a two-level cost
 /// model when the group spans nodes) completes the whole exchange before
 /// returning (an already-done Poll): its three node-aware phases are
-/// collective sparse calls. Safe -- every group member reaches this call
-/// -- but a janus rank serializes its two groups' exchanges instead of
-/// interleaving them.
+/// blocking source-specific receives over Transport::Send/Recv, whose
+/// senders every member derives from the node map. Safe -- every group
+/// member reaches this call -- but a janus rank serializes its two
+/// groups' exchanges instead of interleaving them.
 Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
                           const CapacityLayout& layout,
                           std::vector<Segment> segments, int tag,

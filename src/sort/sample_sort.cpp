@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include "sort/exchange.hpp"
 #include "sort/partition.hpp"
@@ -13,10 +12,6 @@ namespace {
 
 constexpr int kTagBucket = 1024;
 constexpr int kTagSplitter = 1025;
-
-void WaitPoll(Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
 
 }  // namespace
 
@@ -51,7 +46,9 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   if (rank == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
   Poll g = tr.Igather(mine.data(), per_rank, Datatype::kFloat64, all.data(),
                       0, kTagSplitter);
-  WaitPoll(g);
+  // Polled like every blocking rbc call: an AbortedError naming the failed
+  // rank when a peer fails, a DeadlockError at the deadlock timeout.
+  rbc::detail::SpinUntil(g, "SampleSort splitter gather");
   std::vector<double> splitters(static_cast<std::size_t>(p - 1));
   if (rank == 0) {
     std::sort(all.begin(), all.end());
@@ -62,7 +59,7 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   }
   Poll b = tr.Ibcast(splitters.data(), p - 1, Datatype::kFloat64, 0,
                      kTagSplitter);
-  WaitPoll(b);
+  rbc::detail::SpinUntil(b, "SampleSort splitter bcast");
 
   // 2) Local partition into p buckets with the branchless splitter-tree
   //    kernel (bucket-major flat layout, ready for the flat exchange).

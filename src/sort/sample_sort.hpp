@@ -36,7 +36,8 @@ struct SampleSortStats {
   std::int64_t final_elements = 0;
   std::int64_t messages_sent = 0;
   /// Wire-level payload messages after segmentation (== messages_sent
-  /// when segment_bytes is 0).
+  /// on the flat paths when segment_bytes is 0; the hierarchical path
+  /// counts every wire message of its three phases).
   std::int64_t segments_sent = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "topo/hier_collectives.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "mpisim/datatype.hpp"
@@ -264,34 +265,52 @@ int HierAlltoallv(const void* sendbuf, std::span<const int> sendcounts,
                      sendcounts[static_cast<std::size_t>(d)]) *
                  static_cast<std::int64_t>(esz)});
   }
-  const auto sparse = [&](std::span<const mpisim::SparseSendBlock> sends) {
-    std::vector<rbc::SparseRecvMessage> received;
-    rbc::SparseAlltoallv(sends, Datatype::kByte, &received, comm,
-                         kTagHierAlltoallv, segment_bytes);
-    return received;
-  };
-  const std::vector<std::byte> result =
-      HierExchangeBytes(vn, me, pieces, sparse, stats);
+  const HierWire wire{
+      .send =
+          [&](int dest, const std::byte* data, int bytes) {
+            rbc::detail::SendInternal(data, bytes, Datatype::kByte, dest,
+                                      kTagHierAlltoallv, comm);
+          },
+      .recv =
+          [&](int src, std::byte* buf, int capacity) {
+            rbc::Status st;
+            rbc::detail::RecvInternal(buf, capacity, Datatype::kByte, src,
+                                      kTagHierAlltoallv, comm, &st);
+            return static_cast<int>(st.bytes);
+          }};
+  const HierReceived got =
+      HierExchangeBytes(vn, me, pieces, segment_bytes, wire, stats);
 
+  // The received stream is source-ordered; cut it at recvcounts.
   auto* out = static_cast<std::byte*>(recvbuf);
-  std::size_t off = 0;
+  std::size_t part = 0, at = 0;
   for (int s = 0; s < p; ++s) {
-    const std::size_t b =
+    std::size_t b =
         static_cast<std::size_t>(recvcounts[static_cast<std::size_t>(s)]) *
         esz;
-    if (off + b > result.size()) {
-      throw mpisim::UsageError(
-          "topo::HierAlltoallv: received fewer bytes than recvcounts "
-          "expect (mismatched counts)");
+    if (b == 0) continue;
+    std::byte* dst =
+        out + static_cast<std::size_t>(rdispls[static_cast<std::size_t>(s)]) *
+                  esz;
+    while (b != 0) {
+      if (part == got.parts.size()) {
+        throw mpisim::UsageError(
+            "topo::HierAlltoallv: received fewer bytes than recvcounts "
+            "expect (mismatched counts)");
+      }
+      const std::span<const std::byte> src = got.parts[part];
+      const std::size_t n = std::min(b, src.size() - at);
+      std::memcpy(dst, src.data() + at, n);
+      dst += n;
+      b -= n;
+      at += n;
+      if (at == src.size()) {
+        ++part;
+        at = 0;
+      }
     }
-    if (b != 0) {
-      std::memcpy(out + static_cast<std::size_t>(
-                            rdispls[static_cast<std::size_t>(s)]) * esz,
-                  result.data() + off, b);
-    }
-    off += b;
   }
-  if (off != result.size()) {
+  if (part != got.parts.size()) {
     throw mpisim::UsageError(
         "topo::HierAlltoallv: received more bytes than recvcounts expect "
         "(mismatched counts)");

@@ -1,12 +1,15 @@
 // Node-aware hierarchical collectives over RBC communicators.
 //
-// Built entirely from existing pieces (Section V-D's extension recipe):
-// one elected leader per node -- the smallest group rank of each vnode
-// run (hier_exchange.hpp) -- a leader-only inter-node phase over a
-// binomial tree of the leader list, and intra-node redistribution via the
-// flat rbc collectives on Split_RBC_Comm vnode sub-ranges (O(1), local).
-// On a flat topology (or a single-node communicator) every operation
-// degrades to its flat counterpart plus the leader election's O(size)
+// Built entirely from existing pieces (Section V-D's extension recipe).
+// Bcast, allreduce and gatherv elect one leader per node -- the smallest
+// group rank of each vnode run (hier_exchange.hpp) -- run a leader-only
+// inter-node phase over a binomial tree of the leader list, and
+// redistribute inside each node via the flat rbc collectives on
+// Split_RBC_Comm vnode sub-ranges (O(1), local). Alltoallv needs no
+// leader: it runs the point-to-point engine of hier_exchange.hpp, whose
+// inter-node hop is spread over one gateway per (node, remote node)
+// pair. On a flat topology (or a single-node communicator) every
+// operation degrades to its flat counterpart plus the vnode map's O(size)
 // local scan.
 //
 // Tag reservations (extending the map in rbc/collectives.hpp):
@@ -15,23 +18,24 @@
 //   kTagHierGatherv   = kReservedTagBase + 34
 //   kTagHierAlltoallv = kReservedTagBase + 35
 // Each blocking hierarchical collective owns one exclusive tag for its
-// leader-phase point-to-point traffic; the intra phases run over vnode
-// sub-communicators with the flat collectives' own exclusive tags (the
-// sub-ranges overlap the parent in more than one process, but the
-// hierarchical schedule never runs two collectives on overlapping
-// ranges concurrently). HierAlltoallv's three sparse phases share
-// kTagHierAlltoallv -- the sparse exchange's second barrier fences
-// back-to-back operations on one tag -- and derive barrier/chunk tags
-// from it exactly as documented in rbc/collectives.hpp.
+// point-to-point traffic; the intra phases of bcast, allreduce and
+// gatherv run over vnode sub-communicators with the flat collectives' own
+// exclusive tags (the sub-ranges overlap the parent in more than one
+// process, but the hierarchical schedule never runs two collectives on
+// overlapping ranges concurrently). All three phases of HierAlltoallv
+// travel on kTagHierAlltoallv alone: its receives name their sources and
+// every pair sends a fixed number of messages per call, so FIFO matching
+// keeps back-to-back calls apart without barrier or chunk tags.
 //
 // Sequence tracking (MPISIM_SANITIZE=1): each public entry records ONE
 // logical collective (kHierBcast/kHierAllreduce/kHierGatherv/
 // kHierAlltoallv) in the parent communicator's (comm, range) ledger; the
-// intra-phase sub-collectives and the sparse phases are suppressed by
-// the per-rank depth guard. Every record carries the elected leader list
-// in counts_to, so two ranks disagreeing about the topology (a
-// leader-rank divergence) raise a pairwise "different elected leader
-// sets" mismatch instead of deadlocking in the leader phase.
+// intra-phase sub-collectives are suppressed by the per-rank depth guard.
+// Every record carries the elected leader list -- the vnode starts, from
+// which HierAlltoallv derives its gateways too -- in counts_to, so two
+// ranks disagreeing about the topology (a leader-rank divergence) raise a
+// pairwise "different elected leader sets" mismatch instead of
+// deadlocking in the leader or gateway phase.
 #pragma once
 
 #include <cstdint>
@@ -76,12 +80,12 @@ int HierGatherv(const void* sendbuf, int count, rbc::Datatype dt,
                 const VnodeMap* vn = nullptr);
 
 /// Hierarchical personalized all-to-all (dense counts interface, same
-/// contract as rbc::Alltoallv): per-destination payloads are coalesced on
-/// each node, cross the network once leader-to-leader (merged per
-/// destination), and are scattered locally -- the three-phase engine of
-/// hier_exchange.hpp over rbc::SparseAlltoallv. Delivers byte-identical
-/// results to rbc::Alltoallv. segment_bytes > 0 chunks each sparse-phase
-/// payload (the large-message regime).
+/// contract as rbc::Alltoallv): per-destination payloads gather at one
+/// gateway per remote node, cross the network once gateway-to-gateway
+/// (merged per destination), and are scattered locally -- the three-phase
+/// point-to-point engine of hier_exchange.hpp. Delivers byte-identical
+/// results to rbc::Alltoallv. segment_bytes > 0 bounds every wire message
+/// (the large-message regime).
 int HierAlltoallv(const void* sendbuf, std::span<const int> sendcounts,
                   std::span<const int> sdispls, rbc::Datatype dt,
                   void* recvbuf, std::span<const int> recvcounts,

@@ -1,61 +1,70 @@
-// Topology-shaped exchange: the generic three-phase byte engine behind
-// the hierarchical Alltoallv (ISSUE: "intra-node coalescing of
-// per-destination-node traffic, then local scatter").
+// Topology-shaped exchange: the byte engine behind the hierarchical
+// Alltoallv and exchange::Mode::kHierarchical.
 //
 // A flat sparse exchange ships one message per non-empty (source,
 // destination) pair; with p ranks spread over m nodes, almost all of
 // them cross the network. The hierarchical engine routes the same bytes
-// in three phases so that every inter-node byte travels exactly once,
-// between two node leaders:
+// in three point-to-point phases so that every inter-node byte travels
+// exactly once, inside one bundle per ordered pair of nodes. The bundles
+// are spread over the ranks of each node: on vnode u (see VnodeMap; m
+// vnodes, s_u ranks on u) the *gateway* for remote vnode w is member
+//   ((w - u) mod m - 1) mod s_u,
+// so with m - 1 <= s_u every rank carries at most one bundle each way
+// (the node-aware exchange of Bienz, Gropp and Olson, JPDC 2019).
 //
-//   A (intra): every rank sends each same-node destination its direct
-//     payload, and ships all of its node-crossing pieces to the node
-//     leader, bundled into the same message when the leader is also a
-//     direct destination. Wire format to rank q:
-//       [int64 direct_bytes][direct payload]
-//       (iff q is the leader) [int32 nsections]
-//                             [(int32 dest, int32 bytes) x nsections]
-//                             [section payloads, dest-ascending]
-//   B (inter, leaders only): each leader merges the buffered pieces PER
-//     DESTINATION -- all same-node sources' payloads for one destination
-//     concatenate (source-ascending) into ONE section -- and sends one
-//     bundle per destination node to that node's leader:
-//       [int32 nsections][(int32 dest, int32 bytes) x nsections]
-//       [section payloads, dest-ascending]
-//     Source ranks are never transmitted: node blocks are contiguous
-//     rank runs, sparse deliveries arrive source-ordered, and each
-//     merged section is internally source-ascending, so the receiver can
-//     reconstruct the global source order from structure alone. The
-//     per-destination merge is what makes the inter-node byte count
-//     strictly smaller than the flat exchange's (headers shrink from one
-//     per cross pair to one per (leader, destination) pair).
-//   C (intra): each leader scatters to every local destination the
-//     remote bytes that arrived for it:
-//       [int64 bytes_from_lower_nodes][payload, source-node-ascending]
+//   A (intra): every rank sends exactly one message to every other
+//     member of its vnode: the direct payload for that member (possibly
+//     none) and this rank's pieces for every destination on the remote
+//     vnodes that member is the gateway for. Every rank receives exactly
+//     s - 1 messages.
+//   B (inter): the gateway of u for w merges u's pieces for w PER
+//     DESTINATION -- all of u's sources for one destination concatenate,
+//     source-ascending, into ONE section -- and trades exactly one
+//     bundle, possibly empty, with w's gateway for u.
+//   C (intra): each gateway sends every other member of its vnode
+//     exactly one message: that member's bytes from each of the
+//     gateway's remote vnodes.
 //
-// Every rank finishes with exactly the bytes a flat exchange would have
-// delivered, concatenated in source-rank-ascending order:
-//   result = remote_lower ++ own-node direct block ++ remote_upper.
+// Every message is a *sectioned message*
+//   [int64 total bytes][int64 section bytes x n][section payloads]
+// whose section count n both ends derive from the vnode map, so source
+// ranks are never transmitted: vnodes are contiguous rank runs and each
+// merged section is internally source-ascending, so the receiver
+// reconstructs the global source order from structure alone. Every rank
+// finishes with exactly the bytes a flat exchange would have delivered,
+// concatenated in source-rank order:
+//   result = remote lower vnodes ++ own-vnode direct blocks ++ remote upper.
 //
-// The engine is parameterized on the sparse collective (SparseFn) so the
-// same code serves rbc::SparseAlltoallv (topo::HierAlltoallv) and
-// jsort::Transport::IsparseAlltoallv (exchange::Mode::kHierarchical)
-// without a layering cycle. All three phases are collective: every rank
-// of the group must invoke the SparseFn three times (with empty send
-// lists where it has nothing to contribute); they may share one tag --
-// the sparse exchange's second barrier fences back-to-back operations on
-// the same tag.
+// Termination needs no traffic. Every receive names its source and runs
+// in a fixed rotation order, and every (source, destination) pair sends a
+// fixed number of messages per exchange (the frames of one message are
+// announced by its total), so FIFO matching keeps back-to-back exchanges
+// on one tag apart -- no wildcard probe, no barrier, no sparse
+// collective. A wire message never exceeds segment_bytes (at least the
+// 8-byte total). The first frame of a message is also bounded by
+// kFirstFrameBytes; with segment_bytes == 0 only that frame is bounded and
+// the rest of a longer message follows as one message. The receiver takes
+// every first frame into one reusable, never zero-filled buffer, receives
+// the rest in place into one buffer of the message's exact size, and
+// hands the sections on as views -- no copy per section.
+//
+// Cost and scaling limit: a rank pays 2(s - 1) intra-node startups in
+// phase A, and in phase C s - 1 sends if it is a gateway plus one receive
+// per other gateway of its vnode; a gateway pays 2 ceil((m - 1) / s)
+// inter-node startups in phase B, where one leader per node would
+// serialize 2(m - 1). Known expectations save the two
+// group-wide termination barriers every sparse-collective phase would
+// pay. By the same alpha-beta arithmetic, barrier termination of phase B
+// would only win at about a hundred nodes or more with sparse traffic,
+// when a gateway's ceil((m - 1) / s) bundles are mostly empty.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <limits>
+#include <functional>
+#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
-
-#include "mpisim/error.hpp"
-#include "mpisim/nbc.hpp"
 
 namespace topo {
 
@@ -76,6 +85,18 @@ struct VnodeMap {
 
   /// Group ranks of all vnode leaders, ascending.
   std::vector<int> Leaders() const { return first; }
+
+  /// Group rank of vnode u's gateway for remote vnode w != u: member
+  /// ((w - u) mod m - 1) mod size(u).
+  int GatewayOf(int u, int w) const {
+    const int m = Count();
+    const int d = ((w - u) % m + m) % m;
+    return first[u] + (d - 1) % size[u];
+  }
+
+  /// Number of gateways on vnode u: its first min(m - 1, size(u))
+  /// members.
+  int GatewayCount(int u) const { return std::min(Count() - 1, size[u]); }
 };
 
 /// Builds the vnode map from per-group-rank node ids.
@@ -102,9 +123,10 @@ struct BytePiece {
   std::int64_t bytes = 0;
 };
 
-/// Payload traffic of one hierarchical exchange at this rank, split by
-/// level (phases A+C are intra-node, phase B inter-node). Counts the
-/// engine's logical messages; barrier/chunk metadata is the SparseFn's.
+/// Wire traffic of one hierarchical exchange at this rank, split by
+/// level (phases A+C are intra-node, phase B inter-node): every message
+/// the engine sends, frames included, and its bytes -- exactly what the
+/// substrate's send counters see for the exchange.
 struct HierLevelStats {
   std::int64_t intra_messages = 0;
   std::int64_t intra_bytes = 0;
@@ -112,317 +134,42 @@ struct HierLevelStats {
   std::int64_t inter_bytes = 0;
 };
 
-namespace detail {
+/// Bound of a message's first frame, the size of the receiver's reusable
+/// frame buffer (smaller when segment_bytes is).
+inline constexpr std::int64_t kFirstFrameBytes = 65536;
 
-inline void PutI64(std::vector<std::byte>& b, std::int64_t v) {
-  const std::size_t at = b.size();
-  b.resize(at + sizeof(v));
-  std::memcpy(b.data() + at, &v, sizeof(v));
-}
-
-inline void PutI32(std::vector<std::byte>& b, std::int32_t v) {
-  const std::size_t at = b.size();
-  b.resize(at + sizeof(v));
-  std::memcpy(b.data() + at, &v, sizeof(v));
-}
-
-inline std::int64_t GetI64(const std::byte* p) {
-  std::int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline std::int32_t GetI32(const std::byte* p) {
-  std::int32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void Append(std::vector<std::byte>& b, const std::byte* data,
-                   std::int64_t bytes) {
-  b.insert(b.end(), data, data + bytes);
-}
-
-/// Appends the (dest, bytes) section table and payloads of `sections`
-/// (dest-ascending) to `msg`.
-struct Section {
-  int dest = 0;
-  std::vector<std::byte> payload;
+/// The engine's point-to-point seam: `send(dest, data, bytes)` injects
+/// one eager wire message to group rank `dest`; `recv(src, buf,
+/// capacity)` receives the next wire message from group rank `src` (at
+/// most `capacity` bytes) and returns its size. Both run on one tag the
+/// caller owns for the duration of the exchange.
+struct HierWire {
+  std::function<void(int dest, const std::byte* data, int bytes)> send;
+  std::function<int(int src, std::byte* buf, int capacity)> recv;
 };
 
-inline void PutSections(std::vector<std::byte>& msg,
-                        std::span<const Section> sections) {
-  PutI32(msg, static_cast<std::int32_t>(sections.size()));
-  for (const Section& s : sections) {
-    if (s.payload.size() >
-        static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
-      throw mpisim::UsageError(
-          "hier exchange: per-destination section exceeds 2^31 bytes");
-    }
-    PutI32(msg, s.dest);
-    PutI32(msg, static_cast<std::int32_t>(s.payload.size()));
-  }
-  for (const Section& s : sections) {
-    Append(msg, s.payload.data(), static_cast<std::int64_t>(s.payload.size()));
-  }
-}
+/// What one rank received: views in source-rank order, each the
+/// concatenation of whole per-source pieces. The views point into
+/// `storage`, except the self piece, which views the caller's input.
+struct HierReceived {
+  std::vector<std::span<const std::byte>> parts;
+  std::int64_t bytes = 0;
+  std::vector<std::unique_ptr<std::byte[]>> storage;
 
-/// Parses a section table at `p` (with `avail` bytes); returns consumed
-/// bytes.
-inline std::size_t GetSections(const std::byte* p, std::size_t avail,
-                               std::vector<Section>* out) {
-  if (avail < 4) {
-    throw mpisim::UsageError("hier exchange: truncated section header");
-  }
-  const std::int32_t n = GetI32(p);
-  std::size_t off = 4;
-  if (n < 0 || avail < off + static_cast<std::size_t>(n) * 8) {
-    throw mpisim::UsageError("hier exchange: truncated section table");
-  }
-  std::vector<std::pair<int, std::int32_t>> table(
-      static_cast<std::size_t>(n));
-  for (auto& [dest, bytes] : table) {
-    dest = GetI32(p + off);
-    bytes = GetI32(p + off + 4);
-    off += 8;
-  }
-  for (const auto& [dest, bytes] : table) {
-    if (bytes < 0 || avail < off + static_cast<std::size_t>(bytes)) {
-      throw mpisim::UsageError("hier exchange: truncated section payload");
-    }
-    Section s;
-    s.dest = dest;
-    s.payload.assign(p + off, p + off + bytes);
-    off += static_cast<std::size_t>(bytes);
-    out->push_back(std::move(s));
-  }
-  return off;
-}
+  /// Copies the parts contiguously to `out` (`bytes` bytes).
+  void CopyTo(std::byte* out) const;
+};
 
-}  // namespace detail
-
-/// Runs the three-phase hierarchical exchange. `pieces` is this rank's
-/// per-destination coalesced traffic (dest-ascending, self allowed,
-/// zero-byte pieces skipped); `sparse` is invoked exactly three times on
-/// every rank (collectively) with signature
-///   std::vector<mpisim::SparseRecvMessage>(
-///       std::span<const mpisim::SparseSendBlock>)
-/// over Datatype::kByte, returning deliveries ordered by source rank.
-/// Returns the received bytes concatenated in source-rank-ascending
-/// order -- byte-identical to a flat exchange of the same pieces.
-template <typename SparseFn>
-std::vector<std::byte> HierExchangeBytes(const VnodeMap& vn, int my_rank,
-                                         std::span<const BytePiece> pieces,
-                                         SparseFn&& sparse,
-                                         HierLevelStats* stats = nullptr) {
-  using detail::Section;
-  const int v = vn.vnode_of[my_rank];
-  const int leader = vn.LeaderOf(v);
-  const int vsize = vn.size[v];
-  const int me_local = my_rank - leader;
-
-  // --- Phase A: split pieces into self / intra-direct / cross ------------
-  std::vector<std::byte> self_piece;
-  std::vector<const BytePiece*> direct(static_cast<std::size_t>(vsize),
-                                       nullptr);  // by local member index
-  std::vector<Section> cross;  // dest-ascending (pieces are)
-  for (const BytePiece& piece : pieces) {
-    if (piece.bytes <= 0) continue;
-    if (vn.vnode_of[piece.dest] == v) {
-      if (piece.dest == my_rank) {
-        self_piece.assign(piece.data, piece.data + piece.bytes);
-      } else {
-        direct[static_cast<std::size_t>(piece.dest - leader)] = &piece;
-      }
-    } else {
-      Section s;
-      s.dest = piece.dest;
-      s.payload.assign(piece.data, piece.data + piece.bytes);
-      cross.push_back(std::move(s));
-    }
-  }
-
-  std::vector<std::vector<std::byte>> bufs_a;
-  std::vector<mpisim::SparseSendBlock> sends_a;
-  for (int q = 0; q < vsize; ++q) {
-    const int g = leader + q;
-    if (g == my_rank) continue;
-    const BytePiece* d = direct[static_cast<std::size_t>(q)];
-    const bool relay_here = (g == leader) && !cross.empty();
-    if (d == nullptr && !relay_here) continue;
-    std::vector<std::byte> msg;
-    detail::PutI64(msg, d != nullptr ? d->bytes : 0);
-    if (d != nullptr) detail::Append(msg, d->data, d->bytes);
-    if (relay_here) detail::PutSections(msg, cross);
-    bufs_a.push_back(std::move(msg));
-    sends_a.push_back(mpisim::SparseSendBlock{
-        .dest = g, .data = bufs_a.back().data(),
-        .count = static_cast<int>(bufs_a.back().size())});
-  }
-  if (stats != nullptr) {
-    stats->intra_messages += static_cast<std::int64_t>(sends_a.size());
-    for (const auto& b : bufs_a) {
-      stats->intra_bytes += static_cast<std::int64_t>(b.size());
-    }
-  }
-  const std::vector<mpisim::SparseRecvMessage> deliv_a = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_a));
-
-  // Parse phase-A deliveries: direct payloads by local source index; at
-  // the leader, buffered cross pieces grouped per source (sources arrive
-  // ascending; own cross pieces belong at slot `me == leader`, the
-  // smallest rank of the vnode, so they go first).
-  std::vector<std::vector<std::byte>> direct_in(
-      static_cast<std::size_t>(vsize));
-  std::vector<std::vector<Section>> relays;  // source-ascending
-  if (my_rank == leader && !cross.empty()) relays.push_back(std::move(cross));
-  for (const mpisim::SparseRecvMessage& m : deliv_a) {
-    const std::byte* p = m.bytes.data();
-    const std::size_t avail = m.bytes.size();
-    if (avail < 8) {
-      throw mpisim::UsageError("hier exchange: truncated phase-A message");
-    }
-    const std::int64_t db = detail::GetI64(p);
-    if (db < 0 || avail < 8 + static_cast<std::size_t>(db)) {
-      throw mpisim::UsageError("hier exchange: truncated phase-A payload");
-    }
-    direct_in[static_cast<std::size_t>(m.source - leader)]
-        .assign(p + 8, p + 8 + db);
-    std::size_t off = 8 + static_cast<std::size_t>(db);
-    if (off < avail) {  // relay bundle (only the leader receives these)
-      std::vector<Section> r;
-      off += detail::GetSections(p + off, avail - off, &r);
-      relays.push_back(std::move(r));
-    }
-  }
-
-  // --- Phase B: leaders merge per destination, one bundle per vnode ------
-  std::vector<std::vector<std::byte>> bufs_b;
-  std::vector<mpisim::SparseSendBlock> sends_b;
-  if (my_rank == leader && !relays.empty()) {
-    // Merge: sections of each relay are dest-ascending and relays are
-    // source-ascending, so appending relay-by-relay into a per-dest
-    // accumulator yields source-ascending section payloads.
-    std::vector<Section> merged;  // dest-ascending
-    for (std::vector<Section>& r : relays) {
-      std::vector<Section> next;
-      next.reserve(merged.size() + r.size());
-      std::size_t i = 0, j = 0;
-      while (i < merged.size() || j < r.size()) {
-        if (j >= r.size() ||
-            (i < merged.size() && merged[i].dest < r[j].dest)) {
-          next.push_back(std::move(merged[i++]));
-        } else if (i >= merged.size() || r[j].dest < merged[i].dest) {
-          next.push_back(std::move(r[j++]));
-        } else {
-          merged[i].payload.insert(merged[i].payload.end(),
-                                   r[j].payload.begin(), r[j].payload.end());
-          next.push_back(std::move(merged[i]));
-          ++i;
-          ++j;
-        }
-      }
-      merged = std::move(next);
-    }
-    // One bundle per destination vnode (merged is dest-ascending and
-    // vnodes are contiguous rank ranges, so destinations of one vnode
-    // are consecutive).
-    for (std::size_t i = 0; i < merged.size();) {
-      const int u = vn.vnode_of[merged[i].dest];
-      std::size_t j = i;
-      while (j < merged.size() && vn.vnode_of[merged[j].dest] == u) ++j;
-      std::vector<std::byte> msg;
-      detail::PutSections(
-          msg, std::span<const Section>(merged.data() + i, j - i));
-      bufs_b.push_back(std::move(msg));
-      sends_b.push_back(mpisim::SparseSendBlock{
-          .dest = vn.LeaderOf(u), .data = bufs_b.back().data(),
-          .count = static_cast<int>(bufs_b.back().size())});
-      i = j;
-    }
-  }
-  if (stats != nullptr) {
-    stats->inter_messages += static_cast<std::int64_t>(sends_b.size());
-    for (const auto& b : bufs_b) {
-      stats->inter_bytes += static_cast<std::int64_t>(b.size());
-    }
-  }
-  const std::vector<mpisim::SparseRecvMessage> deliv_b = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_b));
-
-  // Parse phase-B bundles: per local destination, (source vnode, payload)
-  // pairs, source-vnode-ascending (deliveries arrive ordered by source
-  // leader rank, and leader order == vnode order).
-  std::vector<std::vector<std::pair<int, std::vector<std::byte>>>> for_member(
-      static_cast<std::size_t>(vsize));
-  for (const mpisim::SparseRecvMessage& m : deliv_b) {
-    const int u = vn.vnode_of[m.source];
-    std::vector<Section> sections;
-    detail::GetSections(m.bytes.data(), m.bytes.size(), &sections);
-    for (Section& s : sections) {
-      for_member[static_cast<std::size_t>(s.dest - leader)]
-          .emplace_back(u, std::move(s.payload));
-    }
-  }
-
-  // --- Phase C: leader scatters remote bytes to local destinations -------
-  std::vector<std::byte> my_lower, my_upper;
-  std::vector<std::vector<std::byte>> bufs_c;
-  std::vector<mpisim::SparseSendBlock> sends_c;
-  if (my_rank == leader) {
-    for (int q = 0; q < vsize; ++q) {
-      std::vector<std::byte> lower, upper;
-      for (auto& [u, payload] : for_member[static_cast<std::size_t>(q)]) {
-        auto& out = u < v ? lower : upper;
-        out.insert(out.end(), payload.begin(), payload.end());
-      }
-      if (q == 0) {  // the leader itself: no message
-        my_lower = std::move(lower);
-        my_upper = std::move(upper);
-        continue;
-      }
-      if (lower.empty() && upper.empty()) continue;
-      std::vector<std::byte> msg;
-      detail::PutI64(msg, static_cast<std::int64_t>(lower.size()));
-      detail::Append(msg, lower.data(), static_cast<std::int64_t>(lower.size()));
-      detail::Append(msg, upper.data(), static_cast<std::int64_t>(upper.size()));
-      bufs_c.push_back(std::move(msg));
-      sends_c.push_back(mpisim::SparseSendBlock{
-          .dest = leader + q, .data = bufs_c.back().data(),
-          .count = static_cast<int>(bufs_c.back().size())});
-    }
-  }
-  if (stats != nullptr) {
-    stats->intra_messages += static_cast<std::int64_t>(sends_c.size());
-    for (const auto& b : bufs_c) {
-      stats->intra_bytes += static_cast<std::int64_t>(b.size());
-    }
-  }
-  const std::vector<mpisim::SparseRecvMessage> deliv_c = sparse(
-      std::span<const mpisim::SparseSendBlock>(sends_c));
-  for (const mpisim::SparseRecvMessage& m : deliv_c) {
-    const std::byte* p = m.bytes.data();
-    const std::size_t avail = m.bytes.size();
-    if (avail < 8) {
-      throw mpisim::UsageError("hier exchange: truncated phase-C message");
-    }
-    const std::int64_t lb = detail::GetI64(p);
-    if (lb < 0 || avail < 8 + static_cast<std::size_t>(lb)) {
-      throw mpisim::UsageError("hier exchange: truncated phase-C payload");
-    }
-    my_lower.assign(p + 8, p + 8 + lb);
-    my_upper.assign(p + 8 + lb, p + avail);
-  }
-
-  // --- Final assembly: lower nodes ++ own-node block ++ upper nodes ------
-  std::vector<std::byte> result = std::move(my_lower);
-  for (int q = 0; q < vsize; ++q) {
-    const std::vector<std::byte>& block =
-        q == me_local ? self_piece : direct_in[static_cast<std::size_t>(q)];
-    result.insert(result.end(), block.begin(), block.end());
-  }
-  result.insert(result.end(), my_upper.begin(), my_upper.end());
-  return result;
-}
+/// Runs the three-phase hierarchical exchange over `wire`. `pieces` is
+/// this rank's per-destination coalesced traffic (dest-ascending, self
+/// allowed, zero-byte pieces skipped). Every rank of the group must call
+/// it with the same vnode map and segment limit. Returns the received
+/// bytes in source-rank order -- byte-identical to a flat exchange of
+/// the same pieces.
+HierReceived HierExchangeBytes(const VnodeMap& vn, int my_rank,
+                               std::span<const BytePiece> pieces,
+                               std::int64_t segment_bytes,
+                               const HierWire& wire,
+                               HierLevelStats* stats = nullptr);
 
 }  // namespace topo

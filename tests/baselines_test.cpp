@@ -1,6 +1,8 @@
 // Baseline sorters: hypercube quicksort and single-level sample sort.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <tuple>
 
 #include "sort/checks.hpp"
@@ -8,6 +10,7 @@
 #include "sort/sample_sort.hpp"
 #include "sort/workload.hpp"
 #include "testutil.hpp"
+#include "topo/topology.hpp"
 
 namespace {
 
@@ -108,6 +111,52 @@ TEST(SampleSort, MessageCountIsPMinusOne) {
     jsort::SampleSort(tr, std::move(input), {}, &stats);
     EXPECT_EQ(stats.messages_sent, kP - 1);  // the p-1 startups
   });
+}
+
+TEST(SampleSort, PeerFailureUnwindsWithTheFailedRank) {
+  // p=16 on 4 nodes of 4 under the two-level model: rank 5 fails before
+  // the sort, so the splitter gather at the root and the splitter bcast
+  // everywhere else can never complete. Every other rank must unwind with
+  // an AbortedError naming rank 5 well within the deadlock timeout, and
+  // Run must re-throw the injected error.
+  constexpr int kP = 16;
+  constexpr int kFailed = 5;
+  mpisim::Runtime::Options o;
+  o.num_ranks = kP;
+  o.topology = topo::Topology::Uniform(kP, 4);
+  o.cost.intra_alpha = o.cost.alpha;
+  o.cost.intra_beta = o.cost.beta;
+  o.cost.inter_alpha = 25.0 * o.cost.alpha;
+  o.cost.inter_beta = 4.0 * o.cost.beta;
+  o.deadlock_timeout = std::chrono::milliseconds(4000);
+  testutil::PerRank<int> origins(kP);
+  mpisim::Runtime rt(o);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    rt.Run([&](mpisim::Comm& world) {
+      auto tr = RbcTransportOf(world);
+      auto input = jsort::GenerateInput(InputKind::kUniform, world.Rank(), kP,
+                                        64, 3);
+      if (world.Rank() == kFailed) throw mpisim::Error("injected failure");
+      try {
+        jsort::SampleSort(tr, std::move(input));
+      } catch (const mpisim::AbortedError& e) {
+        origins.Set(world.Rank(), e.origin_rank());
+        return;
+      }
+      ADD_FAILURE() << "rank " << world.Rank() << " was not aborted";
+    });
+    ADD_FAILURE() << "expected the injected failure to re-throw";
+  } catch (const mpisim::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected failure"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, o.deadlock_timeout);
+  for (int r = 0; r < kP; ++r) {
+    if (r == kFailed) continue;
+    EXPECT_EQ(origins[r], kFailed) << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Property tests for the node-aware hierarchical exchange: randomized
 // traffic matrices asserting byte-exact equivalence of the hierarchical
-// delivery path (exchange::Mode::kHierarchical, the three-phase engine of
-// topo/hier_exchange.hpp) with every flat path, across all three
-// Transport backends, the segment-size sweep, and machine shapes
-// including ragged node sizes, 1-rank nodes and the one-node degenerate
-// case. Also pins the auto-routing contract: kAuto takes the hierarchical
+// delivery path (exchange::Mode::kHierarchical, the three-phase
+// point-to-point engine of topo/hier_exchange.hpp) with every flat path,
+// across all three Transport backends, the segment-size sweep, and
+// machine shapes including ragged node sizes, 1-rank nodes and the
+// one-node degenerate case. Also pins the auto-routing contract: kAuto takes the hierarchical
 // path exactly when the cost model is two-level AND the group spans more
 // than one node, and topo::HierAlltoallv delivers bit-for-bit what
 // rbc::Alltoallv delivers.
@@ -355,9 +355,9 @@ TEST(HierAutoRouting, FollowsCostModelAndNodeSpan) {
     inter += two_level[r].inter_messages;
     intra += two_level[r].intra_messages;
   }
-  // The engine ran: cross-node traffic travels leader-to-leader (exactly
-  // one bundle per ordered node pair here) and the intra phases carry the
-  // rest.
+  // The engine ran: cross-node traffic travels gateway-to-gateway
+  // (exactly one bundle per ordered node pair) and the intra phases carry
+  // the rest.
   EXPECT_EQ(inter, 2);
   EXPECT_GT(intra, 0);
 
