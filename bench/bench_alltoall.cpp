@@ -10,7 +10,6 @@
 // segmented paths must keep at or below segment_bytes (the manifest
 // assertion CI gates on).
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "harness.hpp"
@@ -18,16 +17,6 @@
 #include "sort/exchange.hpp"
 
 namespace {
-
-/// Polls a segment exchange to completion, yielding between polls: with
-/// more rank threads than cores, a spinning rank would starve the peers
-/// whose sends it waits for.
-void WaitPoll(const jsort::Poll& poll) {
-  while (!poll()) {
-    if (mpisim::Ctx().runtime->Aborted()) throw mpisim::AbortedError();
-    std::this_thread::yield();
-  }
-}
 
 /// Uniform personalized exchange: every rank sends `count` elements to
 /// every peer, RBC schedule vs the substrate's native implementation.
@@ -94,8 +83,9 @@ void SkewSweepAt(benchutil::BenchContext& ctx, int p, int reps) {
         std::vector<jsort::exchange::Segment> segs(1);
         segs[0] = jsort::exchange::Segment{data.data(), cap, begin, &sink,
                                            cap};
-        WaitPoll(jsort::exchange::StartSegmentExchange(
-            tr, layout, std::move(segs), 19, mode));
+        mpisim::WaitUntil(jsort::exchange::StartSegmentExchange(
+                              tr, layout, std::move(segs), 19, mode),
+                          "segment exchange");
       };
       for (auto mode : {jsort::exchange::Mode::kAlltoallv,
                         jsort::exchange::Mode::kCoalesced,
@@ -159,8 +149,10 @@ void LargeMessageSweepAt(benchutil::BenchContext& ctx, int p, int cap,
       std::vector<jsort::exchange::Segment> segs(1);
       segs[0] = jsort::exchange::Segment{data.data(), cap, begin, &sink,
                                          cap};
-      WaitPoll(jsort::exchange::StartSegmentExchange(
-          tr, layout, std::move(segs), 19, mode, stats, seg));
+      mpisim::WaitUntil(jsort::exchange::StartSegmentExchange(
+                            tr, layout, std::move(segs), 19, mode, stats,
+                            seg),
+                        "segment exchange");
     };
     for (auto mode : {jsort::exchange::Mode::kAlltoallv,
                       jsort::exchange::Mode::kSparse}) {

@@ -1,6 +1,8 @@
 #include "mpisim/p2p.hpp"
 
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "mpisim/runtime.hpp"
@@ -246,16 +248,13 @@ void Sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest,
 
 bool Test(Request& req, Status* st) { return req.Test(st); }
 
-namespace {
-/// Shared spin-with-deadline used by Wait/Waitall: yields between polls,
-/// honours runtime aborts, and turns a stuck wait into DeadlockError with
-/// the full wait-graph report. A request spin may complete without any new
-/// message arriving, so it registers with known=false (waitgraph.hpp).
-template <typename Poll>
-void SpinUntil(Poll poll, const char* what) {
+void WaitUntil(const std::function<bool()>& poll, std::string_view what) {
   if (poll()) return;  // fast path: completed already, no registration
   RankContext& rc = Ctx();
-  ScopedWait guard(MakeWait(what));
+  // known=false: a polled operation may complete without any new message
+  // arriving, so proactive detection stands down while it waits and the
+  // timeout below covers the deadlock case (waitgraph.hpp).
+  ScopedWait guard(MakeWait(std::string(what)));
   const auto deadline = std::chrono::steady_clock::now() +
                         rc.runtime->options().deadlock_timeout;
   while (!poll()) {
@@ -264,16 +263,15 @@ void SpinUntil(Poll poll, const char* what) {
     }
     if (std::chrono::steady_clock::now() > deadline) {
       throw DeadlockError(BuildDeadlockReport(
-          *rc.runtime, std::string("mpisim: ") + what +
+          *rc.runtime, "mpisim: " + std::string(what) +
                            " timed out (suspected deadlock)"));
     }
     std::this_thread::yield();
   }
 }
-}  // namespace
 
 void Wait(Request& req, Status* st) {
-  SpinUntil([&] { return req.Test(st); }, "Wait");
+  WaitUntil([&] { return req.Test(st); }, "Wait");
 }
 
 bool Testall(std::span<Request> reqs) {
@@ -283,7 +281,7 @@ bool Testall(std::span<Request> reqs) {
 }
 
 void Waitall(std::span<Request> reqs) {
-  SpinUntil([&] { return Testall(reqs); }, "Waitall");
+  WaitUntil([&] { return Testall(reqs); }, "Waitall");
 }
 
 }  // namespace mpisim

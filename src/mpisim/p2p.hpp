@@ -1,5 +1,6 @@
 // Point-to-point operations: Send/Recv, Isend/Irecv, Probe/Iprobe,
-// Test/Wait/Testall/Waitall.
+// Test/Wait/Testall/Waitall, and WaitUntil -- the one polled wait every
+// blocking call above the substrate goes through.
 //
 // The substrate uses an eager protocol: sends buffer the payload into the
 // destination mailbox and complete immediately. This mirrors the
@@ -8,7 +9,9 @@
 // clock still charges full single-ported costs on both endpoints.
 #pragma once
 
+#include <functional>
 #include <span>
+#include <string_view>
 
 #include "mpisim/comm.hpp"
 #include "mpisim/datatype.hpp"
@@ -53,14 +56,23 @@ void Sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest,
 /// Tests a request for completion (progresses it).
 bool Test(Request& req, Status* st = nullptr);
 
-/// Blocks (spinning with yields) until the request completes.
+/// Blocks until the request completes (WaitUntil on Test, label "Wait").
 void Wait(Request& req, Status* st = nullptr);
 
 /// Tests all requests; true iff every one is complete.
 bool Testall(std::span<Request> reqs);
 
-/// Waits for all requests to complete.
+/// Waits for all requests to complete (WaitUntil, label "Waitall").
 void Waitall(std::span<Request> reqs);
+
+/// Calls `poll` until it returns true -- the blocking form of every
+/// nonblocking operation, in every layer. Returns at once, unregistered,
+/// when the first poll succeeds. Otherwise registers a known=false wait
+/// record named `what` (waitgraph.hpp) and yields between polls; throws
+/// AbortedError naming the failed rank once any rank of the run failed,
+/// and DeadlockError carrying the wait-graph report after the runtime's
+/// deadlock_timeout. Must run on a rank thread.
+void WaitUntil(const std::function<bool()>& poll, std::string_view what);
 
 namespace detail {
 

@@ -91,18 +91,21 @@ class Runtime {
   /// the same tuple always maps to the same id). Thread-safe.
   std::uint64_t InternTuple(const TupleCtx& t);
 
-  /// True once any rank failed; spin-waiting operations poll this so they
-  /// terminate instead of waiting for messages that will never arrive.
-  bool Aborted() const { return aborted_.load(std::memory_order_relaxed); }
+  /// True once any rank failed; WaitUntil (p2p.hpp), the one polled wait,
+  /// checks this between polls so it terminates instead of waiting for
+  /// messages that will never arrive.
+  bool Aborted() const { return aborted_.load(std::memory_order_acquire); }
   /// `origin_rank` (when known) is the world rank whose failure started the
-  /// abort; the first caller wins, so forensics name the true origin.
+  /// abort; the first caller wins, so forensics name the true origin. The
+  /// origin is published before the flag, so a waiter that sees Aborted()
+  /// also sees FirstFailedRank().
   void MarkAborted(int origin_rank = -1) {
-    aborted_.store(true, std::memory_order_relaxed);
     if (origin_rank >= 0) {
       int expected = -1;
       first_failed_rank_.compare_exchange_strong(expected, origin_rank,
                                                  std::memory_order_relaxed);
     }
+    aborted_.store(true, std::memory_order_release);
   }
   /// World rank whose failure aborted the run, or -1 when unknown.
   int FirstFailedRank() const {

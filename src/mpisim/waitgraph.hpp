@@ -10,8 +10,9 @@
 //    patterns and no queued mailbox message matches any of them, no
 //    future progress is possible: the registering rank dumps the wait
 //    graph and raises DeadlockError immediately -- milliseconds instead
-//    of the wall-clock timeout. Spin-waits on request state machines
-//    (Wait/Waitall, rbc progress loops, service wave barriers) can
+//    of the wall-clock timeout. Polled waits -- mpisim::WaitUntil
+//    (p2p.hpp), the one poll loop behind Wait/Waitall and every blocking
+//    call above the substrate, and the service's wave barrier -- can
 //    complete without receiving anything, so they register with
 //    known=false and conservatively disable proactive detection while
 //    they are blocked; the timeout path below still covers them.
@@ -28,11 +29,11 @@
 //    timeout forensics below cover the deadlock instead.
 //
 //  * Timeout forensics. Every timeout path (blocking receive/probe,
-//    Wait/Waitall spins, rbc spins, the service's out-of-band wave
-//    barrier) appends the same per-rank wait graph -- who is blocked in
-//    what call, on which source/tag/communicator, at what virtual time,
-//    with the pending mailbox contents -- to its DeadlockError instead of
-//    the former bare one-liner.
+//    WaitUntil, the service's out-of-band wave barrier) appends the same
+//    per-rank wait graph -- who is blocked in what call, on which
+//    source/tag/communicator, at what virtual time, with the pending
+//    mailbox contents -- to its DeadlockError instead of the former bare
+//    one-liner.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,7 @@ struct WaitPattern {
 /// What one rank is blocked in. Patterns are conjunctive: the wait can
 /// complete only once every listed pattern has a matching queued message.
 /// known=false marks waits that may complete without any new message
-/// (request spins); their patterns, if any, are informational only.
+/// (WaitUntil polls); their patterns, if any, are informational only.
 struct WaitRecord {
   std::string what;
   std::vector<WaitPattern> patterns;

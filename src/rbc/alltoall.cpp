@@ -195,7 +195,7 @@ int Alltoall(const void* sendbuf, int count, Datatype dt, void* recvbuf,
                              kTagAlltoall, count, mpisim::SizeOf(dt)));
   detail::RunToCompletion(
       detail::MakeUniformSM(sendbuf, count, dt, recvbuf, comm, kTagAlltoall),
-      "Alltoall");
+      "rbc: Alltoall");
   return 0;
 }
 
@@ -232,7 +232,7 @@ int Alltoallv(const void* sendbuf, std::span<const int> sendcounts,
                                             recvbuf, recvcounts, rdispls,
                                             comm, kTagAlltoallv,
                                             segment_bytes),
-      "Alltoallv");
+      "rbc: Alltoallv");
   return 0;
 }
 

@@ -69,7 +69,7 @@ int Bcast(void* buffer, int count, Datatype dt, int root, const Comm& comm) {
   sanitize::CollectiveScope san(comm, std::move(rec));
   detail::RunToCompletion(
       detail::MakeBcastSM(buffer, count, dt, root, comm, kTagBcast),
-      "Bcast");
+      "rbc: Bcast");
   if (comm.Rank() != root) san.ArmExitSignatureCheck(buffer, bytes);
   return 0;
 }

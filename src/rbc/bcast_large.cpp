@@ -155,7 +155,7 @@ int BcastLarge(void* buffer, int count, Datatype dt, int root,
   detail::RunToCompletion(
       std::make_shared<detail::BcastLargeSM>(buffer, count, dt, root, comm,
                                              kTagBcastLarge),
-      "BcastLarge");
+      "rbc: BcastLarge");
   if (comm.Rank() != root) san.ArmExitSignatureCheck(buffer, bytes);
   return 0;
 }

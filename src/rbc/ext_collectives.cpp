@@ -169,7 +169,7 @@ int Allreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
   detail::RunToCompletion(
       detail::MakeAllreduceSM(sendbuf, recvbuf, count, dt, op, comm,
                               kTagAllreduce),
-      "Allreduce");
+      "rbc: Allreduce");
   return 0;
 }
 
@@ -249,7 +249,7 @@ int Exscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
   detail::RunToCompletion(
       std::make_shared<detail::ExscanSM>(sendbuf, recvbuf, count, dt, op,
                                          comm, kTagExscan),
-      "Exscan");
+      "rbc: Exscan");
   return 0;
 }
 
@@ -277,7 +277,7 @@ int Scatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
   detail::RunToCompletion(
       std::make_shared<detail::ScatterSM>(sendbuf, count, dt, recvbuf, root,
                                           comm, kTagScatter),
-      "Scatter");
+      "rbc: Scatter");
   return 0;
 }
 

@@ -81,7 +81,7 @@ int Gather(const void* sendbuf, int count, Datatype dt, void* recvbuf,
   detail::RunToCompletion(
       std::make_shared<detail::GatherSM>(sendbuf, count, dt, recvbuf, root,
                                          comm, kTagGather),
-      "Gather");
+      "rbc: Gather");
   return 0;
 }
 

@@ -151,7 +151,7 @@ int Gatherv(const void* sendbuf, int count, Datatype dt, void* recvbuf,
       std::make_shared<detail::GathervSM>(sendbuf, count, dt, recvbuf,
                                           recvcounts, displs, root, comm,
                                           kTagGatherv),
-      "Gatherv");
+      "rbc: Gatherv");
   return 0;
 }
 

@@ -1,8 +1,6 @@
 #include "rbc/p2p.hpp"
 
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "rbc/tags.hpp"
 
@@ -84,28 +82,6 @@ class RecvWildcardRequest final : public RequestImpl {
 
 }  // namespace
 
-void SpinUntil(const std::function<bool()>& poll, const char* what) {
-  if (poll()) return;  // fast path: completed already, no registration
-  mpisim::RankContext& rc = mpisim::Ctx();
-  // Register as a spin-wait (known=false): the schedule's data dependency
-  // is not a single envelope pattern, so proactive detection stands down
-  // and the timeout forensics below cover the deadlock case.
-  mpisim::ScopedWait guard(mpisim::MakeWait(std::string("rbc: ") + what));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        rc.runtime->options().deadlock_timeout;
-  while (!poll()) {
-    if (rc.runtime->Aborted()) {
-      throw mpisim::AbortedError(rc.runtime->FirstFailedRank());
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      throw mpisim::DeadlockError(mpisim::BuildDeadlockReport(
-          *rc.runtime, std::string("rbc: ") + what +
-                           " timed out (suspected deadlock)"));
-    }
-    std::this_thread::yield();
-  }
-}
-
 void SendInternal(const void* buf, int count, Datatype dt, int dest, int tag,
                   const Comm& comm) {
   ValidateMember(comm, "Send");
@@ -176,8 +152,9 @@ void ProbeInternal(int src, int tag, const Comm& comm, Status* st) {
     if (st != nullptr) *st = Translate(comm, raw);
     return;
   }
-  SpinUntil([&] { return IprobeInternal(kAnySource, tag, comm, st); },
-            "Probe(ANY_SOURCE)");
+  mpisim::WaitUntil(
+      [&] { return IprobeInternal(kAnySource, tag, comm, st); },
+      "rbc: Probe(ANY_SOURCE)");
 }
 
 }  // namespace detail

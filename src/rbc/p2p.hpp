@@ -60,10 +60,6 @@ Request IrecvInternal(void* buf, int count, Datatype dt, int src, int tag,
 bool IprobeInternal(int src, int tag, const Comm& comm, Status* st);
 void ProbeInternal(int src, int tag, const Comm& comm, Status* st);
 
-/// Spin helper shared by blocking RBC operations: yields, honours aborts,
-/// enforces the deadlock timeout.
-void SpinUntil(const std::function<bool()>& poll, const char* what);
-
 }  // namespace detail
 
 }  // namespace rbc

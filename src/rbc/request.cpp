@@ -1,30 +1,6 @@
 #include "rbc/request.hpp"
 
-#include <chrono>
-#include <string>
-#include <thread>
-
 namespace rbc {
-namespace {
-
-/// Spin with yields, honouring runtime aborts and the deadlock timeout so
-/// a wedged Wait fails the test instead of hanging it.
-template <typename Poll>
-void SpinUntil(Poll poll, const char* what) {
-  mpisim::RankContext& rc = mpisim::Ctx();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        rc.runtime->options().deadlock_timeout;
-  while (!poll()) {
-    if (rc.runtime->Aborted()) throw mpisim::AbortedError();
-    if (std::chrono::steady_clock::now() > deadline) {
-      throw mpisim::DeadlockError(std::string("rbc: ") + what +
-                                  " timed out (suspected deadlock)");
-    }
-    std::this_thread::yield();
-  }
-}
-
-}  // namespace
 
 int Test(Request* request, int* flag, Status* st) {
   if (request == nullptr) throw mpisim::UsageError("rbc::Test: null request");
@@ -35,7 +11,7 @@ int Test(Request* request, int* flag, Status* st) {
 
 int Wait(Request* request, Status* st) {
   if (request == nullptr) throw mpisim::UsageError("rbc::Wait: null request");
-  SpinUntil([&] { return request->Poll(st); }, "Wait");
+  mpisim::WaitUntil([&] { return request->Poll(st); }, "rbc: Wait");
   return 0;
 }
 
@@ -47,13 +23,13 @@ int Testall(std::span<Request> requests, int* flag) {
 }
 
 int Waitall(std::span<Request> requests) {
-  SpinUntil(
+  mpisim::WaitUntil(
       [&] {
         int flag = 0;
         Testall(requests, &flag);
         return flag != 0;
       },
-      "Waitall");
+      "rbc: Waitall");
   return 0;
 }
 

@@ -79,7 +79,7 @@ int Scan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
   detail::RunToCompletion(std::make_shared<detail::ScanSM>(
                               sendbuf, recvbuf, count, dt, op, comm,
                               kTagScan),
-                          "Scan");
+                          "rbc: Scan");
   return 0;
 }
 

@@ -2,9 +2,9 @@
 
 namespace rbc::detail {
 
-void RunToCompletion(std::shared_ptr<RequestImpl> sm, const char* what) {
+void RunToCompletion(std::shared_ptr<RequestImpl> sm, std::string_view what) {
   Request req(std::move(sm));
-  SpinUntil([&] { return req.Poll(nullptr); }, what);
+  mpisim::WaitUntil([&] { return req.Poll(nullptr); }, what);
 }
 
 }  // namespace rbc::detail

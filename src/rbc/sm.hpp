@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mpisim/nbc.hpp"  // for the binomial tree topology helper
@@ -43,8 +44,8 @@ inline void ValidateCollective(const Comm& comm, int root, const char* op) {
 /// Runs a freshly-built state machine to completion (the blocking form of
 /// every RBC collective is its nonblocking form plus Wait, which matches
 /// the paper's "implemented with point-to-point communication provided by
-/// the RBC library").
-void RunToCompletion(std::shared_ptr<RequestImpl> sm, const char* what);
+/// the RBC library"). `what` names the wait ("rbc: Bcast", ...).
+void RunToCompletion(std::shared_ptr<RequestImpl> sm, std::string_view what);
 
 /// Cross-file state-machine factories (barrier chains reduce + bcast).
 std::shared_ptr<RequestImpl> MakeReduceSM(const void* send, void* recv,

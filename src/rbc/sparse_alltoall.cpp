@@ -181,7 +181,7 @@ int SparseAlltoallv(std::span<const SparseSendBlock> sends, Datatype dt,
   detail::RunToCompletion(
       std::make_shared<detail::SparseAlltoallvSM>(sends, dt, received, comm,
                                                   tag, segment_bytes),
-      "SparseAlltoallv");
+      "rbc: SparseAlltoallv");
   return 0;
 }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 
 #include "mpisim/runtime.hpp"
 #include "query/quantile.hpp"
@@ -103,17 +102,6 @@ SortService::~SortService() = default;
 
 namespace {
 
-/// Polls one of the verification collectives to completion, yielding
-/// between polls so the group's other rank threads get the cores they need
-/// to progress it, and unwinding when another rank failed.
-void WaitVerify(const Poll& poll) {
-  while (!poll()) {
-    mpisim::Runtime* rt = mpisim::Ctx().runtime;
-    if (rt->Aborted()) throw mpisim::AbortedError(rt->FirstFailedRank());
-    std::this_thread::yield();
-  }
-}
-
 /// Off-the-clock verification of one job's output on its own group:
 /// every member contributes (locally_sorted, count, first, last); the
 /// group root checks the boundary chain and element conservation and
@@ -131,8 +119,9 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
       out.empty() ? 0.0 : out.back(),
   };
   std::vector<double> all(static_cast<std::size_t>(4 * p));
-  WaitVerify(sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
-                         kVerifyGatherTag));
+  mpisim::WaitUntil(sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
+                                 kVerifyGatherTag),
+                    "VerifyJob gather");
   double verdict = 1.0;
   if (sub->Rank() == 0) {
     bool ok = true;
@@ -153,8 +142,9 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
     ok = ok && total == spec.n_total;
     verdict = ok ? 1.0 : 0.0;
   }
-  WaitVerify(
-      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag));
+  mpisim::WaitUntil(
+      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag),
+      "VerifyJob verdict bcast");
   rc.clock.Reset();
   rc.clock.Advance(saved);
   return verdict != 0.0;

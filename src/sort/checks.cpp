@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 namespace jsort {
@@ -23,19 +22,6 @@ std::uint64_t BitsOf(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof u);
   return u;
-}
-
-/// Blocking allreduce over a Transport (Ireduce to rank 0 + Ibcast),
-/// mirroring jsort::query's helper; the checkers run over Transport so
-/// they verify on whichever backend produced the answer.
-void TrWait(const Poll& poll) {
-  while (!poll()) std::this_thread::yield();
-}
-
-void TrAllreduce(Transport& tr, const void* in, void* out, int count,
-                 Datatype dt, ReduceOp op, int tag) {
-  TrWait(tr.Ireduce(in, out, count, dt, op, 0, tag));
-  TrWait(tr.Ibcast(out, count, dt, 0, tag + 1));
 }
 
 }  // namespace
@@ -114,7 +100,7 @@ bool VerifySelection(Transport& tr, std::span<const double> local,
     if (x <= value) ++mine[1];
   }
   std::int64_t global[3] = {0, 0, 0};
-  TrAllreduce(tr, mine, global, 3, Datatype::kInt64, ReduceOp::kSum, tag);
+  Allreduce(tr, mine, global, 3, Datatype::kInt64, ReduceOp::kSum, tag);
   // Identical global inputs on every rank, so no verdict broadcast needed.
   return global[0] == less && global[1] == less_equal && less <= k &&
          k < less_equal && less_equal <= global[2];
@@ -124,8 +110,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
                 std::span<const double> topk, int root, int tag) {
   const std::int64_t n_local = static_cast<std::int64_t>(local.size());
   std::int64_t n_total = 0;
-  TrAllreduce(tr, &n_local, &n_total, 1, Datatype::kInt64, ReduceOp::kSum,
-              tag);
+  Allreduce(tr, &n_local, &n_total, 1, Datatype::kInt64, ReduceOp::kSum,
+            tag);
   const std::int64_t expect = std::min(k < 0 ? 0 : k, n_total);
 
   // The root publishes {m, sorted?, threshold}; a wrong size or ordering
@@ -136,7 +122,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
     head[1] = std::is_sorted(topk.begin(), topk.end()) ? 1.0 : 0.0;
     head[2] = topk.empty() ? 0.0 : topk.back();
   }
-  TrWait(tr.Ibcast(head, 3, Datatype::kFloat64, root, tag + 2));
+  mpisim::WaitUntil(tr.Ibcast(head, 3, Datatype::kFloat64, root, tag + 2),
+                    "VerifyTopK head bcast");
   const auto m = static_cast<std::int64_t>(head[0]);
   if (m != expect || head[1] == 0.0) return false;
   if (m == 0) return true;
@@ -158,8 +145,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
   }
   std::int64_t g_counts[2] = {0, 0};
   std::uint64_t g_hash = 0;
-  TrAllreduce(tr, counts, g_counts, 2, Datatype::kInt64, ReduceOp::kSum, tag);
-  TrAllreduce(tr, &hash, &g_hash, 1, Datatype::kUint64, ReduceOp::kSum, tag);
+  Allreduce(tr, counts, g_counts, 2, Datatype::kInt64, ReduceOp::kSum, tag);
+  Allreduce(tr, &hash, &g_hash, 1, Datatype::kUint64, ReduceOp::kSum, tag);
 
   std::uint8_t ok = 1;
   if (tr.Rank() == root) {
@@ -177,7 +164,8 @@ bool VerifyTopK(Transport& tr, std::span<const double> local, std::int64_t k,
              ? 1
              : 0;
   }
-  TrWait(tr.Ibcast(&ok, 1, Datatype::kByte, root, tag + 3));
+  mpisim::WaitUntil(tr.Ibcast(&ok, 1, Datatype::kByte, root, tag + 3),
+                    "VerifyTopK verdict bcast");
   return ok != 0;
 }
 
@@ -189,7 +177,7 @@ bool VerifyQuantile(Transport& tr, std::span<const double> local, double q,
     if (x <= value) ++mine[1];
   }
   std::int64_t global[3] = {0, 0, 0};
-  TrAllreduce(tr, mine, global, 3, Datatype::kInt64, ReduceOp::kSum, tag);
+  Allreduce(tr, mine, global, 3, Datatype::kInt64, ReduceOp::kSum, tag);
   const std::int64_t n = global[2];
   if (n == 0) return true;  // nothing to answer; any value is as good
   const double clamped = q < 0.0 ? 0.0 : (q > 1.0 ? 1.0 : q);

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "topo/hier_exchange.hpp"
 
 namespace jsort {
 namespace exchange {
 namespace {
-
-void WaitPoll(const Poll& p) {
-  while (!p()) {
-    if (mpisim::Ctx().runtime->Aborted()) throw mpisim::AbortedError();
-    std::this_thread::yield();
-  }
-}
 
 /// Vnode map of the transport's group under the runtime's installed
 /// topology: group ranks translate to world ranks, world ranks to nodes,
@@ -309,8 +301,9 @@ bool SegmentState::DrainCoalesced() {
 
 std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag) {
   std::int64_t incl = 0;
-  Poll s = tr.Iscan(&mine, &incl, 1, Datatype::kInt64, ReduceOp::kSum, tag);
-  WaitPoll(s);
+  mpisim::WaitUntil(
+      tr.Iscan(&mine, &incl, 1, Datatype::kInt64, ReduceOp::kSum, tag),
+      "ExscanCount");
   return incl - mine;
 }
 
@@ -426,8 +419,10 @@ std::vector<double> ExchangeBuckets(Transport& tr,
   std::vector<int> ones(static_cast<std::size_t>(p), 1),
       iota(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) iota[static_cast<std::size_t>(i)] = i;
-  WaitPoll(tr.Ialltoallv(my_counts.data(), ones, iota, Datatype::kInt64,
-                         in_counts.data(), ones, iota, tag));
+  mpisim::WaitUntil(tr.Ialltoallv(my_counts.data(), ones, iota,
+                                  Datatype::kInt64, in_counts.data(), ones,
+                                  iota, tag),
+                    "ExchangeBuckets counts round");
 
   // Payload round. The self block is a zero-count gap in the exchange
   // (matching sendcounts[me] == 0 above); its slot in `out` is filled
@@ -445,9 +440,10 @@ std::vector<double> ExchangeBuckets(Transport& tr,
   std::copy(elements.begin() + offsets[static_cast<std::size_t>(me)],
             elements.begin() + offsets[static_cast<std::size_t>(me) + 1],
             out.begin() + rdispls[static_cast<std::size_t>(me)]);
-  WaitPoll(tr.Ialltoallv(elements.data(), sendcounts, sdispls,
-                         Datatype::kFloat64, out.data(), recvcounts, rdispls,
-                         tag, segment_bytes));
+  mpisim::WaitUntil(tr.Ialltoallv(elements.data(), sendcounts, sdispls,
+                                  Datatype::kFloat64, out.data(), recvcounts,
+                                  rdispls, tag, segment_bytes),
+                    "ExchangeBuckets payload");
   if (stats != nullptr) {
     stats->messages_sent += p - 1;
     stats->elements_sent += total_out;  // self excluded
@@ -599,8 +595,9 @@ std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
           SparseBlock{d, m.data(), static_cast<int>(m.size())});
     }
     std::vector<SparseDelivery> deliveries;
-    WaitPoll(tr->IsparseAlltoallv(blocks, Datatype::kFloat64, &deliveries,
-                                  tag, segment_bytes));
+    mpisim::WaitUntil(tr->IsparseAlltoallv(blocks, Datatype::kFloat64,
+                                           &deliveries, tag, segment_bytes),
+                      "ExchangeGroupwise sparse");
     std::int64_t total = 0;
     for (const SparseDelivery& d : deliveries) {
       total += static_cast<std::int64_t>(d.bytes.size() / sizeof(double));

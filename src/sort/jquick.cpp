@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <random>
-#include <thread>
 
 #include "sort/assignment.hpp"
 #include "sort/exchange.hpp"
@@ -117,27 +115,27 @@ class Driver {
   }
 
  private:
+  /// Steps every active task for as long as any of them progresses; the
+  /// wait yields only after a pass that made no progress.
   void DistributedPhase() {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          mpisim::Ctx().runtime->options().deadlock_timeout;
-    while (!active_.empty()) {
-      bool progressed = false;
-      for (std::size_t i = 0; i < active_.size();) {
-        progressed |= Step(*active_[i]);
-        if (active_[i]->phase == Phase::kDone) {
-          active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-      if (!progressed) {
-        if (mpisim::Ctx().runtime->Aborted()) throw mpisim::AbortedError();
-        if (std::chrono::steady_clock::now() > deadline) {
-          throw mpisim::DeadlockError("JQuick: distributed phase stalled");
-        }
-        std::this_thread::yield();
-      }
-    }
+    mpisim::WaitUntil(
+        [&] {
+          bool progressed = true;
+          while (progressed && !active_.empty()) {
+            progressed = false;
+            for (std::size_t i = 0; i < active_.size();) {
+              progressed |= Step(*active_[i]);
+              if (active_[i]->phase == Phase::kDone) {
+                active_.erase(active_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+              } else {
+                ++i;
+              }
+            }
+          }
+          return active_.empty();
+        },
+        "JQuick distributed phase");
   }
 
   /// Advances one task through as many phases as possible. Returns true if
@@ -518,16 +516,10 @@ std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
                                      JQuickStats* stats) {
   if (world == nullptr) throw mpisim::UsageError("JQuickSort: null transport");
   // Agree on the padded quota: the maximum local size over all ranks.
-  std::int64_t mine = static_cast<std::int64_t>(local.size());
+  const std::int64_t mine = static_cast<std::int64_t>(local.size());
   std::int64_t quota = 0;
-  {
-    // Reduce+bcast via the transport's nonblocking primitives.
-    Poll r = world->Ireduce(&mine, &quota, 1, Datatype::kInt64,
-                            ReduceOp::kMax, 0, /*tag=*/96);
-    while (!r()) std::this_thread::yield();
-    Poll b = world->Ibcast(&quota, 1, Datatype::kInt64, 0, /*tag=*/97);
-    while (!b()) std::this_thread::yield();
-  }
+  Allreduce(*world, &mine, &quota, 1, Datatype::kInt64, ReduceOp::kMax,
+            /*tag=*/96);
   local.resize(static_cast<std::size_t>(quota),
                std::numeric_limits<double>::infinity());
   std::vector<double> out = JQuickSort(world, std::move(local), cfg, stats);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include "sort/partition.hpp"
 #include "sort/sampling.hpp"
@@ -13,10 +12,6 @@ namespace {
 
 constexpr int kTagSplitter = 2048;
 constexpr int kTagPieceBase = 2080;  // + level
-
-void WaitPoll(Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
 
 /// Near-equal partition of p ranks into k groups: group g covers
 /// [Begin(g), Begin(g+1)) with the first p%k groups one rank larger.
@@ -83,25 +78,9 @@ std::vector<double> MultilevelSampleSort(
     const GroupLayout groups{p, k};
 
     // 1) Splitter selection: sample, gather, pick k-1 equidistant, bcast.
-    const int per_rank = std::max(1, cfg.oversample);
-    std::vector<double> mine(static_cast<std::size_t>(per_rank));
-    DrawSamples(local, per_rank, mine.data(), rng);
-    std::vector<double> all;
-    if (rank == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
-    Poll g = tr->Igather(mine.data(), per_rank, Datatype::kFloat64,
-                         all.data(), 0, kTagSplitter + level);
-    WaitPoll(g);
-    std::vector<double> splitters(static_cast<std::size_t>(k - 1));
-    if (rank == 0) {
-      std::sort(all.begin(), all.end());
-      for (int i = 1; i < k; ++i) {
-        splitters[static_cast<std::size_t>(i - 1)] =
-            all[static_cast<std::size_t>(i) * all.size() / k];
-      }
-    }
-    Poll b = tr->Ibcast(splitters.data(), k - 1, Datatype::kFloat64, 0,
-                        kTagSplitter + level);
-    WaitPoll(b);
+    const std::vector<double> splitters =
+        SelectSplitters(*tr, local, std::max(1, cfg.oversample), k,
+                        kTagSplitter + level, rng);
 
     // 2) Partition into k pieces with the branchless splitter-tree kernel.
     const KWayBuckets pieces = PartitionKWay(local, splitters);

@@ -23,7 +23,6 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   if (stats != nullptr) *stats = SampleSortStats{};
   Transport& tr = *world;
   const int p = tr.Size();
-  const int rank = tr.Rank();
   if (p == 1) {
     std::sort(local.begin(), local.end());
     if (stats != nullptr) {
@@ -36,30 +35,10 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
                        (static_cast<std::uint64_t>(mpisim::Ctx().world_rank) +
                         1)));
 
-  // 1) Splitter selection: every rank contributes oversample*(p-1)/p + 1
-  //    samples; the root sorts the sample and picks p-1 equidistant
-  //    splitters.
-  const int per_rank = std::max(1, cfg.oversample);
-  std::vector<double> mine(static_cast<std::size_t>(per_rank));
-  DrawSamples(local, per_rank, mine.data(), rng);
-  std::vector<double> all;
-  if (rank == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
-  Poll g = tr.Igather(mine.data(), per_rank, Datatype::kFloat64, all.data(),
-                      0, kTagSplitter);
-  // Polled like every blocking rbc call: an AbortedError naming the failed
-  // rank when a peer fails, a DeadlockError at the deadlock timeout.
-  rbc::detail::SpinUntil(g, "SampleSort splitter gather");
-  std::vector<double> splitters(static_cast<std::size_t>(p - 1));
-  if (rank == 0) {
-    std::sort(all.begin(), all.end());
-    for (int i = 1; i < p; ++i) {
-      splitters[static_cast<std::size_t>(i - 1)] =
-          all[static_cast<std::size_t>(i) * all.size() / p];
-    }
-  }
-  Poll b = tr.Ibcast(splitters.data(), p - 1, Datatype::kFloat64, 0,
-                     kTagSplitter);
-  rbc::detail::SpinUntil(b, "SampleSort splitter bcast");
+  // 1) Splitter selection: every rank contributes `oversample` samples;
+  //    the root sorts the sample and picks p-1 equidistant splitters.
+  const std::vector<double> splitters = SelectSplitters(
+      tr, local, std::max(1, cfg.oversample), p, kTagSplitter, rng);
 
   // 2) Local partition into p buckets with the branchless splitter-tree
   //    kernel (bucket-major flat layout, ready for the flat exchange).

@@ -36,6 +36,32 @@ void DrawSamples(std::span<const double> data, int k, double* out,
   for (int i = 0; i < k; ++i) out[i] = data[pick(rng)];
 }
 
+std::vector<double> SelectSplitters(Transport& tr,
+                                    std::span<const double> local,
+                                    int per_rank, int k, int tag,
+                                    std::mt19937_64& rng) {
+  const int p = tr.Size();
+  std::vector<double> mine(static_cast<std::size_t>(per_rank));
+  DrawSamples(local, per_rank, mine.data(), rng);
+  std::vector<double> all;
+  if (tr.Rank() == 0) all.resize(static_cast<std::size_t>(per_rank) * p);
+  mpisim::WaitUntil(tr.Igather(mine.data(), per_rank, Datatype::kFloat64,
+                               all.data(), 0, tag),
+                    "SelectSplitters gather");
+  std::vector<double> splitters(static_cast<std::size_t>(k - 1));
+  if (tr.Rank() == 0) {
+    std::sort(all.begin(), all.end());
+    for (int i = 1; i < k; ++i) {
+      splitters[static_cast<std::size_t>(i - 1)] =
+          all[static_cast<std::size_t>(i) * all.size() / k];
+    }
+  }
+  mpisim::WaitUntil(tr.Ibcast(splitters.data(), k - 1, Datatype::kFloat64, 0,
+                              tag),
+                    "SelectSplitters bcast");
+  return splitters;
+}
+
 double MedianOf(std::span<double> samples) {
   if (samples.empty()) return std::numeric_limits<double>::infinity();
   const std::size_t mid = samples.size() / 2;

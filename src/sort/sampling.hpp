@@ -8,13 +8,18 @@
 //    single (alpha log p)-latency reduce + bcast.
 //  * kMedianOfSamples -- Section VIII-A: the pivot is the median of
 //    max(k1 log p, k2 n/p, k3) samples drawn by random sampling.
+//
+// The sample sorts' splitter selection (SelectSplitters) draws from the
+// same sampler.
 #pragma once
 
 #include <cstdint>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "mpisim/datatype.hpp"
+#include "sort/transport.hpp"
 
 namespace jsort {
 
@@ -46,6 +51,15 @@ mpisim::PairDD ReservoirCandidate(std::span<const double> data,
 /// sentinel +inf so callers can filter.
 void DrawSamples(std::span<const double> data, int k, double* out,
                  std::mt19937_64& rng);
+
+/// Splitter selection of the sample sorts: every rank draws `per_rank`
+/// samples of `local` (DrawSamples), group rank 0 gathers and sorts them
+/// and picks the k-1 equidistant splitters all[i * |all| / k], and
+/// broadcasts them on the same `tag`. Returns the splitters on every rank.
+std::vector<double> SelectSplitters(Transport& tr,
+                                    std::span<const double> local,
+                                    int per_rank, int k, int tag,
+                                    std::mt19937_64& rng);
 
 /// Median of a scratch sample buffer (modifies it). Empty -> +inf.
 double MedianOf(std::span<double> samples);

@@ -251,6 +251,13 @@ std::shared_ptr<Transport> MakeIcommTransport(mpisim::Comm comm) {
   return std::make_shared<IcommTransport>(std::move(comm));
 }
 
+void Allreduce(Transport& tr, const void* in, void* out, int count,
+               Datatype dt, ReduceOp op, int tag) {
+  mpisim::WaitUntil(tr.Ireduce(in, out, count, dt, op, 0, tag),
+                    "Allreduce reduce");
+  mpisim::WaitUntil(tr.Ibcast(out, count, dt, 0, tag + 1), "Allreduce bcast");
+}
+
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kRbc: return "rbc";

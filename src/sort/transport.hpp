@@ -130,6 +130,13 @@ std::shared_ptr<Transport> MakeMpiTransport(mpisim::Comm comm);
 /// Section-VI proposal transport (nonblocking tuple-context creation).
 std::shared_ptr<Transport> MakeIcommTransport(mpisim::Comm comm);
 
+/// Blocking allreduce over a Transport, composed from two collectives
+/// every backend provides: Ireduce to group rank 0 on `tag`, then Ibcast
+/// of the result on `tag + 1`. Both waits go through mpisim::WaitUntil.
+/// `in` and `out` must not alias.
+void Allreduce(Transport& tr, const void* in, void* out, int count,
+               Datatype dt, ReduceOp op, int tag);
+
 /// The three split-mechanics backends, as one selectable axis. Every
 /// consumer that sweeps backends (benchmarks, the sort service, the
 /// examples) goes through this factory, so the set has a single

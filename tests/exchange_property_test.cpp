@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -49,9 +48,9 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
   return nullptr;
 }
 
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
+/// A wedged exchange fails with the wait-graph report at the deadlock
+/// timeout instead of spinning until the test timeout.
+void WaitPoll(const jsort::Poll& p) { mpisim::WaitUntil(p, "test exchange"); }
 
 /// The swept segment sizes (bytes): one double, a prime that lands
 /// mid-element and mid-chunk, and one far above every payload in these

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "sort/exchange.hpp"
@@ -41,9 +40,9 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
   return nullptr;
 }
 
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
+/// A wedged exchange fails with the wait-graph report at the deadlock
+/// timeout instead of spinning until the test timeout.
+void WaitPoll(const jsort::Poll& p) { mpisim::WaitUntil(p, "test exchange"); }
 
 class ExchangeSweep : public ::testing::TestWithParam<Backend> {};
 

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -51,9 +50,9 @@ std::shared_ptr<Transport> Make(Backend b, mpisim::Comm& world) {
   return nullptr;
 }
 
-void WaitPoll(const jsort::Poll& p) {
-  while (!p()) std::this_thread::yield();
-}
+/// A wedged exchange fails with the wait-graph report at the deadlock
+/// timeout instead of spinning until the test timeout.
+void WaitPoll(const jsort::Poll& p) { mpisim::WaitUntil(p, "test exchange"); }
 
 /// The machine shapes under test, all covering 8 ranks: uniform nodes,
 /// ragged sizes with a 1-rank node, and the one-node degenerate case
