@@ -13,10 +13,12 @@
 //       exits 3.
 //   ./examples/sanitizer_demo hier-leader -- rank 2 derives a divergent
 //       machine view (every rank its own node) before a hierarchical
-//       broadcast, so its elected leader set disagrees with everyone
-//       else's. Under the sanitizer this exits 1 with a "different
-//       elected leader sets" diagnostic at collective entry; without the
-//       sanitizer the leader phase would deadlock instead (exit 3).
+//       all-to-all, so its elected leader set (the vnode starts, which
+//       fix the gateways) disagrees with everyone else's. Under the
+//       sanitizer this exits 1 with a "different elected leader sets"
+//       diagnostic at collective entry; without it the divergence only
+//       surfaces later, inside the gateway phase (a malformed-message
+//       error or a deadlock).
 //
 // The sanitizer is opt-in: set MPISIM_SANITIZE=1 (the CI job does), or
 // flip RuntimeConfig::sanitize_collectives in code.
@@ -47,17 +49,22 @@ int RunMode(const char* mode) {
       rt.Run([](mpisim::Comm& world) {
         rbc::Comm comm;
         rbc::Create_RBC_Comm(world, &comm);
-        double x = world.Rank() == 0 ? 3.14 : 0.0;
+        std::vector<double> send(8, world.Rank()), recv(8, 0.0);
+        const std::vector<int> ones(8, 1);
+        const std::vector<int> displs{0, 1, 2, 3, 4, 5, 6, 7};
         if (world.Rank() == 2) {
           // Divergent machine view: every rank believed to be its own
           // node, so rank 2 elects all 8 ranks as leaders.
           std::vector<int> own_node(8);
           for (int r = 0; r < 8; ++r) own_node[r] = r;
           const topo::VnodeMap diverged = topo::VnodesOf(own_node);
-          topo::HierBcast(&x, 1, rbc::Datatype::kFloat64, 0, comm,
-                          &diverged);
+          topo::HierAlltoallv(send.data(), ones, displs,
+                              rbc::Datatype::kFloat64, recv.data(), ones,
+                              displs, comm, /*segment_bytes=*/0, &diverged);
         } else {
-          topo::HierBcast(&x, 1, rbc::Datatype::kFloat64, 0, comm);
+          topo::HierAlltoallv(send.data(), ones, displs,
+                              rbc::Datatype::kFloat64, recv.data(), ones,
+                              displs, comm);
         }
       });
     } else if (std::strcmp(mode, "deadlock") == 0) {

@@ -81,34 +81,24 @@ class IreduceSM final : public RequestImpl {
  public:
   IreduceSM(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
             int root, Comm comm, int tag)
-      : recv_(recv), count_(count), dt_(dt), op_(op), root_(root),
+      : recv_(recv), count_(count), dt_(dt), op_(op),
         comm_(std::move(comm)), tag_(tag),
         tree_(BinomialTree::Compute(comm_.Rank(), comm_.Size(), root)),
-        acc_(Bytes(count, dt)) {
+        acc_(Bytes(count, dt)), child_buf_(acc_.size()) {
     if (!acc_.empty()) std::memcpy(acc_.data(), send, acc_.size());
-    child_bufs_.resize(tree_.children.size());
-    child_reqs_.resize(tree_.children.size());
-    child_done_.assign(tree_.children.size(), false);
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      child_bufs_[i].resize(acc_.size());
-      child_reqs_[i] = IrecvOnChannel(child_bufs_[i].data(), count_, dt_,
-                                      tree_.children[i], tag_, comm_, kCh);
-    }
+    if (!tree_.children.empty()) PostChild();
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    bool all = true;
-    for (std::size_t i = 0; i < child_reqs_.size(); ++i) {
-      if (child_done_[i]) continue;
-      if (child_reqs_[i].Test()) {
-        ApplyReduce(op_, dt_, child_bufs_[i].data(), acc_.data(), count_);
-        child_done_[i] = true;
-      } else {
-        all = false;
-      }
+    // Children one at a time, in increasing mask order: the fold order,
+    // and so the model time, never depends on which message arrived
+    // first.
+    while (child_ < tree_.children.size()) {
+      if (!pending_.Test()) return false;
+      ApplyReduce(op_, dt_, child_buf_.data(), acc_.data(), count_);
+      if (++child_ < tree_.children.size()) PostChild();
     }
-    if (!all) return false;
     if (tree_.parent >= 0) {
       SendOnChannel(acc_.data(), count_, dt_, tree_.parent, tag_, comm_, kCh);
     } else if (recv_ != nullptr && !acc_.empty()) {
@@ -119,18 +109,22 @@ class IreduceSM final : public RequestImpl {
   }
 
  private:
+  void PostChild() {
+    pending_ = IrecvOnChannel(child_buf_.data(), count_, dt_,
+                              tree_.children[child_], tag_, comm_, kCh);
+  }
+
   void* recv_;
   int count_;
   Datatype dt_;
   ReduceOp op_;
-  int root_;
   Comm comm_;
   int tag_;
   BinomialTree tree_;
   std::vector<std::byte> acc_;
-  std::vector<std::vector<std::byte>> child_bufs_;
-  std::vector<Request> child_reqs_;
-  std::vector<bool> child_done_;
+  std::vector<std::byte> child_buf_;
+  std::size_t child_ = 0;
+  Request pending_;
   bool done_ = false;
 };
 
@@ -194,45 +188,35 @@ class IgatherSM final : public RequestImpl {
             Comm comm, int tag)
       : recv_(recv), count_(count), dt_(dt), root_(root),
         comm_(std::move(comm)), tag_(tag),
-        tree_(BinomialTree::Compute(comm_.Rank(), comm_.Size(), root)) {
-    const int p = comm_.Size();
-    const int relrank = (comm_.Rank() - root + p) % p;
+        tree_(BinomialTree::Compute(comm_.Rank(), comm_.Size(), root)),
+        block_(Bytes(count, dt)) {
     extent_ = 1;
     for (int e : tree_.child_extents) extent_ += e;
-    const std::size_t block = Bytes(count, dt);
-    buf_.resize(static_cast<std::size_t>(extent_) * block);
-    if (block != 0) std::memcpy(buf_.data(), send, block);
-    child_reqs_.resize(tree_.children.size());
-    // Child with extent e and offset m (its relative distance) lands at
-    // buf_[m*block ..]; children are ordered by increasing mask, and the
-    // i-th child's relative offset equals 1<<i.
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      const std::size_t off = (1ull << i) * block;
-      child_reqs_[i] =
-          IrecvOnChannel(buf_.data() + off, tree_.child_extents[i] * count_,
-                         dt_, tree_.children[i], tag_, comm_, kCh);
-    }
-    (void)relrank;
+    buf_.resize(static_cast<std::size_t>(extent_) * block_);
+    if (block_ != 0) std::memcpy(buf_.data(), send, block_);
+    if (!tree_.children.empty()) PostChild();
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    if (!Testall(std::span<Request>(child_reqs_))) return false;
+    // Children one at a time, in increasing mask order, so the model time
+    // never depends on which subtree's message arrived first.
+    while (child_ < tree_.children.size()) {
+      if (!pending_.Test()) return false;
+      if (++child_ < tree_.children.size()) PostChild();
+    }
     if (tree_.parent >= 0) {
       SendOnChannel(buf_.data(), extent_ * count_, dt_, tree_.parent, tag_,
                     comm_, kCh);
-    } else {
+    } else if (block_ != 0) {
       // Rotate relative-rank-ordered blocks into absolute order.
       const int p = comm_.Size();
-      const std::size_t block = Bytes(count_, dt_);
       auto* out = static_cast<std::byte*>(recv_);
       for (int rel = 0; rel < p; ++rel) {
         const int abs = (rel + root_) % p;
-        if (block != 0) {
-          std::memcpy(out + static_cast<std::size_t>(abs) * block,
-                      buf_.data() + static_cast<std::size_t>(rel) * block,
-                      block);
-        }
+        std::memcpy(out + static_cast<std::size_t>(abs) * block_,
+                    buf_.data() + static_cast<std::size_t>(rel) * block_,
+                    block_);
       }
     }
     done_ = true;
@@ -240,6 +224,14 @@ class IgatherSM final : public RequestImpl {
   }
 
  private:
+  // The i-th child (increasing mask order) roots the subtree at relative
+  // offset 1 << i inside this rank's slice.
+  void PostChild() {
+    pending_ = IrecvOnChannel(buf_.data() + (std::size_t{1} << child_) * block_,
+                              tree_.child_extents[child_] * count_, dt_,
+                              tree_.children[child_], tag_, comm_, kCh);
+  }
+
   void* recv_;
   int count_;
   Datatype dt_;
@@ -247,9 +239,11 @@ class IgatherSM final : public RequestImpl {
   Comm comm_;
   int tag_;
   BinomialTree tree_;
+  std::size_t block_;
   int extent_ = 1;
   std::vector<std::byte> buf_;
-  std::vector<Request> child_reqs_;
+  std::size_t child_ = 0;
+  Request pending_;
   bool done_ = false;
 };
 
@@ -267,45 +261,30 @@ class IgathervSM final : public RequestImpl {
     counts_.push_back(count);
     payload_.resize(Bytes(count, dt));
     if (!payload_.empty()) std::memcpy(payload_.data(), send, payload_.size());
-    child_msgs_.resize(tree_.children.size());
-    child_reqs_.resize(tree_.children.size());
-    child_state_.assign(tree_.children.size(), kProbing);
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    bool all = true;
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      if (child_state_[i] == kDone) continue;
-      if (child_state_[i] == kProbing) {
-        Status st;
-        if (!IprobeOnChannel(tree_.children[i], tag_, comm_, kCh, &st)) {
-          all = false;
-          continue;
-        }
-        child_msgs_[i].resize(st.bytes);
-        child_reqs_[i] = IrecvOnChannel(
-            child_msgs_[i].data(), static_cast<int>(st.bytes),
-            Datatype::kByte, tree_.children[i], tag_, comm_, kCh);
-        child_state_[i] = kReceiving;
-      }
-      if (child_state_[i] == kReceiving) {
-        if (child_reqs_[i].Test()) {
-          child_state_[i] = kDone;
-        } else {
-          all = false;
-        }
-      }
+    // Children one at a time, in increasing mask order (== relative-rank
+    // order): probe for the child's size, then take the probed message,
+    // which is already here. The model time never depends on which
+    // message arrived first.
+    while (child_ < tree_.children.size()) {
+      const int child = tree_.children[child_];
+      Status st;
+      if (!IprobeOnChannel(child, tag_, comm_, kCh, &st)) return false;
+      child_msg_.resize(st.bytes);
+      RecvOnChannel(child_msg_.data(), static_cast<int>(st.bytes),
+                    Datatype::kByte, child, tag_, comm_, kCh, nullptr);
+      AppendChild(child_msg_);
+      ++child_;
     }
-    if (!all) return false;
     Finish();
     done_ = true;
     return true;
   }
 
  private:
-  enum ChildState { kProbing, kReceiving, kDone };
-
   void AppendChild(const std::vector<std::byte>& msg) {
     std::int32_t n = 0;
     std::memcpy(&n, msg.data(), sizeof n);
@@ -315,14 +294,13 @@ class IgathervSM final : public RequestImpl {
                 sizeof(std::int32_t) * static_cast<std::size_t>(n));
     const std::size_t hdr =
         sizeof(std::int32_t) * (1 + static_cast<std::size_t>(n));
+    if (msg.size() == hdr) return;  // an all-empty subtree
     const std::size_t oldp = payload_.size();
     payload_.resize(oldp + (msg.size() - hdr));
     std::memcpy(payload_.data() + oldp, msg.data() + hdr, msg.size() - hdr);
   }
 
   void Finish() {
-    // Children arrive in increasing-mask order == relative-rank order.
-    for (const auto& msg : child_msgs_) AppendChild(msg);
     if (tree_.parent >= 0) {
       std::vector<std::byte> msg(sizeof(std::int32_t) * (1 + counts_.size()) +
                                  payload_.size());
@@ -370,9 +348,8 @@ class IgathervSM final : public RequestImpl {
   BinomialTree tree_;
   std::vector<std::int32_t> counts_;
   std::vector<std::byte> payload_;
-  std::vector<std::vector<std::byte>> child_msgs_;
-  std::vector<Request> child_reqs_;
-  std::vector<ChildState> child_state_;
+  std::size_t child_ = 0;
+  std::vector<std::byte> child_msg_;
   bool done_ = false;
 };
 

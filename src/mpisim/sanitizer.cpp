@@ -51,9 +51,6 @@ const char* KindName(CollKind k) {
     case CollKind::kAlltoall: return "Alltoall";
     case CollKind::kAlltoallv: return "Alltoallv";
     case CollKind::kSparseAlltoallv: return "SparseAlltoallv";
-    case CollKind::kHierBcast: return "HierBcast";
-    case CollKind::kHierAllreduce: return "HierAllreduce";
-    case CollKind::kHierGatherv: return "HierGatherv";
     case CollKind::kHierAlltoallv: return "HierAlltoallv";
   }
   return "?";
@@ -108,7 +105,6 @@ bool PerMemberCount(CollKind k) {
     case CollKind::kScatterv:
     case CollKind::kAlltoallv:
     case CollKind::kSparseAlltoallv:
-    case CollKind::kHierGatherv:
     case CollKind::kHierAlltoallv:
       return true;
     default:
@@ -132,27 +128,14 @@ std::string UniformMismatch(const OpRecord& a, const OpRecord& b) {
   return {};
 }
 
-/// Hierarchical collectives store the elected leader list in counts_to
-/// (every member must agree -- a diverging election would deadlock the
-/// leader-only phase, so the ledger catches it first).
-bool LeaderListed(CollKind k) {
-  switch (k) {
-    case CollKind::kHierBcast:
-    case CollKind::kHierAllreduce:
-    case CollKind::kHierGatherv:
-    case CollKind::kHierAlltoallv:
-      return true;
-    default:
-      return false;
-  }
-}
-
 /// Pairwise vector-count checks between member `ma` (record a) and member
 /// `mb` (record b); returns a reason on mismatch, empty when consistent.
 std::string PairwiseMismatch(const OpRecord& a, int ma, const OpRecord& b,
                              int mb) {
-  if (LeaderListed(a.kind) && !a.counts_to.empty() && !b.counts_to.empty() &&
-      a.counts_to != b.counts_to) {
+  // The hierarchical all-to-all stores the elected leader list in
+  // counts_to: every member must agree, or the gateway phase deadlocks.
+  if (a.kind == CollKind::kHierAlltoallv && !a.counts_to.empty() &&
+      !b.counts_to.empty() && a.counts_to != b.counts_to) {
     return "different elected leader sets (topology divergence)";
   }
   // Alltoallv: a's send count towards mb must equal b's expected receive
@@ -183,8 +166,7 @@ std::string PairwiseMismatch(const OpRecord& a, int ma, const OpRecord& b,
   }
   // Gatherv / Allgatherv: the side holding recvcounts must expect exactly
   // the other side's contribution count.
-  if (a.kind == CollKind::kGatherv || a.kind == CollKind::kAllgatherv ||
-      a.kind == CollKind::kHierGatherv) {
+  if (a.kind == CollKind::kGatherv || a.kind == CollKind::kAllgatherv) {
     const auto check = [](const OpRecord& with_counts, int other_member,
                           const OpRecord& other) -> std::string {
       if (with_counts.counts_from.empty() || other.count < 0) return {};

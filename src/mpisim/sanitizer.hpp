@@ -98,14 +98,11 @@ enum class CollKind : std::uint8_t {
   kAlltoall,
   kAlltoallv,
   kSparseAlltoallv,
-  // Node-aware hierarchical collectives (topo/hier_collectives.hpp). Each
-  // is a composite (leader election + intra-node + leader-only inter-node
-  // phases) recorded as ONE logical op; the elected leader list is stored
-  // in counts_to so a rank disagreeing about leaders produces a pairwise
-  // counts mismatch instead of a deadlock.
-  kHierBcast,
-  kHierAllreduce,
-  kHierGatherv,
+  // Node-aware hierarchical all-to-all (topo/hier_collectives.hpp): three
+  // point-to-point phases recorded as ONE logical op; the vnode leader
+  // list (from which the gateways follow) is stored in counts_to so a
+  // rank disagreeing about the topology produces a pairwise counts
+  // mismatch instead of a deadlock.
   kHierAlltoallv,
 };
 

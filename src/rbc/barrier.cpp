@@ -1,4 +1,4 @@
-// rbc::Barrier / rbc::Ibarrier -- binomial reduce of an empty token to
+// rbc::Barrier / rbc::Ibarrier -- tree reduce of an empty token to
 // rank 0 chained with a broadcast back. The two halves can share one tag:
 // within each pair of ranks the reduce message and the bcast message
 // travel in opposite directions, so envelopes never collide.

@@ -1,5 +1,5 @@
-// rbc::Bcast / rbc::Ibcast -- binomial-tree broadcast over RBC
-// point-to-point operations.
+// rbc::Bcast / rbc::Ibcast -- tree broadcast (TreeFor's binomial or
+// node-spread tree) over RBC point-to-point operations.
 #include "rbc/collectives.hpp"
 #include "rbc/sanitize.hpp"
 #include "rbc/sm.hpp"
@@ -25,7 +25,8 @@ class BcastSM final : public RequestImpl {
   bool Test(Status*) override {
     if (done_) return true;
     if (!pending_.Poll()) return false;
-    // State 2: forward to the subtree, largest child first.
+    // State 2: forward to the subtree back to front: intra-node children
+    // largest first, then the network edges, first round first.
     SendToChildren();
     done_ = true;
     return true;

@@ -34,12 +34,12 @@ class BcastLargeSM final : public RequestImpl {
   BcastLargeSM(void* buf, int count, Datatype dt, int root, Comm comm,
                int tag)
       : buf_(static_cast<std::byte*>(buf)), dt_(dt), root_(root),
-        comm_(std::move(comm)), tag_(tag), tree_(TreeFor(comm_, root)),
+        comm_(std::move(comm)), tag_(tag),
+        tree_(BinomialTreeOf(comm_.Rank(), comm_.Size(), root)),
         seg_{count, comm_.Size(), mpisim::SizeOf(dt)} {
     const int p = comm_.Size();
     relrank_ = (comm_.Rank() - root + p) % p;
-    extent_ = 1;
-    for (int e : tree_.child_extents) extent_ += e;
+    extent_ = tree_.Extent();
     if (tree_.parent < 0) {
       ForwardScatter();
       phase_ = kRing;

@@ -1,10 +1,23 @@
 // RBC collective operations (Table I of the paper).
 //
 // All collectives are implemented with RBC point-to-point communication
-// over binomial-tree (and, for scan, distance-doubling) schedules --
-// generic patterns, theoretically optimal for small inputs (Section V-D).
-// The nonblocking forms are state machines progressed by rbc::Test: each
+// over tree (and, for scan, distance-doubling) schedules -- generic
+// patterns, theoretically optimal for small inputs (Section V-D). The
+// nonblocking forms are state machines progressed by rbc::Test: each
 // state performs local work and ends at its data dependencies.
+//
+// Bcast, Reduce, Gather, Gatherv, Scatter, Barrier, Allreduce and
+// Allgather take their tree from one builder, rbc::detail::TreeFor
+// (sm.hpp). On a flat cost model it is the binomial tree. On a two-level
+// cost model (mpisim::CostModel::Hierarchical()) over a range spanning
+// several nodes it is a node-spread tree: binomial inside each node, and
+// each member of the root's node carries at most one network edge per
+// round, so a machine with m nodes of at least m - 1 ranks is crossed
+// once, in parallel, where the binomial tree crosses it ceil(log2 m)
+// times in series. Gather, Gatherv and Reduce receive their children one
+// at a time in the tree's list order, so their model time never depends
+// on which message a thread happened to find first. BcastLarge keeps the
+// binomial tree (its ring phase indexes segments by relative rank).
 //
 // Tags: each blocking collective uses one distinct exclusive reserved tag;
 // each nonblocking collective defaults to its own reserved tag but accepts
@@ -94,20 +107,15 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 // need distinct payload tags, which also keeps their barrier and chunk
 // envelopes apart.
 //
-// The node-aware hierarchical collectives (topo/hier_collectives.hpp)
-// extend this map with one exclusive tag each in kReservedTagBase +
-// [32, 35]:
-//   * kTagHierBcast     = kReservedTagBase + 32
-//   * kTagHierAllreduce = kReservedTagBase + 33
-//   * kTagHierGatherv   = kReservedTagBase + 34
+// The node-aware hierarchical all-to-all (topo/hier_collectives.hpp)
+// extends this map with one exclusive tag:
 //   * kTagHierAlltoallv = kReservedTagBase + 35
-// Each owns its point-to-point traffic; the intra-node phases of the
-// bcast, allreduce and gatherv run flat collectives on vnode sub-ranges
-// under the tags above (never concurrently on overlapping ranges).
-// HierAlltoallv's three point-to-point phases use kTagHierAlltoallv alone
-// -- source-specific receives and a fixed message count per pair keep
-// back-to-back calls apart -- and derive no barrier or chunk tags from
-// it.
+// Its three point-to-point phases use that tag alone -- source-specific
+// receives and a fixed message count per pair keep back-to-back calls
+// apart -- and derive no barrier or chunk tags from it.
+// kReservedTagBase + [32, 34] are unassigned: the tree collectives above
+// need no hierarchical twins, since their node-spread trees run on their
+// own tags.
 //
 // Sequence tracking (MPISIM_SANITIZE=1): every public entry above --
 // blocking or nonblocking -- records exactly one logical collective in
@@ -126,12 +134,10 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //   * distinct ranges over one MPI communicator keep independent
 //     sequences: concurrent collectives on disjoint or overlapping
 //     ranges are legal (with the usual tag rules) and never compared;
-//   * the hierarchical collectives record one logical op (kHierBcast /
-//     kHierAllreduce / kHierGatherv / kHierAlltoallv) in the *parent*
-//     range's ledger, carrying the elected leader list so ranks that
-//     derive divergent topologies raise a "different elected leader
-//     sets" mismatch at entry; their intra-phase sub-collectives are
-//     suppressed by the per-rank depth guard.
+//   * the hierarchical all-to-all records one logical op
+//     (kHierAlltoallv) in the range's ledger, carrying the elected
+//     leader list so ranks that derive divergent topologies raise a
+//     "different elected leader sets" mismatch at entry.
 inline constexpr int RBC_IALLREDUCE_TAG = kReservedTagBase + 22;
 inline constexpr int RBC_IALLGATHER_TAG = kReservedTagBase + 23;
 inline constexpr int RBC_IEXSCAN_TAG = kReservedTagBase + 24;  // +25 too
@@ -170,7 +176,7 @@ int Iexscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
             int tag = RBC_IEXSCAN_TAG);
 
 /// Scatters Size() consecutive blocks of `count` elements from the root's
-/// sendbuf down a binomial tree (the inverse of Gather).
+/// sendbuf down the tree collectives' tree (the inverse of Gather).
 int Scatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
             int root, const Comm& comm);
 int Iscatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,

@@ -93,33 +93,29 @@ class ExscanSM final : public RequestImpl {
   bool done_ = false;
 };
 
-/// Binomial-tree scatter (inverse of Gather): each node receives its
-/// subtree's blocks from its parent and forwards the children's shares.
+/// Tree scatter (inverse of Gather, on the same tree): each rank
+/// receives its subtree's blocks from its parent and forwards the
+/// children's shares, back to front.
 class ScatterSM final : public RequestImpl {
  public:
   ScatterSM(const void* send, int count, Datatype dt, void* recv, int root,
             Comm comm, int tag)
-      : recv_(recv), count_(count), dt_(dt), root_(root),
-        comm_(std::move(comm)), tag_(tag), tree_(TreeFor(comm_, root)) {
-    extent_ = 1;
-    for (int e : tree_.child_extents) extent_ += e;
-    const std::size_t block = ByteCount(count, dt);
-    buf_.resize(static_cast<std::size_t>(extent_) * block);
+      : recv_(recv), count_(count), dt_(dt), comm_(std::move(comm)),
+        tag_(tag), tree_(TreeFor(comm_, root)), block_(ByteCount(count, dt)) {
+    buf_.resize(static_cast<std::size_t>(tree_.Extent()) * block_);
     if (tree_.parent < 0) {
-      // Root: rotate absolute-rank blocks into relative order.
-      const int p = comm_.Size();
+      // Root: lay the RBC-rank-ordered blocks out in the tree's pre-order.
       const auto* in = static_cast<const std::byte*>(send);
-      for (int rel = 0; rel < p; ++rel) {
-        const int abs = (rel + root_) % p;
-        if (block != 0) {
-          std::memcpy(buf_.data() + static_cast<std::size_t>(rel) * block,
-                      in + static_cast<std::size_t>(abs) * block, block);
-        }
+      for (std::size_t pos = 0; pos < tree_.order.size() && block_ != 0;
+           ++pos) {
+        std::memcpy(buf_.data() + pos * block_,
+                    in + static_cast<std::size_t>(tree_.order[pos]) * block_,
+                    block_);
       }
       Forward();
       done_ = true;
     } else {
-      pending_ = IrecvInternal(buf_.data(), extent_ * count_, dt_,
+      pending_ = IrecvInternal(buf_.data(), tree_.Extent() * count_, dt_,
                                tree_.parent, tag_, comm_);
     }
   }
@@ -134,24 +130,24 @@ class ScatterSM final : public RequestImpl {
 
  private:
   void Forward() {
-    const std::size_t block = ByteCount(count_, dt_);
-    // The i-th child's subtree starts at relative offset 1 << i.
     for (int i = static_cast<int>(tree_.children.size()) - 1; i >= 0; --i) {
-      const std::size_t off = (std::size_t{1} << i) * block;
-      SendInternal(buf_.data() + off, tree_.child_extents[i] * count_, dt_,
-                   tree_.children[i], tag_, comm_);
+      const auto c = static_cast<std::size_t>(i);
+      SendInternal(
+          buf_.data() + static_cast<std::size_t>(tree_.child_offsets[c]) *
+                            block_,
+          tree_.child_extents[c] * count_, dt_, tree_.children[c], tag_,
+          comm_);
     }
-    if (block != 0) std::memcpy(recv_, buf_.data(), block);
+    if (block_ != 0) std::memcpy(recv_, buf_.data(), block_);
   }
 
   void* recv_;
   int count_;
   Datatype dt_;
-  int root_;
   Comm comm_;
   int tag_;
   Tree tree_;
-  int extent_ = 1;
+  std::size_t block_;
   std::vector<std::byte> buf_;
   Request pending_;
   bool done_ = false;

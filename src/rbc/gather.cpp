@@ -1,4 +1,5 @@
-// rbc::Gather / rbc::Igather -- binomial-tree gather of uniform blocks.
+// rbc::Gather / rbc::Igather -- tree gather (TreeFor's binomial or
+// node-spread tree) of uniform blocks.
 #include "rbc/collectives.hpp"
 #include "rbc/sanitize.hpp"
 #include "rbc/sm.hpp"
@@ -11,44 +12,31 @@ class GatherSM final : public RequestImpl {
  public:
   GatherSM(const void* send, int count, Datatype dt, void* recv, int root,
            Comm comm, int tag)
-      : recv_(recv), count_(count), dt_(dt), root_(root),
-        comm_(std::move(comm)), tag_(tag), tree_(TreeFor(comm_, root)) {
-    extent_ = 1;
-    for (int e : tree_.child_extents) extent_ += e;
-    const std::size_t block = ByteCount(count, dt);
-    buf_.resize(static_cast<std::size_t>(extent_) * block);
-    if (block != 0) std::memcpy(buf_.data(), send, block);
-    child_reqs_.resize(tree_.children.size());
-    // The i-th child (increasing mask order) roots the subtree at relative
-    // offset 1 << i inside this node's slice.
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      const std::size_t off = (std::size_t{1} << i) * block;
-      child_reqs_[i] =
-          IrecvInternal(buf_.data() + off, tree_.child_extents[i] * count_,
-                        dt_, tree_.children[i], tag_, comm_);
-    }
+      : recv_(recv), count_(count), dt_(dt), comm_(std::move(comm)),
+        tag_(tag), tree_(TreeFor(comm_, root)), block_(ByteCount(count, dt)) {
+    buf_.resize(static_cast<std::size_t>(tree_.Extent()) * block_);
+    if (block_ != 0) std::memcpy(buf_.data(), send, block_);
+    if (!tree_.children.empty()) PostChild();
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    int flag = 0;
-    Testall(std::span<Request>(child_reqs_), &flag);
-    if (flag == 0) return false;
+    // Children one at a time, in list order, so the model time never
+    // depends on which subtree's message arrived first.
+    while (child_ < tree_.children.size()) {
+      if (!pending_.Poll()) return false;
+      if (++child_ < tree_.children.size()) PostChild();
+    }
     if (tree_.parent >= 0) {
-      SendInternal(buf_.data(), extent_ * count_, dt_, tree_.parent, tag_,
-                   comm_);
-    } else {
-      // Rotate relative-rank-ordered blocks into absolute RBC-rank order.
-      const int p = comm_.Size();
-      const std::size_t block = ByteCount(count_, dt_);
+      SendInternal(buf_.data(), tree_.Extent() * count_, dt_, tree_.parent,
+                   tag_, comm_);
+    } else if (block_ != 0) {
+      // The buffer holds the tree in pre-order; scatter it into RBC-rank
+      // order.
       auto* out = static_cast<std::byte*>(recv_);
-      for (int rel = 0; rel < p; ++rel) {
-        const int abs = (rel + root_) % p;
-        if (block != 0) {
-          std::memcpy(out + static_cast<std::size_t>(abs) * block,
-                      buf_.data() + static_cast<std::size_t>(rel) * block,
-                      block);
-        }
+      for (std::size_t pos = 0; pos < tree_.order.size(); ++pos) {
+        std::memcpy(out + static_cast<std::size_t>(tree_.order[pos]) * block_,
+                    buf_.data() + pos * block_, block_);
       }
     }
     done_ = true;
@@ -56,16 +44,24 @@ class GatherSM final : public RequestImpl {
   }
 
  private:
+  void PostChild() {
+    pending_ = IrecvInternal(
+        buf_.data() +
+            static_cast<std::size_t>(tree_.child_offsets[child_]) * block_,
+        tree_.child_extents[child_] * count_, dt_, tree_.children[child_],
+        tag_, comm_);
+  }
+
   void* recv_;
   int count_;
   Datatype dt_;
-  int root_;
   Comm comm_;
   int tag_;
   Tree tree_;
-  int extent_ = 1;
+  std::size_t block_;
   std::vector<std::byte> buf_;
-  std::vector<Request> child_reqs_;
+  std::size_t child_ = 0;
+  Request pending_;
   bool done_ = false;
 };
 

@@ -1,8 +1,8 @@
-// rbc::Gatherv / rbc::Igatherv -- binomial-tree gather with per-rank
-// counts. Interior nodes do not know their descendants' counts, so subtree
-// messages are self-describing: [int32 n][int32 counts[n]][payload] with
-// counts in relative-rank order. Sizes are discovered with
-// membership-filtered probes.
+// rbc::Gatherv / rbc::Igatherv -- tree gather (TreeFor's binomial or
+// node-spread tree) with per-rank counts. Interior nodes do not know their
+// descendants' counts, so subtree messages are self-describing:
+// [int32 n][int32 counts[n]][payload] with counts in the tree's pre-order.
+// Sizes are discovered with source-specific probes, one child at a time.
 #include "rbc/collectives.hpp"
 #include "rbc/sanitize.hpp"
 #include "rbc/sm.hpp"
@@ -17,50 +17,36 @@ class GathervSM final : public RequestImpl {
             std::span<const int> recvcounts, std::span<const int> displs,
             int root, Comm comm, int tag)
       : recv_(recv), recvcounts_(recvcounts.begin(), recvcounts.end()),
-        displs_(displs.begin(), displs.end()), dt_(dt), root_(root),
+        displs_(displs.begin(), displs.end()), dt_(dt),
         comm_(std::move(comm)), tag_(tag), tree_(TreeFor(comm_, root)) {
     counts_.push_back(count);
     payload_.resize(ByteCount(count, dt));
     if (!payload_.empty()) std::memcpy(payload_.data(), send, payload_.size());
-    child_msgs_.resize(tree_.children.size());
-    child_reqs_.resize(tree_.children.size());
-    child_state_.assign(tree_.children.size(), kProbing);
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    bool all = true;
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      if (child_state_[i] == kDone) continue;
-      if (child_state_[i] == kProbing) {
-        Status st;
-        if (!IprobeInternal(tree_.children[i], tag_, comm_, &st)) {
-          all = false;
-          continue;
-        }
-        child_msgs_[i].resize(st.bytes);
-        child_reqs_[i] =
-            IrecvInternal(child_msgs_[i].data(), static_cast<int>(st.bytes),
-                          Datatype::kByte, tree_.children[i], tag_, comm_);
-        child_state_[i] = kReceiving;
-      }
-      if (child_state_[i] == kReceiving) {
-        if (child_reqs_[i].Poll()) {
-          child_state_[i] = kDone;
-        } else {
-          all = false;
-        }
-      }
+    // Children one at a time, in list order: probe for the child's size,
+    // then take the probed message (it is already here, so the receive
+    // completes at once). Appending in list order keeps counts_ and
+    // payload_ in the tree's pre-order, and the model time never depends
+    // on which message arrived first.
+    while (child_ < tree_.children.size()) {
+      const int child = tree_.children[child_];
+      Status st;
+      if (!IprobeInternal(child, tag_, comm_, &st)) return false;
+      child_msg_.resize(st.bytes);
+      RecvInternal(child_msg_.data(), static_cast<int>(st.bytes),
+                   Datatype::kByte, child, tag_, comm_);
+      AppendChild(child_msg_);
+      ++child_;
     }
-    if (!all) return false;
     Finish();
     done_ = true;
     return true;
   }
 
  private:
-  enum ChildState { kProbing, kReceiving, kDone };
-
   void AppendChild(const std::vector<std::byte>& msg) {
     std::int32_t n = 0;
     std::memcpy(&n, msg.data(), sizeof n);
@@ -70,15 +56,13 @@ class GathervSM final : public RequestImpl {
                 sizeof(std::int32_t) * static_cast<std::size_t>(n));
     const std::size_t hdr =
         sizeof(std::int32_t) * (1 + static_cast<std::size_t>(n));
+    if (msg.size() == hdr) return;  // an all-empty subtree
     const std::size_t oldp = payload_.size();
     payload_.resize(oldp + (msg.size() - hdr));
     std::memcpy(payload_.data() + oldp, msg.data() + hdr, msg.size() - hdr);
   }
 
   void Finish() {
-    // Children complete in any order but are appended in increasing-mask
-    // order, which equals relative-rank order.
-    for (const auto& msg : child_msgs_) AppendChild(msg);
     if (tree_.parent >= 0) {
       std::vector<std::byte> msg(sizeof(std::int32_t) * (1 + counts_.size()) +
                                  payload_.size());
@@ -102,14 +86,14 @@ class GathervSM final : public RequestImpl {
     const std::size_t esize = mpisim::SizeOf(dt_);
     auto* out = static_cast<std::byte*>(recv_);
     std::size_t off = 0;
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root_) % p;
-      if (counts_[rel] != recvcounts_[abs]) {
+    for (int pos = 0; pos < p; ++pos) {
+      const int abs = tree_.order[static_cast<std::size_t>(pos)];
+      if (counts_[pos] != recvcounts_[abs]) {
         throw mpisim::UsageError(
             "rbc::Gatherv: recvcounts disagree with sent counts");
       }
       const std::size_t nbytes =
-          static_cast<std::size_t>(counts_[rel]) * esize;
+          static_cast<std::size_t>(counts_[pos]) * esize;
       if (nbytes != 0) {
         std::memcpy(out + static_cast<std::size_t>(displs_[abs]) * esize,
                     payload_.data() + off, nbytes);
@@ -122,15 +106,13 @@ class GathervSM final : public RequestImpl {
   std::vector<int> recvcounts_;
   std::vector<int> displs_;
   Datatype dt_;
-  int root_;
   Comm comm_;
   int tag_;
   Tree tree_;
   std::vector<std::int32_t> counts_;
   std::vector<std::byte> payload_;
-  std::vector<std::vector<std::byte>> child_msgs_;
-  std::vector<Request> child_reqs_;
-  std::vector<ChildState> child_state_;
+  std::size_t child_ = 0;
+  std::vector<std::byte> child_msg_;
   bool done_ = false;
 };
 

@@ -1,5 +1,6 @@
-// rbc::Reduce / rbc::Ireduce -- binomial-tree reduction over RBC
-// point-to-point operations (commutative operators).
+// rbc::Reduce / rbc::Ireduce -- tree reduction (TreeFor's binomial or
+// node-spread tree) over RBC point-to-point operations (commutative
+// operators).
 #include "rbc/collectives.hpp"
 #include "rbc/sanitize.hpp"
 #include "rbc/sm.hpp"
@@ -14,36 +15,22 @@ class ReduceSM final : public RequestImpl {
            int root, Comm comm, int tag)
       : recv_(recv), count_(count), dt_(dt), op_(op),
         comm_(std::move(comm)), tag_(tag), tree_(TreeFor(comm_, root)),
-        acc_(ByteCount(count, dt)) {
+        acc_(ByteCount(count, dt)), child_buf_(acc_.size()) {
     if (!acc_.empty()) std::memcpy(acc_.data(), send, acc_.size());
-    is_root_ = tree_.parent < 0;
-    child_bufs_.resize(tree_.children.size());
-    child_reqs_.resize(tree_.children.size());
-    child_done_.assign(tree_.children.size(), false);
-    for (std::size_t i = 0; i < tree_.children.size(); ++i) {
-      child_bufs_[i].resize(acc_.size());
-      child_reqs_[i] = IrecvInternal(child_bufs_[i].data(), count_, dt_,
-                                     tree_.children[i], tag_, comm_);
-    }
+    if (!tree_.children.empty()) PostChild();
   }
 
   bool Test(Status*) override {
     if (done_) return true;
-    // Fold every child's contribution as soon as it arrives; the operator
-    // application is this state's local work.
-    bool all = true;
-    for (std::size_t i = 0; i < child_reqs_.size(); ++i) {
-      if (child_done_[i]) continue;
-      if (child_reqs_[i].Poll()) {
-        mpisim::ApplyReduce(op_, dt_, child_bufs_[i].data(), acc_.data(),
-                            count_);
-        child_done_[i] = true;
-      } else {
-        all = false;
-      }
+    // Children one at a time, in list order: the fold order, and so the
+    // model time, never depends on which message arrived first. The
+    // operator application is this state's local work.
+    while (child_ < tree_.children.size()) {
+      if (!pending_.Poll()) return false;
+      mpisim::ApplyReduce(op_, dt_, child_buf_.data(), acc_.data(), count_);
+      if (++child_ < tree_.children.size()) PostChild();
     }
-    if (!all) return false;
-    if (!is_root_) {
+    if (tree_.parent >= 0) {
       SendInternal(acc_.data(), count_, dt_, tree_.parent, tag_, comm_);
     } else if (recv_ != nullptr && !acc_.empty()) {
       std::memcpy(recv_, acc_.data(), acc_.size());
@@ -53,6 +40,11 @@ class ReduceSM final : public RequestImpl {
   }
 
  private:
+  void PostChild() {
+    pending_ = IrecvInternal(child_buf_.data(), count_, dt_,
+                             tree_.children[child_], tag_, comm_);
+  }
+
   void* recv_;
   int count_;
   Datatype dt_;
@@ -61,10 +53,9 @@ class ReduceSM final : public RequestImpl {
   int tag_;
   Tree tree_;
   std::vector<std::byte> acc_;
-  std::vector<std::vector<std::byte>> child_bufs_;
-  std::vector<Request> child_reqs_;
-  std::vector<bool> child_done_;
-  bool is_root_ = false;
+  std::vector<std::byte> child_buf_;
+  std::size_t child_ = 0;
+  Request pending_;
   bool done_ = false;
 };
 

@@ -7,20 +7,14 @@
 
 namespace jsort {
 namespace exchange {
-namespace {
 
-/// Vnode map of the transport's group under the runtime's installed
-/// topology: group ranks translate to world ranks, world ranks to nodes,
-/// and maximal same-node runs become vnodes (topo/hier_exchange.hpp).
-/// Purely local -- every member computes the identical map.
 topo::VnodeMap VnodesOfGroup(const Transport& tr) {
-  const mpisim::Runtime* rt = mpisim::Ctx().runtime;
-  std::vector<int> node_of(static_cast<std::size_t>(tr.Size()));
-  for (int r = 0; r < tr.Size(); ++r) {
-    node_of[static_cast<std::size_t>(r)] = rt->NodeOf(tr.WorldRankOf(r));
-  }
-  return topo::VnodesOf(node_of);
+  const mpisim::Runtime& rt = *mpisim::Ctx().runtime;
+  return topo::VnodesOf(tr.Size(),
+                        [&](int r) { return rt.NodeOf(tr.WorldRankOf(r)); });
 }
+
+namespace {
 
 /// kAuto routes hierarchically exactly when the cost model distinguishes
 /// intra- from inter-node traffic AND the group actually spans more than

@@ -58,6 +58,7 @@
 
 #include "sort/assignment.hpp"
 #include "sort/transport.hpp"
+#include "topo/topology.hpp"
 
 namespace jsort {
 namespace exchange {
@@ -127,6 +128,13 @@ enum class Mode {
                // takes dense or sparse by its estimated non-empty-
                // destination fraction (see the header comment)
 };
+
+/// Vnode map of the transport's group under the runtime's installed
+/// topology (topo/topology.hpp): the node view behind kAuto's
+/// hierarchical choice, the hierarchical engine and the multilevel
+/// sorter's topology-derived branching factor. Purely local -- every
+/// member computes the identical map.
+topo::VnodeMap VnodesOfGroup(const Transport& tr);
 
 /// Exclusive prefix sum of per-rank element counts over the transport --
 /// the interval computation that turns "I hold n elements" into "my

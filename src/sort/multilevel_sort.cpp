@@ -5,7 +5,6 @@
 
 #include "sort/partition.hpp"
 #include "sort/sampling.hpp"
-#include "topo/hier_exchange.hpp"
 
 namespace jsort {
 namespace {
@@ -52,14 +51,8 @@ std::vector<double> MultilevelSampleSort(
     // level's groups with node boundaries, so later levels stay
     // node-local. Off a two-level cost model (or on a single node) the
     // node count carries no information -- fall back to the classic 4.
-    const mpisim::Runtime* rt = mpisim::Ctx().runtime;
-    std::vector<int> node_of(static_cast<std::size_t>(world->Size()));
-    for (int r = 0; r < world->Size(); ++r) {
-      node_of[static_cast<std::size_t>(r)] =
-          rt->NodeOf(world->WorldRankOf(r));
-    }
-    const int nodes = topo::VnodesOf(node_of).Count();
-    k_cfg = rt->options().cost.Hierarchical() && nodes > 1
+    const int nodes = exchange::VnodesOfGroup(*world).Count();
+    k_cfg = mpisim::Ctx().runtime->options().cost.Hierarchical() && nodes > 1
                 ? std::max(2, nodes)
                 : 4;
   }

@@ -6,8 +6,9 @@
 // them cross the network. The hierarchical engine routes the same bytes
 // in three point-to-point phases so that every inter-node byte travels
 // exactly once, inside one bundle per ordered pair of nodes. The bundles
-// are spread over the ranks of each node: on vnode u (see VnodeMap; m
-// vnodes, s_u ranks on u) the *gateway* for remote vnode w is member
+// are spread over the ranks of each node: on vnode u (see VnodeMap in
+// topology.hpp; m vnodes, s_u ranks on u) the *gateway* for remote vnode
+// w is member
 //   ((w - u) mod m - 1) mod s_u,
 // so with m - 1 <= s_u every rank carries at most one bundle each way
 // (the node-aware exchange of Bienz, Gropp and Olson, JPDC 2019).
@@ -59,60 +60,15 @@
 // when a gateway's ceil((m - 1) / s) bundles are mostly empty.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "topo/topology.hpp"
+
 namespace topo {
-
-/// Virtual nodes of one communicator/group: maximal runs of group ranks
-/// whose world ranks share a node. Ragged sizes, 1-rank nodes and the
-/// degenerate single-node case all reduce to runs; a node id appearing in
-/// two separate runs (non-contiguous placement) yields two independent
-/// vnodes, which keeps every vnode a contiguous rank range -- the
-/// property the engine's implicit source ordering relies on.
-struct VnodeMap {
-  std::vector<int> vnode_of;  // group rank -> vnode index
-  std::vector<int> first;     // vnode -> first group rank
-  std::vector<int> size;      // vnode -> member count
-
-  int Count() const { return static_cast<int>(first.size()); }
-  int LeaderOf(int v) const { return first[v]; }
-  bool IsLeader(int r) const { return first[vnode_of[r]] == r; }
-
-  /// Group ranks of all vnode leaders, ascending.
-  std::vector<int> Leaders() const { return first; }
-
-  /// Group rank of vnode u's gateway for remote vnode w != u: member
-  /// ((w - u) mod m - 1) mod size(u).
-  int GatewayOf(int u, int w) const {
-    const int m = Count();
-    const int d = ((w - u) % m + m) % m;
-    return first[u] + (d - 1) % size[u];
-  }
-
-  /// Number of gateways on vnode u: its first min(m - 1, size(u))
-  /// members.
-  int GatewayCount(int u) const { return std::min(Count() - 1, size[u]); }
-};
-
-/// Builds the vnode map from per-group-rank node ids.
-inline VnodeMap VnodesOf(std::span<const int> node_of_rank) {
-  VnodeMap vn;
-  vn.vnode_of.resize(node_of_rank.size());
-  for (std::size_t r = 0; r < node_of_rank.size(); ++r) {
-    if (r == 0 || node_of_rank[r] != node_of_rank[r - 1]) {
-      vn.first.push_back(static_cast<int>(r));
-      vn.size.push_back(0);
-    }
-    vn.vnode_of[r] = static_cast<int>(vn.first.size()) - 1;
-    ++vn.size.back();
-  }
-  return vn;
-}
 
 /// One per-destination coalesced outgoing piece (raw bytes). Pieces must
 /// be passed dest-ascending with at most one piece per destination; the

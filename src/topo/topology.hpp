@@ -8,15 +8,23 @@
 // the world ranks into *nodes*, each node a contiguous block of world
 // ranks (the layout every block-cyclic launcher produces). It is pure
 // data -- installed into mpisim::Runtime::Options, consulted by the
-// substrate's cost seams and by the hierarchical collectives.
+// substrate's cost seams, by RBC's tree builder and by the hierarchical
+// exchange.
 //
 // An empty topology means "flat machine": every rank on node 0, no
-// hierarchical cost distinction, hierarchical collectives degrade to
-// their flat counterparts.
+// hierarchical cost distinction, hierarchical paths degrade to their flat
+// counterparts.
+//
+// VnodeMap is the one view of a *group* (a communicator's ranks) on the
+// machine, and GatewayOf the one rule for which member of a node carries
+// its traffic to another node. The hierarchical exchange engine, RBC's
+// node-spread trees and the sorters' topology-derived choices all read
+// them from here.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,5 +126,59 @@ class Topology {
   std::vector<int> node_firsts_;  // first world rank of each node
   int total_ = 0;
 };
+
+/// Virtual nodes of one communicator/group: maximal runs of group ranks
+/// whose world ranks share a node. Ragged sizes, 1-rank nodes and the
+/// degenerate single-node case all reduce to runs; a node id appearing in
+/// two separate runs (non-contiguous placement) yields two independent
+/// vnodes, which keeps every vnode a contiguous rank range -- the
+/// property the exchange engine's implicit source ordering relies on.
+struct VnodeMap {
+  std::vector<int> vnode_of;  // group rank -> vnode index
+  std::vector<int> first;     // vnode -> first group rank
+  std::vector<int> size;      // vnode -> member count
+
+  int Count() const { return static_cast<int>(first.size()); }
+
+  /// Group rank of vnode u's gateway for remote vnode w != u: member
+  /// ((w - u) mod m - 1) mod size(u).
+  int GatewayOf(int u, int w) const {
+    const int m = Count();
+    const int d = ((w - u) % m + m) % m;
+    return first[u] + (d - 1) % size[u];
+  }
+
+  /// Number of gateways on vnode u: its first min(m - 1, size(u))
+  /// members.
+  int GatewayCount(int u) const { return std::min(Count() - 1, size[u]); }
+};
+
+/// Builds the vnode map of a group of `size` ranks; `node_of(r)` names
+/// the node of group rank r.
+template <class NodeOfRank>
+VnodeMap VnodesOf(int size, const NodeOfRank& node_of) {
+  VnodeMap vn;
+  vn.vnode_of.resize(static_cast<std::size_t>(size));
+  int prev = 0;
+  for (int r = 0; r < size; ++r) {
+    const int node = node_of(r);
+    if (r == 0 || node != prev) {
+      vn.first.push_back(r);
+      vn.size.push_back(0);
+    }
+    prev = node;
+    vn.vnode_of[static_cast<std::size_t>(r)] =
+        static_cast<int>(vn.first.size()) - 1;
+    ++vn.size.back();
+  }
+  return vn;
+}
+
+/// Builds the vnode map from per-group-rank node ids.
+inline VnodeMap VnodesOf(std::span<const int> node_of_rank) {
+  return VnodesOf(static_cast<int>(node_of_rank.size()), [&](int r) {
+    return node_of_rank[static_cast<std::size_t>(r)];
+  });
+}
 
 }  // namespace topo

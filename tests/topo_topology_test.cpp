@@ -1,10 +1,10 @@
 // Units for the topo subsystem's data layer and its integration seams:
 // the Topology descriptor, the two-level CostModel (flat defaults must
 // stay bit-identical to the pre-two-level arithmetic), the runtime's node
-// queries and inter-node traffic counters, vnode derivation, the
-// hierarchical collectives against their flat counterparts on ragged
-// machines, the sanitizer's leader-divergence detection, node-affine
-// range allocation, and the topology-derived multilevel branching factor.
+// queries and inter-node traffic counters, vnode derivation, RBC's
+// node-spread tree collectives on ragged machines, the sanitizer's
+// leader-divergence detection, node-affine range allocation, and the
+// topology-derived multilevel branching factor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,10 +144,10 @@ TEST(VnodeMap, RaggedRunsWithSingleRankNode) {
   const topo::VnodeMap vn = topo::VnodesOf(node_of);
   EXPECT_EQ(vn.Count(), 3);
   EXPECT_EQ(vn.size, (std::vector<int>{3, 1, 4}));
-  EXPECT_EQ(vn.Leaders(), (std::vector<int>{0, 3, 4}));
-  EXPECT_TRUE(vn.IsLeader(3));  // the 1-rank node leads itself
-  EXPECT_FALSE(vn.IsLeader(5));
-  EXPECT_EQ(vn.LeaderOf(vn.vnode_of[6]), 4);
+  EXPECT_EQ(vn.first, (std::vector<int>{0, 3, 4}));
+  EXPECT_EQ(vn.first[vn.vnode_of[3]], 3);  // the 1-rank node starts at 3
+  EXPECT_NE(vn.first[vn.vnode_of[5]], 5);
+  EXPECT_EQ(vn.first[vn.vnode_of[6]], 4);
 }
 
 TEST(VnodeMap, NonContiguousNodeIdSplitsIntoTwoVnodes) {
@@ -156,7 +156,7 @@ TEST(VnodeMap, NonContiguousNodeIdSplitsIntoTwoVnodes) {
   const int node_of[] = {0, 1, 1, 0};
   const topo::VnodeMap vn = topo::VnodesOf(node_of);
   EXPECT_EQ(vn.Count(), 3);
-  EXPECT_EQ(vn.Leaders(), (std::vector<int>{0, 1, 3}));
+  EXPECT_EQ(vn.first, (std::vector<int>{0, 1, 3}));
   EXPECT_EQ(vn.vnode_of[3], 2);
 }
 
@@ -174,26 +174,28 @@ mpisim::Runtime::Options RaggedOpts() {
 }
 
 TEST(HierCollectives, MatchFlatCounterpartsOnRaggedTopology) {
+  // RBC's tree collectives run on node-spread trees here (two-level model
+  // over three vnodes, one of them a 1-rank node).
   RunRanks(RaggedOpts(), [](mpisim::Comm& world, mpisim::Runtime&) {
     rbc::Comm comm;
     rbc::Create_RBC_Comm(world, &comm);
     const int p = comm.Size();
     const int me = comm.Rank();
 
-    // Bcast from a non-leader root inside the big node.
+    // Bcast from a root that is not the first rank of its node.
     double b = me == 5 ? 17.5 : -1.0;
-    topo::HierBcast(&b, 1, rbc::Datatype::kFloat64, /*root=*/5, comm);
+    rbc::Bcast(&b, 1, rbc::Datatype::kFloat64, /*root=*/5, comm);
     EXPECT_EQ(b, 17.5);
 
     // Allreduce (sum) against the closed form.
     double x = static_cast<double>(me + 1);
     double sum = 0.0;
-    topo::HierAllreduce(&x, &sum, 1, rbc::Datatype::kFloat64,
-                        rbc::ReduceOp::kSum, comm);
+    rbc::Allreduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
+                   comm);
     EXPECT_EQ(sum, 36.0);
 
     // Gatherv with ragged counts, root on the 1-rank node, against the
-    // flat rbc::Gatherv on identical inputs.
+    // concatenation of every rank's contribution in rank order.
     const int root = 3;
     const int mine = 1 + (me % 3);
     std::vector<double> send(static_cast<std::size_t>(mine));
@@ -202,20 +204,19 @@ TEST(HierCollectives, MatchFlatCounterpartsOnRaggedTopology) {
     }
     std::vector<int> counts(static_cast<std::size_t>(p));
     std::vector<int> displs(static_cast<std::size_t>(p), 0);
+    std::vector<double> expect;
     int total = 0;
     for (int r = 0; r < p; ++r) {
       counts[static_cast<std::size_t>(r)] = 1 + (r % 3);
       displs[static_cast<std::size_t>(r)] = total;
       total += counts[static_cast<std::size_t>(r)];
+      for (int i = 0; i < 1 + (r % 3); ++i) expect.push_back(r * 10.0 + i);
     }
-    std::vector<double> flat_out(static_cast<std::size_t>(total), -1.0);
-    std::vector<double> hier_out(static_cast<std::size_t>(total), -2.0);
-    rbc::Gatherv(send.data(), mine, rbc::Datatype::kFloat64, flat_out.data(),
+    std::vector<double> out(static_cast<std::size_t>(total), -1.0);
+    rbc::Gatherv(send.data(), mine, rbc::Datatype::kFloat64, out.data(),
                  counts, displs, root, comm);
-    topo::HierGatherv(send.data(), mine, rbc::Datatype::kFloat64,
-                      hier_out.data(), counts, displs, root, comm);
     if (me == root) {
-      EXPECT_EQ(flat_out, hier_out);
+      EXPECT_EQ(out, expect);
     }
   });
 }
@@ -229,8 +230,8 @@ TEST(HierCollectives, SingleNodeDegenerateStillCorrect) {
     rbc::Create_RBC_Comm(world, &comm);
     double x = static_cast<double>(comm.Rank());
     double sum = -1.0;
-    topo::HierAllreduce(&x, &sum, 1, rbc::Datatype::kFloat64,
-                        rbc::ReduceOp::kSum, comm);
+    rbc::Allreduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
+                   comm);
     EXPECT_EQ(sum, 6.0);
   });
 }
@@ -239,7 +240,7 @@ TEST(Sanitizer, HierLeaderDivergenceCaught) {
   // Rank 2 derives a different machine view (every rank its own node), so
   // its elected leader set disagrees with everyone else's. The sanitizer
   // must flag the divergence at collective entry instead of letting the
-  // leader phase deadlock.
+  // gateway phase deadlock.
   mpisim::Runtime::Options o;
   o.num_ranks = 8;
   o.topology = Topology::Uniform(8, 4);
@@ -252,14 +253,20 @@ TEST(Sanitizer, HierLeaderDivergenceCaught) {
     rt.Run([](mpisim::Comm& world) {
       rbc::Comm comm;
       rbc::Create_RBC_Comm(world, &comm);
-      double x = 1.0;
+      std::vector<double> send(8, 1.0), recv(8, 0.0);
+      const std::vector<int> ones(8, 1);
+      const std::vector<int> displs{0, 1, 2, 3, 4, 5, 6, 7};
       if (world.Rank() == 2) {
         std::vector<int> own_node(8);
         for (int r = 0; r < 8; ++r) own_node[static_cast<std::size_t>(r)] = r;
         const topo::VnodeMap diverged = topo::VnodesOf(own_node);
-        topo::HierBcast(&x, 1, rbc::Datatype::kFloat64, 0, comm, &diverged);
+        topo::HierAlltoallv(send.data(), ones, displs,
+                            rbc::Datatype::kFloat64, recv.data(), ones,
+                            displs, comm, /*segment_bytes=*/0, &diverged);
       } else {
-        topo::HierBcast(&x, 1, rbc::Datatype::kFloat64, 0, comm);
+        topo::HierAlltoallv(send.data(), ones, displs,
+                            rbc::Datatype::kFloat64, recv.data(), ones,
+                            displs, comm);
       }
     });
   } catch (const CollectiveMismatchError& e) {
