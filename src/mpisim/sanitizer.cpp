@@ -41,6 +41,7 @@ const char* KindName(CollKind k) {
     case CollKind::kReduce: return "Reduce";
     case CollKind::kAllreduce: return "Allreduce";
     case CollKind::kScan: return "Scan";
+    case CollKind::kScanWithTotal: return "ScanWithTotal";
     case CollKind::kExscan: return "Exscan";
     case CollKind::kGather: return "Gather";
     case CollKind::kGatherv: return "Gatherv";

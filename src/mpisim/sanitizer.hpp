@@ -88,6 +88,9 @@ enum class CollKind : std::uint8_t {
   kReduce,
   kAllreduce,
   kScan,
+  // rbc::IscanWithTotal: inclusive prefix and total from one
+  // up-sweep/down-sweep (rbc/collectives.hpp).
+  kScanWithTotal,
   kExscan,
   kGather,
   kGatherv,

@@ -19,6 +19,17 @@
 // on which message a thread happened to find first. BcastLarge keeps the
 // binomial tree (its ring phase indexes segments by relative rank).
 //
+// IscanWithTotal returns the inclusive prefix and the total together from
+// one up-sweep/down-sweep: each rank folds its children's subtree sums one
+// at a time, in list order, and sends the result to its parent; then each
+// rank sends every child, back to front, [prefix before that child's run,
+// total]. That is 2(p-1) messages over 2 ceil(log2 p) hops on every cost
+// model, against Iscan's distance-doubling rounds plus a broadcast of the
+// last rank's prefix. Like BcastLarge it keeps the binomial tree, rooted
+// at rank 0, rather than TreeFor's: that tree's pre-order is rank order,
+// so every subtree is a contiguous run of ranks and a prefix is a fold of
+// whole subtree sums. A node-spread tree's subtrees are not runs of ranks.
+//
 // Tags: each blocking collective uses one distinct exclusive reserved tag;
 // each nonblocking collective defaults to its own reserved tag but accepts
 // a user-supplied tag (last parameter), which avoids interference between
@@ -86,14 +97,17 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 
 // Reserved-tag map of the extension collectives. Blocking collectives own
 // one exclusive tag each in kReservedTagBase + [7, 15]; nonblocking
-// defaults live in kReservedTagBase + [22, 30]. Exscan/Iexscan consume two
+// defaults live in kReservedTagBase + [22, 31]. Exscan/Iexscan consume two
 // consecutive tags (the inclusive scan and the right-shift), so the tag
-// after theirs stays unassigned. Alltoall/Alltoallv use a single tag: the
-// pairwise schedules exchange at most one message per ordered rank pair
-// per operation -- or, in the segmented large-message regime, the
-// segments of a pair in strictly increasing order -- so (source, tag)
-// plus per-envelope FIFO order is unambiguous; back-to-back operations on
-// the same tag are disambiguated the same way.
+// after theirs stays unassigned. IscanWithTotal has no blocking form; its
+// default tag is kReservedTagBase + 31, and its up and down messages share
+// it (they travel in opposite directions along each tree edge).
+// Alltoall/Alltoallv use a single tag: the pairwise schedules exchange at
+// most one message per ordered rank pair per operation -- or, in the
+// segmented large-message regime, the segments of a pair in strictly
+// increasing order -- so (source, tag) plus per-envelope FIFO order is
+// unambiguous; back-to-back operations on the same tag are disambiguated
+// the same way.
 //
 // Derived-tag regions of the sparse exchange (indexed by the exchange's
 // payload tag `t`, which RbcTransport passes through raw):
@@ -145,6 +159,7 @@ inline constexpr int RBC_ISCATTER_TAG = kReservedTagBase + 26;
 inline constexpr int RBC_IALLTOALL_TAG = kReservedTagBase + 27;
 inline constexpr int RBC_IALLTOALLV_TAG = kReservedTagBase + 28;
 inline constexpr int RBC_SPARSE_ALLTOALLV_TAG = kReservedTagBase + 29;
+inline constexpr int RBC_ISCAN_WITH_TOTAL_TAG = kReservedTagBase + 31;
 inline constexpr int kTagAllreduce = kReservedTagBase + 7;
 inline constexpr int kTagAllgather = kReservedTagBase + 8;
 inline constexpr int kTagExscan = kReservedTagBase + 9;  // +10 too
@@ -174,6 +189,15 @@ int Exscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
 int Iexscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
             ReduceOp op, const Comm& comm, Request* request,
             int tag = RBC_IEXSCAN_TAG);
+
+/// Inclusive prefix reduction that also returns the total: `inclbuf`
+/// receives the fold over ranks 0..Rank(), `totalbuf` the fold over the
+/// whole range, on every rank. One up-sweep/down-sweep over the binomial
+/// tree rooted at rank 0 (see the top of this file). `sendbuf` may alias
+/// `inclbuf`; `totalbuf` must alias neither. Nonblocking only.
+int IscanWithTotal(const void* sendbuf, void* inclbuf, void* totalbuf,
+                   int count, Datatype dt, ReduceOp op, const Comm& comm,
+                   Request* request, int tag = RBC_ISCAN_WITH_TOTAL_TAG);
 
 /// Scatters Size() consecutive blocks of `count` elements from the root's
 /// sendbuf down the tree collectives' tree (the inverse of Gather).

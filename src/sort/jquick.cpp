@@ -30,8 +30,7 @@ enum class Phase {
   kPivotGather,   // median policy: waiting on the sample gather
   kPivotBcast,    // waiting on the pivot broadcast
   kPartition,
-  kScanWait,
-  kTotalsWait,
+  kTotalsWait,    // waiting on the prefix sums and totals
   kExchange,
   kSplit,
   kDone,
@@ -179,21 +178,9 @@ class Driver {
           t.large = std::move(pr.large);
           t.counts[0] = static_cast<std::int64_t>(t.small.size());
           t.counts[1] = static_cast<std::int64_t>(t.large.size());
-          t.poll = t.tr->Iscan(t.counts, t.incl, 2, Datatype::kInt64,
-                               ReduceOp::kSum, t.CollTag());
-          t.phase = Phase::kScanWait;
-          progressed = true;
-          continue;
-        }
-        case Phase::kScanWait: {
-          if (!t.poll()) return progressed;
-          const int last = t.layout.p - 1;
-          if (t.MyRank() == last) {
-            t.totals[0] = t.incl[0];
-            t.totals[1] = t.incl[1];
-          }
-          t.poll = t.tr->Ibcast(t.totals, 2, Datatype::kInt64, last,
-                                t.CollTag());
+          t.poll = t.tr->IscanWithTotal(t.counts, t.incl, t.totals, 2,
+                                        Datatype::kInt64, ReduceOp::kSum,
+                                        t.CollTag());
           t.phase = Phase::kTotalsWait;
           progressed = true;
           continue;

@@ -7,8 +7,10 @@
 // both subtasks simultaneously, which is only possible because every
 // communication operation is nonblocking and every group split is cheap.
 //
-// One distributed level = pivot selection, local partition, exclusive
-// prefix sums over the (small, large) counts, greedy capacity-filling data
+// One distributed level = pivot selection (a sample gather or a pair
+// reduce, then a pivot broadcast), local partition, the prefix sums and
+// totals of the (small, large) counts from one up-sweep/down-sweep
+// collective (Transport::IscanWithTotal), greedy capacity-filling data
 // assignment, and a nonblocking data exchange. Tasks covering <= 2
 // processes become base cases, deferred to a second phase so a janus never
 // delays a larger subtask (Section VII); the two-process base case

@@ -1,6 +1,7 @@
 #include "sort/transport.hpp"
 
 #include <array>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -26,8 +27,20 @@ constexpr int kRbcOpScan = 1;
 constexpr int kRbcOpReduce = 2;
 constexpr int kRbcOpGather = 3;
 constexpr int kRbcOpAlltoallv = 4;
+// IscanWithTotal, on RbcTransport's range and on the full RBC range the
+// MPI transports keep over their own communicator.
+constexpr int kRbcOpScanWithTotal = 5;
 int RbcCollTag(int tag, int op) {
   return rbc::kReservedTagBase + (1 << 12) + tag * 8 + op;
+}
+
+Poll StartScanWithTotal(const void* send, void* incl, void* total, int count,
+                        Datatype dt, ReduceOp op, const rbc::Comm& comm,
+                        int tag) {
+  rbc::Request req;
+  rbc::IscanWithTotal(send, incl, total, count, dt, op, comm, &req,
+                      RbcCollTag(tag, kRbcOpScanWithTotal));
+  return WrapRbc(std::move(req));
 }
 
 class RbcTransport final : public Transport {
@@ -75,6 +88,11 @@ class RbcTransport final : public Transport {
     rbc::Igather(send, count, dt, recv, root, comm_, &req,
                  RbcCollTag(tag, kRbcOpGather));
     return WrapRbc(std::move(req));
+  }
+
+  Poll IscanWithTotal(const void* send, void* incl, void* total, int count,
+                      Datatype dt, ReduceOp op, int tag) override {
+    return StartScanWithTotal(send, incl, total, count, dt, op, comm_, tag);
   }
 
   Poll Ialltoallv(const void* send, std::span<const int> sendcounts,
@@ -134,6 +152,7 @@ class MpiTransportBase : public Transport {
     if (comm_.IsNull()) {
       throw mpisim::UsageError("MpiTransport: null communicator");
     }
+    rbc::Create_RBC_Comm(comm_, &range_);  // local: no communication
   }
 
   int Rank() const override { return comm_.Rank(); }
@@ -162,6 +181,14 @@ class MpiTransportBase : public Transport {
   Poll Igather(const void* send, int count, Datatype dt, void* recv,
                int root, int /*tag*/) override {
     return WrapMpi(mpisim::Igather(send, count, dt, recv, root, comm_));
+  }
+
+  // The same schedule as RbcTransport's, over the whole communicator: the
+  // backends then differ in their splits alone. Its reserved tags never
+  // meet the group's user-tag point-to-point traffic.
+  Poll IscanWithTotal(const void* send, void* incl, void* total, int count,
+                      Datatype dt, ReduceOp op, int tag) override {
+    return StartScanWithTotal(send, incl, total, count, dt, op, range_, tag);
   }
 
   Poll Ialltoallv(const void* send, std::span<const int> sendcounts,
@@ -198,6 +225,9 @@ class MpiTransportBase : public Transport {
 
  protected:
   mpisim::Comm comm_;
+
+ private:
+  rbc::Comm range_;  // every rank of comm_
 };
 
 class MpiTransport final : public MpiTransportBase {
@@ -238,6 +268,24 @@ class IcommTransport final : public MpiTransportBase {
 };
 
 }  // namespace
+
+Poll Transport::IscanWithTotal(const void* send, void* incl, void* total,
+                               int count, Datatype dt, ReduceOp op,
+                               int tag) {
+  Poll scan = Iscan(send, incl, count, dt, op, tag);
+  const std::size_t bytes =
+      static_cast<std::size_t>(count) * mpisim::SizeOf(dt);
+  return [this, scan = std::move(scan), bcast = Poll(), incl, total, count,
+          dt, tag, bytes]() mutable {
+    if (!bcast) {
+      if (!scan()) return false;
+      const int last = Size() - 1;
+      if (Rank() == last && bytes != 0) std::memcpy(total, incl, bytes);
+      bcast = Ibcast(total, count, dt, last, tag);
+    }
+    return bcast();
+  };
+}
 
 std::shared_ptr<Transport> MakeRbcTransport(rbc::Comm comm) {
   return std::make_shared<RbcTransport>(std::move(comm));

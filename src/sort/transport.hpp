@@ -69,6 +69,20 @@ class Transport {
   virtual Poll Igather(const void* send, int count, Datatype dt, void* recv,
                        int root, int tag) = 0;
 
+  /// Inclusive prefix reduction that also returns the total: `incl`
+  /// receives the fold over group ranks 0..Rank(), `total` the fold over
+  /// the whole group, on every rank. `send` may alias `incl`; `total` must
+  /// alias neither. All three backends run rbc::IscanWithTotal's
+  /// up-sweep/down-sweep (2(Size()-1) messages over 2 ceil(log2 Size())
+  /// hops): RbcTransport on its range, the MPI transports on a full RBC
+  /// range over their own communicator, so fig8 and ablate_scaling still
+  /// compare split costs only. This default is Iscan followed by an Ibcast
+  /// of the last rank's prefix, both on `tag`; it remains so that Transport
+  /// decorators that do not forward this call still compile and run, and
+  /// its Poll refers to this transport, which must outlive it.
+  virtual Poll IscanWithTotal(const void* send, void* incl, void* total,
+                              int count, Datatype dt, ReduceOp op, int tag);
+
   /// Personalized all-to-all with per-peer counts/displacements (elements;
   /// all four arrays sized Size() and significant on every rank). The
   /// count arrays are copied at call time; only the data buffers must stay

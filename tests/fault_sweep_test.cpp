@@ -71,6 +71,11 @@ class FaultyTransport final : public Transport {
     fault_->Tick();
     return inner_->Iscan(send, recv, count, dt, op, tag);
   }
+  Poll IscanWithTotal(const void* send, void* incl, void* total, int count,
+                      Datatype dt, ReduceOp op, int tag) override {
+    fault_->Tick();
+    return inner_->IscanWithTotal(send, incl, total, count, dt, op, tag);
+  }
   Poll Ireduce(const void* send, void* recv, int count, Datatype dt,
                ReduceOp op, int root, int tag) override {
     fault_->Tick();

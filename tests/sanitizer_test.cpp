@@ -123,6 +123,39 @@ TEST(Sanitizer, RbcWrongRootCaught) {
   EXPECT_NE(std::string(e.what()).find("rbc comm"), std::string::npos);
 }
 
+TEST(Sanitizer, RbcScanAgainstScanWithTotalCaught) {
+  // One member takes the distance-doubling Iscan while its peers take the
+  // up-sweep/down-sweep, on the same range and tag: the two schedules
+  // would deadlock; the ledger names both kinds at entry instead.
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto e = ExpectMismatch(4, [](mpisim::Comm& world) {
+    rbc::Comm rw;
+    rbc::Create_RBC_Comm(world, &rw);
+    constexpr int kTag = rbc::RBC_ISCAN_WITH_TOTAL_TAG;
+    const std::int64_t mine = rw.Rank() + 1;
+    std::int64_t incl = 0, total = 0;
+    rbc::Request req;
+    if (rw.Rank() == 2) {
+      rbc::Iscan(&mine, &incl, 1, Datatype::kInt64, mpisim::ReduceOp::kSum,
+                 rw, &req, kTag);
+    } else {
+      rbc::IscanWithTotal(&mine, &incl, &total, 1, Datatype::kInt64,
+                          mpisim::ReduceOp::kSum, rw, &req, kTag);
+    }
+    rbc::Wait(&req);
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(5000));
+  EXPECT_TRUE(PairContains(e, 2)) << e.what();
+  EXPECT_EQ(e.seq_a(), 0) << e.what();
+  EXPECT_EQ(e.seq_b(), 0) << e.what();
+  const std::string what = e.what();
+  EXPECT_NE(what.find("different collective operations"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("IScanWithTotal tag="), std::string::npos) << what;
+  EXPECT_NE(what.find("IScan tag="), std::string::npos) << what;
+}
+
 TEST(Sanitizer, WildcardRecvNoFalsePositive) {
   // kAnySource receives interleaved with collectives: the sanitizer keys
   // on collective intent, not message arrival order, so the wobble in
