@@ -1,24 +1,19 @@
 #include "mpisim/collectives.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <numeric>
-#include <vector>
+#include <string>
 
-#include "mpisim/nbc.hpp"
-#include "mpisim/p2p.hpp"
-#include "mpisim/runtime.hpp"
+#include "mpisim/error.hpp"
 #include "mpisim/sanitizer.hpp"
+#include "mpisim/schedule.hpp"
 
 namespace mpisim {
 namespace {
 
-std::vector<std::int64_t> ToCounts(std::span<const int> v) {
-  return {v.begin(), v.end()};
-}
+using detail::BinomialTreeOf;
+using detail::Run;
 
-// Internal tags on the kColl sub-channel. The scan rounds get a tag each so
-// distance-doubling messages of different rounds cannot be confused.
+// Internal tags on the kColl sub-channel. Scan round k runs on
+// kTagScanBase + k.
 constexpr int kTagBcast = 1;
 constexpr int kTagReduce = 2;
 constexpr int kTagExscanShift = 3;
@@ -26,93 +21,45 @@ constexpr int kTagGather = 4;
 constexpr int kTagGatherv = 5;
 constexpr int kTagAlltoall = 6;
 constexpr int kTagScatter = 7;
-constexpr int kTagScatterv = 8;
 constexpr int kTagScanBase = 64;
 
-constexpr Channel kCh = Channel::kColl;
-
-void ValidateRoot(const Comm& comm, int root) {
-  if (comm.IsNull()) throw UsageError("collective: null communicator");
+void Validate(const Comm& comm, const char* what, int count, int root = 0) {
+  if (comm.IsNull()) {
+    throw UsageError(std::string(what) + ": null communicator");
+  }
   if (root < 0 || root >= comm.Size()) {
-    throw UsageError("collective: root out of range");
+    throw UsageError(std::string(what) + ": root out of range");
   }
+  if (count < 0) throw UsageError(std::string(what) + ": negative count");
 }
 
-/// Binomial broadcast over an arbitrary channel+tag; shared with the
-/// nonblocking engine's building blocks.
-void BcastImpl(void* buf, int count, Datatype dt, int root, const Comm& comm,
-               int tag) {
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const int relrank = (rank - root + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (relrank & mask) {
-      const int src = (rank - mask + p) % p;
-      detail::RecvOnChannel(buf, count, dt, src, tag, comm, kCh);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relrank + mask < p) {
-      const int dest = (rank + mask) % p;
-      detail::SendOnChannel(buf, count, dt, dest, tag, comm, kCh);
-    }
-    mask >>= 1;
-  }
+sanitize::OpRecord Op(sanitize::CollKind kind, int root, int tag, int count,
+                      Datatype dt) {
+  return sanitize::MakeOp(kind, root, tag, count,
+                          static_cast<std::uint32_t>(SizeOf(dt)));
 }
 
-/// Binomial reduction to `root`; assumes a commutative operator.
-void ReduceImpl(const void* send, void* recv, int count, Datatype dt,
-                ReduceOp op, int root, const Comm& comm, int tag) {
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const int relrank = (rank - root + p) % p;
-  const std::size_t bytes = static_cast<std::size_t>(count) * SizeOf(dt);
+detail::EndpointPtr Coll(const Comm& comm) {
+  return detail::ChannelEndpoint(comm, Channel::kColl);
+}
 
-  std::vector<std::byte> acc(bytes);
-  if (bytes != 0) std::memcpy(acc.data(), send, bytes);
-  std::vector<std::byte> tmp(bytes);
-
-  int mask = 1;
-  while (mask < p) {
-    if ((relrank & mask) == 0) {
-      const int rel_src = relrank | mask;
-      if (rel_src < p) {
-        const int src = (rel_src + root) % p;
-        detail::RecvOnChannel(tmp.data(), count, dt, src, tag, comm, kCh);
-        ApplyReduce(op, dt, tmp.data(), acc.data(), count);
-      }
-    } else {
-      const int dest = ((relrank & ~mask) + root) % p;
-      detail::SendOnChannel(acc.data(), count, dt, dest, tag, comm, kCh);
-      break;
-    }
-    mask <<= 1;
-  }
-  if (rank == root && recv != nullptr && bytes != 0) {
-    std::memcpy(recv, acc.data(), bytes);
-  }
+detail::Tree TreeOf(const Comm& comm, int root) {
+  return BinomialTreeOf(comm.Rank(), comm.Size(), root);
 }
 
 }  // namespace
 
 void Barrier(const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Barrier: null communicator");
+  Validate(comm, "Barrier", 0);
   sanitize::Scope san(comm, sanitize::MakeOp(sanitize::CollKind::kBarrier));
-  std::uint8_t token = 0;
-  Reduce(&token, &token, 1, Datatype::kByte, ReduceOp::kBor, 0, comm);
-  Bcast(&token, 1, Datatype::kByte, 0, comm);
+  Run(detail::MakeBarrier(Coll(comm), TreeOf(comm, 0), kTagReduce, kTagBcast),
+      "Barrier");
 }
 
 void Bcast(void* buf, int count, Datatype dt, int root, const Comm& comm) {
-  ValidateRoot(comm, root);
-  if (count < 0) throw UsageError("Bcast: negative count");
+  Validate(comm, "Bcast", count, root);
   sanitize::OpRecord rec =
-      sanitize::MakeOp(sanitize::CollKind::kBcast, root, kTagBcast, count,
-                       static_cast<std::uint32_t>(SizeOf(dt)));
+      Op(sanitize::CollKind::kBcast, root, kTagBcast, count, dt);
   const std::size_t bytes = static_cast<std::size_t>(count) * SizeOf(dt);
   const bool is_root = comm.Rank() == root;
   if (is_root && sanitize::Enabled()) {
@@ -120,458 +67,123 @@ void Bcast(void* buf, int count, Datatype dt, int root, const Comm& comm) {
   }
   sanitize::Scope san(comm, std::move(rec));
   if (!is_root) san.ArmExitSignatureCheck(buf, bytes);
-  BcastImpl(buf, count, dt, root, comm, kTagBcast);
+  Run(detail::MakeBcast(Coll(comm), TreeOf(comm, root), buf, count, dt,
+                        kTagBcast),
+      "Bcast");
 }
 
 void Reduce(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
             int root, const Comm& comm) {
-  ValidateRoot(comm, root);
-  if (count < 0) throw UsageError("Reduce: negative count");
+  Validate(comm, "Reduce", count, root);
   sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kReduce, root, kTagReduce,
-                             count, static_cast<std::uint32_t>(SizeOf(dt))));
-  ReduceImpl(send, recv, count, dt, op, root, comm, kTagReduce);
+      comm, Op(sanitize::CollKind::kReduce, root, kTagReduce, count, dt));
+  Run(detail::MakeReduce(Coll(comm), TreeOf(comm, root), send, recv, count,
+                         dt, op, kTagReduce),
+      "Reduce");
 }
 
 void Allreduce(const void* send, void* recv, int count, Datatype dt,
                ReduceOp op, const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Allreduce: null communicator");
-  sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kAllreduce, /*root=*/-1,
-                             /*tag=*/-1, count,
-                             static_cast<std::uint32_t>(SizeOf(dt))));
-  Reduce(send, recv, count, dt, op, 0, comm);
-  Bcast(recv, count, dt, 0, comm);
+  Validate(comm, "Allreduce", count);
+  sanitize::Scope san(comm, Op(sanitize::CollKind::kAllreduce, /*root=*/-1,
+                               /*tag=*/-1, count, dt));
+  Run(detail::MakeAllreduce(Coll(comm), TreeOf(comm, 0), send, recv, count,
+                            dt, op, kTagReduce, kTagBcast),
+      "Allreduce");
 }
 
 void Scan(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
           const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Scan: null communicator");
-  if (count < 0) throw UsageError("Scan: negative count");
-  sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kScan, /*root=*/-1,
-                             kTagScanBase, count,
-                             static_cast<std::uint32_t>(SizeOf(dt))));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const std::size_t bytes = static_cast<std::size_t>(count) * SizeOf(dt);
-
-  std::vector<std::byte> partial(bytes);
-  if (bytes != 0) std::memcpy(partial.data(), send, bytes);
-  std::vector<std::byte> incoming(bytes);
-
-  int round = 0;
-  for (int d = 1; d < p; d <<= 1, ++round) {
-    const int tag = kTagScanBase + round;
-    // Send the pre-round partial before merging this round's input.
-    if (rank + d < p) {
-      detail::SendOnChannel(partial.data(), count, dt, rank + d, tag, comm,
-                            kCh);
-    }
-    if (rank - d >= 0) {
-      detail::RecvOnChannel(incoming.data(), count, dt, rank - d, tag, comm,
-                            kCh);
-      // incoming holds the fold of ranks < rank; it is the left operand.
-      ApplyReduce(op, dt, partial.data(), incoming.data(), count);
-      partial.swap(incoming);
-    }
-  }
-  if (bytes != 0) std::memcpy(recv, partial.data(), bytes);
+  Validate(comm, "Scan", count);
+  sanitize::Scope san(comm, Op(sanitize::CollKind::kScan, /*root=*/-1,
+                               kTagScanBase, count, dt));
+  Run(detail::MakeScan(Coll(comm), send, recv, count, dt, op, kTagScanBase,
+                       /*tag_step=*/1),
+      "Scan");
 }
 
 void Exscan(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
             const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Exscan: null communicator");
-  sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kExscan, /*root=*/-1,
-                             kTagExscanShift, count,
-                             static_cast<std::uint32_t>(SizeOf(dt))));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const std::size_t bytes = static_cast<std::size_t>(count) * SizeOf(dt);
-  std::vector<std::byte> incl(bytes);
-  Scan(send, incl.data(), count, dt, op, comm);
-  if (rank + 1 < p) {
-    detail::SendOnChannel(incl.data(), count, dt, rank + 1, kTagExscanShift,
-                          comm, kCh);
-  }
-  if (rank > 0) {
-    detail::RecvOnChannel(recv, count, dt, rank - 1, kTagExscanShift, comm,
-                          kCh);
-  } else if (bytes != 0) {
-    std::memset(recv, 0, bytes);
-  }
+  Validate(comm, "Exscan", count);
+  sanitize::Scope san(comm, Op(sanitize::CollKind::kExscan, /*root=*/-1,
+                               kTagExscanShift, count, dt));
+  Run(detail::MakeExscan(Coll(comm), send, recv, count, dt, op, kTagScanBase,
+                         /*scan_tag_step=*/1, kTagExscanShift),
+      "Exscan");
 }
 
 void Gather(const void* send, int count, Datatype dt, void* recv, int root,
             const Comm& comm) {
-  ValidateRoot(comm, root);
-  if (count < 0) throw UsageError("Gather: negative count");
+  Validate(comm, "Gather", count, root);
   sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kGather, root, kTagGather,
-                             count, static_cast<std::uint32_t>(SizeOf(dt))));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const int relrank = (rank - root + p) % p;
-  const std::size_t block = static_cast<std::size_t>(count) * SizeOf(dt);
-
-  // Assemble the subtree payload in relative-rank order.
-  std::vector<std::byte> buf(block);
-  if (block != 0) std::memcpy(buf.data(), send, block);
-
-  int mask = 1;
-  int extent = 1;  // relative ranks [relrank, relrank+extent) collected
-  while (mask < p) {
-    if (relrank & mask) {
-      const int dest = ((relrank & ~mask) + root) % p;
-      detail::SendOnChannel(buf.data(), static_cast<int>(extent) * count, dt,
-                            dest, kTagGather, comm, kCh);
-      break;
-    }
-    const int rel_child = relrank | mask;
-    if (rel_child < p) {
-      const int child_extent = std::min(mask, p - rel_child);
-      buf.resize(static_cast<std::size_t>(extent + child_extent) * block);
-      const int src = (rel_child + root) % p;
-      detail::RecvOnChannel(buf.data() + static_cast<std::size_t>(extent) *
-                                             block,
-                            child_extent * count, dt, src, kTagGather, comm,
-                            kCh);
-      extent += child_extent;
-    }
-    mask <<= 1;
-  }
-
-  if (rank == root) {
-    // buf holds blocks for relative ranks 0..p-1; rotate to absolute order.
-    auto* out = static_cast<std::byte*>(recv);
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root) % p;
-      if (block != 0) {
-        std::memcpy(out + static_cast<std::size_t>(abs) * block,
-                    buf.data() + static_cast<std::size_t>(rel) * block,
-                    block);
-      }
-    }
-  }
+      comm, Op(sanitize::CollKind::kGather, root, kTagGather, count, dt));
+  Run(detail::MakeGather(Coll(comm), TreeOf(comm, root), send, count, dt, recv,
+                         kTagGather),
+      "Gather");
 }
 
 void Gatherv(const void* send, int count, Datatype dt, void* recv,
              std::span<const int> recvcounts, std::span<const int> displs,
              int root, const Comm& comm) {
-  ValidateRoot(comm, root);
-  if (count < 0) throw UsageError("Gatherv: negative count");
-  sanitize::OpRecord grec =
-      sanitize::MakeOp(sanitize::CollKind::kGatherv, root, kTagGatherv, count,
-                       static_cast<std::uint32_t>(SizeOf(dt)));
+  Validate(comm, "Gatherv", count, root);
+  sanitize::OpRecord rec =
+      Op(sanitize::CollKind::kGatherv, root, kTagGatherv, count, dt);
   if (sanitize::Enabled() && comm.Rank() == root) {
-    grec.counts_from = ToCounts(recvcounts);
+    rec.counts_from.assign(recvcounts.begin(), recvcounts.end());
   }
-  sanitize::Scope san(comm, std::move(grec));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const int relrank = (rank - root + p) % p;
-  const std::size_t esize = SizeOf(dt);
-
-  // Subtree message layout: [int32 n][int32 counts[n]][payload], where
-  // counts are per relative rank of the subtree, in order.
-  std::vector<std::int32_t> counts{static_cast<std::int32_t>(count)};
-  std::vector<std::byte> payload(static_cast<std::size_t>(count) * esize);
-  if (!payload.empty()) std::memcpy(payload.data(), send, payload.size());
-
-  auto pack = [&]() {
-    std::vector<std::byte> msg(sizeof(std::int32_t) * (1 + counts.size()) +
-                               payload.size());
-    const std::int32_t n = static_cast<std::int32_t>(counts.size());
-    std::memcpy(msg.data(), &n, sizeof n);
-    std::memcpy(msg.data() + sizeof n, counts.data(),
-                sizeof(std::int32_t) * counts.size());
-    if (!payload.empty()) {
-      std::memcpy(msg.data() + sizeof(std::int32_t) * (1 + counts.size()),
-                  payload.data(), payload.size());
-    }
-    return msg;
-  };
-  auto unpack_into = [&](const std::vector<std::byte>& msg) {
-    std::int32_t n = 0;
-    std::memcpy(&n, msg.data(), sizeof n);
-    const std::size_t old = counts.size();
-    counts.resize(old + static_cast<std::size_t>(n));
-    std::memcpy(counts.data() + old, msg.data() + sizeof n,
-                sizeof(std::int32_t) * static_cast<std::size_t>(n));
-    const std::size_t hdr = sizeof(std::int32_t) * (1 + static_cast<std::size_t>(n));
-    const std::size_t oldp = payload.size();
-    payload.resize(oldp + (msg.size() - hdr));
-    std::memcpy(payload.data() + oldp, msg.data() + hdr, msg.size() - hdr);
-  };
-
-  int mask = 1;
-  while (mask < p) {
-    if (relrank & mask) {
-      const int dest = ((relrank & ~mask) + root) % p;
-      std::vector<std::byte> msg = pack();
-      detail::SendOnChannel(msg.data(), static_cast<int>(msg.size()),
-                            Datatype::kByte, dest, kTagGatherv, comm, kCh);
-      break;
-    }
-    const int rel_child = relrank | mask;
-    if (rel_child < p) {
-      const int src = (rel_child + root) % p;
-      Status st;
-      detail::ProbeOnChannel(src, kTagGatherv, comm, kCh, &st);
-      std::vector<std::byte> msg(st.bytes);
-      detail::RecvOnChannel(msg.data(), static_cast<int>(msg.size()),
-                            Datatype::kByte, src, kTagGatherv, comm, kCh);
-      unpack_into(msg);
-    }
-    mask <<= 1;
-  }
-
-  if (rank == root) {
-    if (static_cast<int>(counts.size()) != p) {
-      throw UsageError("Gatherv: internal: incomplete subtree counts");
-    }
-    auto* out = static_cast<std::byte*>(recv);
-    std::size_t off = 0;
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root) % p;
-      if (counts[rel] != recvcounts[abs]) {
-        throw UsageError("Gatherv: recvcounts disagree with sent counts");
-      }
-      const std::size_t nbytes =
-          static_cast<std::size_t>(counts[rel]) * esize;
-      if (nbytes != 0) {
-        std::memcpy(out + static_cast<std::size_t>(displs[abs]) * esize,
-                    payload.data() + off, nbytes);
-      }
-      off += nbytes;
-    }
-  }
+  sanitize::Scope san(comm, std::move(rec));
+  Run(detail::MakeGatherv(Coll(comm), TreeOf(comm, root), send, count, dt,
+                          recv, recvcounts, displs, kTagGatherv),
+      "Gatherv");
 }
 
 void Allgather(const void* send, int count, Datatype dt, void* recv,
                const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Allgather: null communicator");
-  sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kAllgather, /*root=*/-1,
-                             /*tag=*/-1, count,
-                             static_cast<std::uint32_t>(SizeOf(dt))));
-  Gather(send, count, dt, recv, 0, comm);
-  Bcast(recv, count * comm.Size(), dt, 0, comm);
-}
-
-void Allgatherv(const void* send, int count, Datatype dt, void* recv,
-                std::span<const int> recvcounts, std::span<const int> displs,
-                const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Allgatherv: null communicator");
-  sanitize::OpRecord grec =
-      sanitize::MakeOp(sanitize::CollKind::kAllgatherv, /*root=*/-1,
-                       /*tag=*/-1, count,
-                       static_cast<std::uint32_t>(SizeOf(dt)));
-  if (sanitize::Enabled()) grec.counts_from = ToCounts(recvcounts);
-  sanitize::Scope san(comm, std::move(grec));
-  Gatherv(send, count, dt, recv, recvcounts, displs, 0, comm);
-  int total = 0;
-  for (int c : recvcounts) total += c;
-  Bcast(recv, total, dt, 0, comm);
+  Validate(comm, "Allgather", count);
+  sanitize::Scope san(comm, Op(sanitize::CollKind::kAllgather, /*root=*/-1,
+                               /*tag=*/-1, count, dt));
+  Run(detail::MakeAllgather(Coll(comm), TreeOf(comm, 0), send, count, dt,
+                            recv, kTagGather, kTagBcast),
+      "Allgather");
 }
 
 void Scatter(const void* send, int count, Datatype dt, void* recv, int root,
              const Comm& comm) {
-  ValidateRoot(comm, root);
-  if (count < 0) throw UsageError("Scatter: negative count");
+  Validate(comm, "Scatter", count, root);
   sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kScatter, root, kTagScatter,
-                             count, static_cast<std::uint32_t>(SizeOf(dt))));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const auto tree = detail::BinomialTree::Compute(rank, p, root);
-  const int relrank = (rank - root + p) % p;
-  int extent = 1;
-  for (int e : tree.child_extents) extent += e;
-  const std::size_t block = static_cast<std::size_t>(count) * SizeOf(dt);
-
-  std::vector<std::byte> buf(static_cast<std::size_t>(extent) * block);
-  if (rank == root) {
-    // Rotate absolute-rank blocks into relative order.
-    const auto* in = static_cast<const std::byte*>(send);
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root) % p;
-      if (block != 0) {
-        std::memcpy(buf.data() + static_cast<std::size_t>(rel) * block,
-                    in + static_cast<std::size_t>(abs) * block, block);
-      }
-    }
-  } else {
-    detail::RecvOnChannel(buf.data(), extent * count, dt, tree.parent,
-                          kTagScatter, comm, kCh);
-  }
-  for (int i = static_cast<int>(tree.children.size()) - 1; i >= 0; --i) {
-    const std::size_t off = (std::size_t{1} << i) * block;
-    detail::SendOnChannel(buf.data() + off,
-                          tree.child_extents[static_cast<std::size_t>(i)] *
-                              count,
-                          dt, tree.children[static_cast<std::size_t>(i)],
-                          kTagScatter, comm, kCh);
-  }
-  if (block != 0) std::memcpy(recv, buf.data(), block);
-  (void)relrank;
-}
-
-void Scatterv(const void* send, std::span<const int> sendcounts,
-              std::span<const int> displs, Datatype dt, void* recv,
-              int recvcount, int root, const Comm& comm) {
-  ValidateRoot(comm, root);
-  sanitize::OpRecord srec =
-      sanitize::MakeOp(sanitize::CollKind::kScatterv, root, kTagScatterv,
-                       recvcount, static_cast<std::uint32_t>(SizeOf(dt)));
-  if (sanitize::Enabled() && comm.Rank() == root) {
-    srec.counts_to = ToCounts(sendcounts);
-  }
-  sanitize::Scope san(comm, std::move(srec));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const auto tree = detail::BinomialTree::Compute(rank, p, root);
-  const std::size_t esize = SizeOf(dt);
-
-  // Subtree message layout (mirrors Gatherv): [int32 n][int32 counts[n]]
-  // [payload], counts in relative-rank order of the subtree.
-  std::vector<std::int32_t> counts;
-  std::vector<std::byte> payload;
-  if (rank == root) {
-    counts.resize(static_cast<std::size_t>(p));
-    std::size_t total = 0;
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root) % p;
-      counts[static_cast<std::size_t>(rel)] = sendcounts[abs];
-      total += static_cast<std::size_t>(sendcounts[abs]) * esize;
-    }
-    payload.reserve(total);
-    const auto* in = static_cast<const std::byte*>(send);
-    for (int rel = 0; rel < p; ++rel) {
-      const int abs = (rel + root) % p;
-      const std::size_t nbytes =
-          static_cast<std::size_t>(sendcounts[abs]) * esize;
-      const std::size_t off = payload.size();
-      payload.resize(off + nbytes);
-      if (nbytes != 0) {
-        std::memcpy(payload.data() + off,
-                    in + static_cast<std::size_t>(displs[abs]) * esize,
-                    nbytes);
-      }
-    }
-  } else {
-    Status st;
-    detail::ProbeOnChannel(tree.parent, kTagScatterv, comm, kCh, &st);
-    std::vector<std::byte> msg(st.bytes);
-    detail::RecvOnChannel(msg.data(), static_cast<int>(msg.size()),
-                          Datatype::kByte, tree.parent, kTagScatterv, comm,
-                          kCh);
-    std::int32_t n = 0;
-    std::memcpy(&n, msg.data(), sizeof n);
-    counts.resize(static_cast<std::size_t>(n));
-    std::memcpy(counts.data(), msg.data() + sizeof n,
-                sizeof(std::int32_t) * static_cast<std::size_t>(n));
-    const std::size_t hdr =
-        sizeof(std::int32_t) * (1 + static_cast<std::size_t>(n));
-    payload.assign(msg.begin() + static_cast<std::ptrdiff_t>(hdr), msg.end());
-  }
-
-  // Forward each child its subtree slice.
-  auto bytes_before = [&](int rel_off) {
-    std::size_t b = 0;
-    for (int i = 0; i < rel_off; ++i) {
-      b += static_cast<std::size_t>(counts[static_cast<std::size_t>(i)]) *
-           esize;
-    }
-    return b;
-  };
-  for (int i = static_cast<int>(tree.children.size()) - 1; i >= 0; --i) {
-    const int rel_off = 1 << i;
-    const int child_extent =
-        tree.child_extents[static_cast<std::size_t>(i)];
-    const std::size_t pbegin = bytes_before(rel_off);
-    const std::size_t pend = bytes_before(rel_off + child_extent);
-    std::vector<std::byte> msg(sizeof(std::int32_t) *
-                                   (1 + static_cast<std::size_t>(child_extent)) +
-                               (pend - pbegin));
-    const std::int32_t n = child_extent;
-    std::memcpy(msg.data(), &n, sizeof n);
-    std::memcpy(msg.data() + sizeof n,
-                counts.data() + rel_off,
-                sizeof(std::int32_t) * static_cast<std::size_t>(child_extent));
-    if (pend > pbegin) {
-      std::memcpy(msg.data() + sizeof(std::int32_t) *
-                                   (1 + static_cast<std::size_t>(child_extent)),
-                  payload.data() + pbegin, pend - pbegin);
-    }
-    detail::SendOnChannel(msg.data(), static_cast<int>(msg.size()),
-                          Datatype::kByte,
-                          tree.children[static_cast<std::size_t>(i)],
-                          kTagScatterv, comm, kCh);
-  }
-
-  // My own block is the first of my subtree slice.
-  if (counts.empty()) throw UsageError("Scatterv: internal: empty counts");
-  if (counts[0] > recvcount) {
-    throw UsageError("Scatterv: receive buffer too small");
-  }
-  const std::size_t mine = static_cast<std::size_t>(counts[0]) * esize;
-  if (mine != 0) std::memcpy(recv, payload.data(), mine);
+      comm, Op(sanitize::CollKind::kScatter, root, kTagScatter, count, dt));
+  Run(detail::MakeScatter(Coll(comm), TreeOf(comm, root), send, count, dt,
+                          recv, kTagScatter),
+      "Scatter");
 }
 
 void Alltoall(const void* send, int count, Datatype dt, void* recv,
               const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Alltoall: null communicator");
-  sanitize::Scope san(
-      comm, sanitize::MakeOp(sanitize::CollKind::kAlltoall, /*root=*/-1,
-                             kTagAlltoall, count,
-                             static_cast<std::uint32_t>(SizeOf(dt))));
-  const int p = comm.Size();
-  std::vector<int> counts(p, count), displs(p);
-  for (int i = 0; i < p; ++i) displs[i] = i * count;
-  Alltoallv(send, counts, displs, dt, recv, counts, displs, comm);
+  Validate(comm, "Alltoall", count);
+  sanitize::Scope san(comm, Op(sanitize::CollKind::kAlltoall, /*root=*/-1,
+                               kTagAlltoall, count, dt));
+  Run(detail::MakeAlltoall(Coll(comm), detail::AlltoallAlgo::kSpread, send,
+                           count, dt, recv, kTagAlltoall),
+      "Alltoall");
 }
 
 void Alltoallv(const void* send, std::span<const int> sendcounts,
                std::span<const int> sdispls, Datatype dt, void* recv,
                std::span<const int> recvcounts, std::span<const int> rdispls,
                const Comm& comm) {
-  if (comm.IsNull()) throw UsageError("Alltoallv: null communicator");
-  sanitize::OpRecord arec =
-      sanitize::MakeOp(sanitize::CollKind::kAlltoallv, /*root=*/-1,
-                       kTagAlltoall, /*count=*/-1,
-                       static_cast<std::uint32_t>(SizeOf(dt)));
+  Validate(comm, "Alltoallv", 0);
+  sanitize::OpRecord rec = sanitize::MakeOp(
+      sanitize::CollKind::kAlltoallv, /*root=*/-1, kTagAlltoall,
+      /*count=*/-1, static_cast<std::uint32_t>(SizeOf(dt)));
   if (sanitize::Enabled()) {
-    arec.counts_to = ToCounts(sendcounts);
-    arec.counts_from = ToCounts(recvcounts);
+    rec.counts_to.assign(sendcounts.begin(), sendcounts.end());
+    rec.counts_from.assign(recvcounts.begin(), recvcounts.end());
   }
-  sanitize::Scope san(comm, std::move(arec));
-  const int p = comm.Size();
-  const int rank = comm.Rank();
-  const std::size_t esize = SizeOf(dt);
-  const auto* in = static_cast<const std::byte*>(send);
-  auto* out = static_cast<std::byte*>(recv);
-
-  // Self copy first.
-  if (recvcounts[rank] != 0) {
-    std::memcpy(out + static_cast<std::size_t>(rdispls[rank]) * esize,
-                in + static_cast<std::size_t>(sdispls[rank]) * esize,
-                static_cast<std::size_t>(sendcounts[rank]) * esize);
-  }
-  // Inject all outgoing messages (eager, non-blocking), then drain.
-  for (int off = 1; off < p; ++off) {
-    const int dest = (rank + off) % p;
-    detail::SendOnChannel(
-        in + static_cast<std::size_t>(sdispls[dest]) * esize,
-        sendcounts[dest], dt, dest, kTagAlltoall, comm, kCh);
-  }
-  for (int off = 1; off < p; ++off) {
-    const int src = (rank - off + p) % p;
-    detail::RecvOnChannel(
-        out + static_cast<std::size_t>(rdispls[src]) * esize,
-        recvcounts[src], dt, src, kTagAlltoall, comm, kCh);
-  }
+  sanitize::Scope san(comm, std::move(rec));
+  Run(detail::MakeAlltoallv(Coll(comm), detail::AlltoallAlgo::kSpread, send,
+                            sendcounts, sdispls, dt, recv, recvcounts,
+                            rdispls, kTagAlltoall, /*segment_bytes=*/0),
+      "Alltoallv");
 }
 
 }  // namespace mpisim

@@ -1,11 +1,14 @@
 // Blocking collective operations.
 //
-// All collectives run on the communicator's kColl sub-channel with
-// operation-specific internal tags, so they can never interfere with user
-// point-to-point traffic -- the context-id guarantee of Section III.
-// Communication patterns are binomial trees (optimal in the alpha term for
-// short vectors, Section V-D of the paper), except scan which uses
-// distance-doubling (Hillis-Steele) rounds.
+// Each one runs the nonblocking schedule of the collective-schedule core
+// (mpisim/schedule.hpp) to completion, so it leaves exactly the clocks and
+// traffic of its nonblocking twin. Traffic runs on the communicator's kColl
+// sub-channel with fixed internal tags, so it can never interfere with user
+// point-to-point traffic -- the context-id guarantee of Section III. The
+// tree collectives pass the binomial tree rooted at `root` (Barrier,
+// Allreduce and Allgather: at rank 0), optimal in the alpha term for short
+// vectors (Section V-D); Scan uses distance-doubling (Hillis-Steele)
+// rounds, one tag per round; Alltoall(v) the spread-out schedule.
 //
 // Reductions assume commutative operators (all ReduceOp values are).
 // Unless stated otherwise, send and receive buffers must not alias.
@@ -50,7 +53,7 @@ void Gather(const void* send, int count, Datatype dt, void* recv, int root,
 
 /// Gathers count_r elements from rank r into recv at displs[r] on the
 /// root. recvcounts/displs are significant on the root only (sizes in
-/// elements).
+/// elements) and must hold Size() entries there (UsageError otherwise).
 void Gatherv(const void* send, int count, Datatype dt, void* recv,
              std::span<const int> recvcounts, std::span<const int> displs,
              int root, const Comm& comm);
@@ -59,26 +62,17 @@ void Gatherv(const void* send, int count, Datatype dt, void* recv,
 void Allgather(const void* send, int count, Datatype dt, void* recv,
                const Comm& comm);
 
-/// Gatherv + broadcast; recvcounts/displs significant on all ranks.
-void Allgatherv(const void* send, int count, Datatype dt, void* recv,
-                std::span<const int> recvcounts, std::span<const int> displs,
-                const Comm& comm);
-
 /// Scatters Size() consecutive blocks of `count` elements from the root's
 /// `send` buffer (significant at root only) down a binomial tree.
 void Scatter(const void* send, int count, Datatype dt, void* recv, int root,
              const Comm& comm);
 
-/// Scatter with per-rank counts/displacements (elements; root only).
-void Scatterv(const void* send, std::span<const int> sendcounts,
-              std::span<const int> displs, Datatype dt, void* recv,
-              int recvcount, int root, const Comm& comm);
-
 /// Personalized all-to-all with uniform block size `count`.
 void Alltoall(const void* send, int count, Datatype dt, void* recv,
               const Comm& comm);
 
-/// Personalized all-to-all with per-peer counts/displacements (elements).
+/// Personalized all-to-all with per-peer counts/displacements (elements);
+/// all four arrays must hold Size() entries (UsageError otherwise).
 void Alltoallv(const void* send, std::span<const int> sendcounts,
                std::span<const int> sdispls, Datatype dt, void* recv,
                std::span<const int> recvcounts, std::span<const int> rdispls,

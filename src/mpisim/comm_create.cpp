@@ -9,6 +9,7 @@
 #include "mpisim/collectives.hpp"
 #include "mpisim/p2p.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpisim/schedule.hpp"
 
 namespace mpisim {
 namespace {
@@ -44,55 +45,27 @@ std::uint64_t LowestClear(const Mask& m) {
   throw Error("mpisim: context id space exhausted");
 }
 
-/// Binomial BOR-reduce of the used-context masks to member index 0,
-/// then binomial broadcast of the union back -- all addressed through the
-/// member list `members` (parent comm ranks), on the parent's internal
-/// channel with `tag`. This is the MPICH/Open MPI style agreement.
+/// Agrees on the union of the members' used-context masks: the core's
+/// BOR Allreduce over the binomial tree of member indices, addressed
+/// through `members` (parent comm ranks), on the parent's internal channel
+/// with `tag`. This is the MPICH/Open MPI style agreement.
 Mask AgreeMaskTree(const Comm& parent, std::span<const int> members,
                    int my_index, int tag) {
+  std::array<std::byte, kMaskBytes> mine{};
+  std::array<std::byte, kMaskBytes> unioned{};
+  Serialize(Ctx().ctx_mask, mine.data());
   const int g = static_cast<int>(members.size());
-  Mask acc = Ctx().ctx_mask;
-  std::array<std::byte, kMaskBytes> wire{};
-
-  // Reduce (BOR) to index 0.
-  for (int m = 1; m < g; m <<= 1) {
-    if ((my_index & m) == 0) {
-      const int src = my_index | m;
-      if (src < g) {
-        detail::RecvOnChannel(wire.data(), kMaskBytes, Datatype::kByte,
-                              members[src], tag, parent, kCh);
-        OrInto(wire.data(), acc);
-      }
-    } else {
-      Serialize(acc, wire.data());
-      detail::SendOnChannel(wire.data(), kMaskBytes, Datatype::kByte,
-                            members[my_index & ~m], tag, parent, kCh);
-      break;
-    }
-  }
-
-  // Broadcast the union from index 0.
-  int mask = 1;
-  while (mask < g) {
-    if (my_index & mask) {
-      detail::RecvOnChannel(wire.data(), kMaskBytes, Datatype::kByte,
-                            members[my_index - mask], tag, parent, kCh);
-      acc.reset();
-      OrInto(wire.data(), acc);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  Serialize(acc, wire.data());
-  while (mask > 0) {
-    if (my_index + mask < g) {
-      detail::SendOnChannel(wire.data(), kMaskBytes, Datatype::kByte,
-                            members[my_index + mask], tag, parent, kCh);
-    }
-    mask >>= 1;
-  }
-  return acc;
+  detail::Run(detail::MakeAllreduce(
+                  detail::ChannelEndpoint(parent, kCh,
+                                          {members.begin(), members.end()},
+                                          my_index),
+                  detail::BinomialTreeOf(my_index, g, 0), mine.data(),
+                  unioned.data(), kMaskBytes, Datatype::kByte, ReduceOp::kBor,
+                  tag, tag),
+              "CommCreateGroup");
+  Mask m;
+  OrInto(unioned.data(), m);
+  return m;
 }
 
 /// Serial ring agreement: the mask crawls up the member chain and the

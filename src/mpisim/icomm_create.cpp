@@ -4,8 +4,8 @@
 #include <cstring>
 #include <vector>
 
-#include "mpisim/p2p.hpp"
 #include "mpisim/runtime.hpp"
+#include "mpisim/schedule.hpp"
 
 namespace mpisim {
 namespace {
@@ -20,81 +20,6 @@ TupleCtx UnpackTuple(const std::array<std::int32_t, 5>& w) {
   return TupleCtx{.a = w[0], .b = static_cast<std::uint32_t>(w[1]), .f = w[2],
                   .l = w[3], .c = w[4]};
 }
-
-/// Binomial broadcast of the coined tuple across the group members,
-/// addressed via their parent-communicator ranks, using the user tag.
-/// This is the O(alpha log l) general path of the proposal.
-class TupleBcastSM final : public detail::RequestImpl {
- public:
-  TupleBcastSM(Comm parent, Group group, int tag, Comm* out)
-      : parent_(std::move(parent)), group_(std::move(group)), tag_(tag),
-        out_(out) {
-    RankContext& rc = Ctx();
-    my_index_ = group_.RankOfWorld(rc.world_rank);
-    const int g = group_.Size();
-    members_.resize(g);
-    for (int i = 0; i < g; ++i) {
-      members_[i] = parent_.GetGroup().RankOfWorld(group_.WorldRank(i));
-      if (members_[i] < 0) {
-        throw UsageError("IcommCreateGroup: group member not in parent");
-      }
-    }
-    if (my_index_ == 0) {
-      const TupleCtx t{.a = rc.world_rank,
-                       .b = rc.icomm_counter++,
-                       .f = 0,
-                       .l = g - 1,
-                       .c = 0};
-      wire_ = PackTuple(t);
-      SendToChildren();
-      Finish(t);
-    } else {
-      const int lowbit = my_index_ & (-my_index_);
-      pending_ = detail::IrecvOnChannel(wire_.data(), 5, Datatype::kInt32,
-                                        members_[my_index_ - lowbit], tag_,
-                                        parent_, kCh);
-    }
-  }
-
-  bool Test(Status*) override {
-    if (done_) return true;
-    if (!pending_.Test()) return false;
-    SendToChildren();
-    Finish(UnpackTuple(wire_));
-    return true;
-  }
-
- private:
-  void SendToChildren() {
-    const int g = group_.Size();
-    const int limit = my_index_ == 0 ? g : (my_index_ & (-my_index_));
-    for (int m = 1; m < limit && my_index_ + m < g; m <<= 1) {
-      detail::SendOnChannel(wire_.data(), 5, Datatype::kInt32,
-                            members_[my_index_ + m], tag_, parent_, kCh);
-    }
-  }
-
-  void Finish(const TupleCtx& t) {
-    RankContext& rc = Ctx();
-    const std::uint64_t base = rc.runtime->InternTuple(t);
-    // General case: implementations store the explicit group (given by the
-    // caller anyway); charge its construction.
-    rc.clock.Advance(static_cast<double>(group_.StorageEntries()) *
-                     rc.runtime->options().cost.compute_unit);
-    *out_ = Comm::Make(group_.Materialized(), base, my_index_, t);
-    done_ = true;
-  }
-
-  Comm parent_;
-  Group group_;
-  int tag_;
-  Comm* out_;
-  int my_index_ = -1;
-  std::vector<int> members_;
-  std::array<std::int32_t, 5> wire_{};
-  Request pending_;
-  bool done_ = false;
-};
 
 }  // namespace
 
@@ -125,9 +50,41 @@ Request IcommCreateGroup(const Comm& parent, const Group& group, int tag,
     }
   }
 
-  // General path: coin at the first member, broadcast over the parent.
-  return Request(
-      std::make_shared<TupleBcastSM>(parent, group, tag, out));
+  // General path: coin at the first member and broadcast it to the
+  // members, addressed by their parent ranks, on the user's tag -- the
+  // O(alpha log l) path of the proposal.
+  const int g = group.Size();
+  std::vector<int> members(static_cast<std::size_t>(g));
+  for (int i = 0; i < g; ++i) {
+    members[static_cast<std::size_t>(i)] =
+        parent.GetGroup().RankOfWorld(group.WorldRank(i));
+    if (members[static_cast<std::size_t>(i)] < 0) {
+      throw UsageError("IcommCreateGroup: group member not in parent");
+    }
+  }
+  auto wire = std::make_shared<std::array<std::int32_t, 5>>();
+  if (my_index == 0) {
+    *wire = PackTuple(TupleCtx{.a = rc.world_rank,
+                               .b = rc.icomm_counter++,
+                               .f = 0,
+                               .l = g - 1,
+                               .c = 0});
+  }
+  detail::Schedule bcast = detail::MakeBcast(
+      detail::ChannelEndpoint(parent, kCh, std::move(members), my_index),
+      detail::BinomialTreeOf(my_index, g, 0), wire->data(), 5,
+      Datatype::kInt32, tag);
+  return Request(detail::MakeChain(std::move(bcast), [=] {
+    RankContext& me = Ctx();
+    const TupleCtx t = UnpackTuple(*wire);
+    const std::uint64_t base = me.runtime->InternTuple(t);
+    // General case: implementations store the explicit group (given by
+    // the caller anyway); charge its construction.
+    me.clock.Advance(static_cast<double>(group.StorageEntries()) *
+                     me.runtime->options().cost.compute_unit);
+    *out = Comm::Make(group.Materialized(), base, my_index, t);
+    return std::make_shared<detail::CompletedRequest>();
+  }));
 }
 
 }  // namespace mpisim

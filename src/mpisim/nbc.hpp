@@ -1,22 +1,25 @@
 // Nonblocking collective operations (MPI-3 style).
 //
-// Each operation is a round-based state machine in the spirit of Hoefler &
-// Lumsdaine's NBC scheme, referenced in Section III of the paper: a round
-// performs local work and posts the point-to-point operations it depends
-// on; the next round runs once those complete. Progress happens inside
-// Test/Wait calls -- there is no progress thread.
+// Every operation starts one state machine of the collective-schedule core
+// (mpisim/schedule.hpp) -- the schedules the blocking collectives and the
+// RBC library run too -- and returns it as a Request. Progress happens
+// inside Test/Wait calls; there is no progress thread. The tree
+// collectives pass the binomial tree rooted at `root` (Iallreduce and
+// Ibarrier: at rank 0), a topology-oblivious MPI's tree.
 //
-// Tag management reproduces the scheme the paper describes: every
-// nonblocking collective draws the next value from the communicator's tag
-// counter, which stays synchronous across ranks because all ranks invoke
-// nonblocking collectives on a communicator in the same order. Traffic
-// runs on the communicator's dedicated kNbc sub-channel.
+// Tags follow the scheme the paper describes (Section III): every
+// nonblocking collective draws the next value t from the communicator's
+// tag counter, which stays synchronous across ranks because all ranks
+// invoke nonblocking collectives on a communicator in the same order, and
+// runs on tag 2t of the dedicated kNbc sub-channel. Iallreduce and
+// Ibarrier draw two values and run their reduce on 2t and their broadcast
+// on 2t + 1; IsparseAlltoallv sends payloads on 2t and trailing chunks on
+// 2t + 1, and draws one such pair per fence.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,7 +49,8 @@ Request Iscan(const void* send, void* recv, int count, Datatype dt,
 Request Igather(const void* send, int count, Datatype dt, void* recv,
                 int root, const Comm& comm);
 
-/// Nonblocking gather with per-rank counts (significant at root).
+/// Nonblocking gather with per-rank counts; recvcounts/displs are
+/// significant at the root, where they must hold Size() entries.
 Request Igatherv(const void* send, int count, Datatype dt, void* recv,
                  std::span<const int> recvcounts, std::span<const int> displs,
                  int root, const Comm& comm);
@@ -118,12 +122,15 @@ inline std::int64_t SparseChunksOf(std::int64_t payload_bytes,
 }
 
 /// Nonblocking personalized all-to-all with per-peer counts/displacements
-/// (elements; all arrays sized Size() and significant on every rank). The
-/// count arrays are copied at call time; only the data buffers must stay
-/// alive until completion. With segment_bytes > 0 every per-peer block is
-/// split into pipelined segments of at most segment_bytes payload bytes
-/// (at least one element each); per-envelope FIFO order sequences the
-/// segments of a block, so the wire format needs no headers.
+/// (elements; all four arrays must hold Size() entries, UsageError
+/// otherwise, and are significant on every rank). The count arrays are
+/// copied at call time; only the data buffers must stay alive until
+/// completion. All sends are injected at the call; the receives are taken
+/// one at a time from rank - 1, rank - 2, ..., so the clocks are blocking
+/// Alltoallv's and never depend on arrival order. With segment_bytes > 0
+/// every per-peer block is split into pipelined segments of at most
+/// segment_bytes payload bytes (at least one element each); per-envelope
+/// FIFO order sequences them, so the wire format needs no headers.
 Request Ialltoallv(const void* send, std::span<const int> sendcounts,
                    std::span<const int> sdispls, Datatype dt, void* recv,
                    std::span<const int> recvcounts,
@@ -149,59 +156,23 @@ struct SparseRecvMessage {
 /// of the NBX algorithm (Hoefler, Siebert, Lumsdaine: "Scalable
 /// communication protocols for dynamic sparse data exchange"), adapted to
 /// the substrate's eager sends: each rank passes only the destinations it
-/// actually sends to -- there is no dense counts round and nothing is
-/// transmitted for absent destinations. Receivers discover their senders
-/// by probing; termination is detected with two lightweight barriers (the
-/// eager protocol deposits a payload into the destination mailbox before
-/// the sender enters the first barrier, so its completion bounds the
+/// actually sends to -- no dense counts round, nothing for absent
+/// destinations. Receivers discover their senders by probing; two
+/// lightweight barriers detect termination (eager sends deposit a payload
+/// before the sender enters the first, so its completion bounds the
 /// messages still owed; the second fences the operation against a
-/// back-to-back successor). Collective; tags are drawn from the
-/// communicator's NBC counter. `*received` is appended with every
-/// incoming message, ordered by source rank; a block with dest == Rank()
-/// is delivered locally. Send blocks are copied out at call time.
+/// back-to-back successor). `*received` is appended with every incoming
+/// message, ordered by source rank; a block with dest == Rank() is
+/// delivered locally. Send blocks are copied out at call time.
 ///
-/// Payloads ship chunked: the first chunk (on the payload tag) is
-/// [int64 total payload bytes][payload...]; with segment_bytes > 0 a
-/// payload larger than the first chunk's capacity continues as trailing
-/// chunks [int64 seq][payload...] on the operation's chunk tag, sequenced
-/// 1, 2, ... per destination (see SparseChunksOf for the arithmetic). A
-/// receiver that probes a first chunk pulls that sender's trailing chunks
-/// immediately -- eager deposit guarantees they already sit in the
-/// mailbox -- so chunked and one-shot payloads are indistinguishable to
-/// the caller.
+/// Payloads ship chunked: the first chunk (payload tag) is [int64 total
+/// payload bytes][payload...]; with segment_bytes > 0 a larger payload
+/// continues as trailing chunks [int64 seq][payload...] on the chunk tag,
+/// sequenced 1, 2, ... per destination (SparseChunksOf) and sent *before*
+/// the first chunk, so a receiver that probed it pulls the rest at once
+/// and chunked payloads look one-shot to the caller.
 Request IsparseAlltoallv(std::span<const SparseSendBlock> sends, Datatype dt,
                          std::vector<SparseRecvMessage>* received,
                          const Comm& comm, std::int64_t segment_bytes = 0);
-
-namespace detail {
-
-/// Binomial-tree topology relative to `root`, shared by the state machines.
-struct BinomialTree {
-  int parent = -1;                // comm rank of parent, -1 at root
-  std::vector<int> children;      // comm ranks
-  std::vector<int> child_extents; // subtree sizes, aligned with children
-
-  static BinomialTree Compute(int rank, int p, int root);
-};
-
-/// Chunk wire format of the sparse exchanges, shared by the substrate and
-/// the RBC sparse collective. SendChunkedSparse splits one payload into
-/// chunk messages ([int64 total][payload...] header, [int64 seq]
-/// [payload...] trailing) and hands each to `send` (first = payload tag,
-/// else chunk tag), injecting the trailing chunks *before* the header so
-/// a probed header guarantees the whole payload is already deposited;
-/// ReassembleChunkedSparse inverts it on the receive side, pulling
-/// trailing chunks through `recv_chunk` and verifying the sequence.
-void SendChunkedSparse(
-    const std::byte* payload, std::int64_t payload_bytes,
-    std::int64_t segment_bytes,
-    const std::function<void(const std::vector<std::byte>&, bool first)>&
-        send);
-std::vector<std::byte> ReassembleChunkedSparse(
-    const std::vector<std::byte>& first,
-    const std::function<std::vector<std::byte>(std::int64_t seq)>&
-        recv_chunk);
-
-}  // namespace detail
 
 }  // namespace mpisim

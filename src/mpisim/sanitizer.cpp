@@ -46,9 +46,7 @@ const char* KindName(CollKind k) {
     case CollKind::kGather: return "Gather";
     case CollKind::kGatherv: return "Gatherv";
     case CollKind::kAllgather: return "Allgather";
-    case CollKind::kAllgatherv: return "Allgatherv";
     case CollKind::kScatter: return "Scatter";
-    case CollKind::kScatterv: return "Scatterv";
     case CollKind::kAlltoall: return "Alltoall";
     case CollKind::kAlltoallv: return "Alltoallv";
     case CollKind::kSparseAlltoallv: return "SparseAlltoallv";
@@ -102,8 +100,6 @@ namespace {
 bool PerMemberCount(CollKind k) {
   switch (k) {
     case CollKind::kGatherv:
-    case CollKind::kAllgatherv:
-    case CollKind::kScatterv:
     case CollKind::kAlltoallv:
     case CollKind::kSparseAlltoallv:
     case CollKind::kHierAlltoallv:
@@ -165,9 +161,9 @@ std::string PairwiseMismatch(const OpRecord& a, int ma, const OpRecord& b,
       return os.str();
     }
   }
-  // Gatherv / Allgatherv: the side holding recvcounts must expect exactly
+  // Gatherv: the side holding recvcounts must expect exactly
   // the other side's contribution count.
-  if (a.kind == CollKind::kGatherv || a.kind == CollKind::kAllgatherv) {
+  if (a.kind == CollKind::kGatherv) {
     const auto check = [](const OpRecord& with_counts, int other_member,
                           const OpRecord& other) -> std::string {
       if (with_counts.counts_from.empty() || other.count < 0) return {};

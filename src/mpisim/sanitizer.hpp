@@ -95,9 +95,7 @@ enum class CollKind : std::uint8_t {
   kGather,
   kGatherv,
   kAllgather,
-  kAllgatherv,
   kScatter,
-  kScatterv,
   kAlltoall,
   kAlltoallv,
   kSparseAlltoallv,

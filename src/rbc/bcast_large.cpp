@@ -4,7 +4,6 @@
 // beta*l per tree edge (log p depth), at O(alpha*p) latency -- the classic
 // van-de-Geijn scheme, profitable for large payloads.
 #include "rbc/collectives.hpp"
-#include "rbc/sanitize.hpp"
 #include "rbc/sm.hpp"
 
 namespace rbc {
@@ -39,41 +38,30 @@ class BcastLargeSM final : public RequestImpl {
         seg_{count, comm_.Size(), mpisim::SizeOf(dt)} {
     const int p = comm_.Size();
     relrank_ = (comm_.Rank() - root + p) % p;
-    extent_ = tree_.Extent();
     if (tree_.parent < 0) {
       ForwardScatter();
-      phase_ = kRing;
-      StartRingStep();
     } else {
-      // Receive my subtree's segments [relrank_, relrank_+extent_) into
+      // Receive my subtree's segments [relrank_, relrank_ + extent) into
       // place (segments are identified by *relative* rank).
       pending_ = IrecvInternal(
           buf_ + ByteOf(seg_.SegBegin(relrank_)),
-          static_cast<int>(seg_.RangeLen(relrank_, relrank_ + extent_)), dt_,
-          tree_.parent, tag_, comm_);
-      phase_ = kScatter;
+          static_cast<int>(seg_.RangeLen(relrank_, relrank_ + tree_.Extent())),
+          dt_, tree_.parent, tag_, comm_);
     }
   }
 
   bool Test(Status*) override {
-    for (;;) {
-      switch (phase_) {
-        case kScatter:
-          if (!pending_.Poll()) return false;
-          ForwardScatter();
-          phase_ = kRing;
-          StartRingStep();
-          continue;
-        case kRing:
-          if (!pending_.IsNull() && !pending_.Poll()) return false;
-          ++step_;
-          StartRingStep();
-          if (phase_ == kDone) return true;
-          continue;
-        case kDone:
-          return true;
-      }
+    if (!scattered_) {
+      if (!pending_.Poll()) return false;
+      ForwardScatter();
     }
+    // A null request (an empty segment) polls complete.
+    while (step_ < comm_.Size() - 1) {
+      if (!pending_.Poll()) return false;
+      ++step_;
+      StartRingStep();
+    }
+    return true;
   }
 
  private:
@@ -81,6 +69,7 @@ class BcastLargeSM final : public RequestImpl {
     return static_cast<std::size_t>(elem) * seg_.esize;
   }
 
+  /// Forwards the children's segments, back to front, then starts the ring.
   void ForwardScatter() {
     for (int i = static_cast<int>(tree_.children.size()) - 1; i >= 0; --i) {
       const int child_rel = relrank_ + (1 << i);
@@ -90,6 +79,8 @@ class BcastLargeSM final : public RequestImpl {
                    static_cast<int>(len), dt_, tree_.children[static_cast<std::size_t>(i)],
                    tag_, comm_);
     }
+    scattered_ = true;
+    StartRingStep();
   }
 
   /// Ring allgather over *relative* ranks: in step s, relative rank r
@@ -97,10 +88,7 @@ class BcastLargeSM final : public RequestImpl {
   /// mod p from r-1. After p-1 steps every rank holds all segments.
   void StartRingStep() {
     const int p = comm_.Size();
-    if (step_ >= p - 1) {
-      phase_ = kDone;
-      return;
-    }
+    if (step_ >= p - 1) return;
     const int right_rel = (relrank_ + 1) % p;
     const int left_rel = (relrank_ - 1 + p) % p;
     const int send_seg = (relrank_ - step_ + 2 * p) % p;
@@ -122,8 +110,6 @@ class BcastLargeSM final : public RequestImpl {
     }
   }
 
-  enum Phase { kScatter, kRing, kDone };
-
   std::byte* buf_;
   Datatype dt_;
   int root_;
@@ -132,8 +118,7 @@ class BcastLargeSM final : public RequestImpl {
   Tree tree_;
   Segments seg_;
   int relrank_ = 0;
-  int extent_ = 1;
-  Phase phase_ = kScatter;
+  bool scattered_ = false;
   int step_ = 0;
   Request pending_;
 };
@@ -152,10 +137,9 @@ int BcastLarge(void* buffer, int count, Datatype dt, int root,
   }
   sanitize::CollectiveScope san(comm, std::move(rec));
   if (comm.Size() == 1) return 0;
-  detail::RunToCompletion(
-      std::make_shared<detail::BcastLargeSM>(buffer, count, dt, root, comm,
-                                             kTagBcastLarge),
-      "rbc: BcastLarge");
+  mpisim::detail::Run(std::make_shared<detail::BcastLargeSM>(
+                          buffer, count, dt, root, comm, kTagBcastLarge),
+                      "rbc: BcastLarge");
   if (comm.Rank() != root) san.ArmExitSignatureCheck(buffer, bytes);
   return 0;
 }

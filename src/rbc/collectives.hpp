@@ -3,21 +3,25 @@
 // All collectives are implemented with RBC point-to-point communication
 // over tree (and, for scan, distance-doubling) schedules -- generic
 // patterns, theoretically optimal for small inputs (Section V-D). The
-// nonblocking forms are state machines progressed by rbc::Test: each
-// state performs local work and ends at its data dependencies.
+// schedules are the collective-schedule core's (mpisim/schedule.hpp), the
+// ones the substrate's collectives run too, bound to the range by
+// rbc::detail::EndpointOf (rank translation, membership-filtered probes)
+// on the tags below. Nonblocking forms are progressed by rbc::Test;
+// blocking forms run the same state machine to completion.
 //
-// Bcast, Reduce, Gather, Gatherv, Scatter, Barrier, Allreduce and
-// Allgather take their tree from one builder, rbc::detail::TreeFor
-// (sm.hpp). On a flat cost model it is the binomial tree. On a two-level
+// The tree collectives take their tree from rbc::detail::TreeFor (sm.hpp),
+// rooted at `root` or, for Barrier, Allreduce and Allgather, at rank 0. On
+// a flat cost model it is the substrate's binomial tree. On a two-level
 // cost model (mpisim::CostModel::Hierarchical()) over a range spanning
 // several nodes it is a node-spread tree: binomial inside each node, and
 // each member of the root's node carries at most one network edge per
 // round, so a machine with m nodes of at least m - 1 ranks is crossed
-// once, in parallel, where the binomial tree crosses it ceil(log2 m)
-// times in series. Gather, Gatherv and Reduce receive their children one
-// at a time in the tree's list order, so their model time never depends
-// on which message a thread happened to find first. BcastLarge keeps the
-// binomial tree (its ring phase indexes segments by relative rank).
+// once, in parallel, where the binomial tree crosses it ceil(log2 m) times
+// in series. Children are received one at a time in list order, so model
+// time never depends on which message a thread found first. Alltoall(v)
+// run the core's pairwise schedule. BcastLarge and IscanWithTotal have no
+// substrate twin and keep their own state machines on the binomial tree
+// (BcastLarge's ring phase indexes segments by relative rank).
 //
 // IscanWithTotal returns the inclusive prefix and the total together from
 // one up-sweep/down-sweep: each rank folds its children's subtree sums one
@@ -140,7 +144,7 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //   * one record per public call; the internal schedule's messages,
 //     composite sub-collectives (Allgather's Gather+Bcast, Barrier's
 //     reduce+bcast halves) and the sparse exchange's derived-tag fences
-//     (detail::MakeBarrierSM) are never recorded;
+//     are never recorded (the core's schedules record nothing);
 //   * records of one (comm, range) pair are compared in per-member call
 //     order, so members of a range must issue the same collectives in the
 //     same order with consistent envelopes -- exactly the agreement the

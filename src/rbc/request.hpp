@@ -6,36 +6,18 @@
 #include <memory>
 #include <span>
 
+#include "mpisim/request.hpp"
 #include "rbc/comm.hpp"
 
 namespace rbc {
 
 namespace detail {
 
-/// Base of every RBC nonblocking-operation state machine. Progress happens
-/// exclusively inside Test calls. Completion is cached *here*, in the
-/// shared state, so every copy of a Request handle observes it (Section
-/// V-B: a Request is a smart pointer to the operation state).
-class RequestImpl {
- public:
-  virtual ~RequestImpl() = default;
-
-  /// Progresses the operation; caches completion and its status.
-  bool Progress(Status* st) {
-    if (!done_) done_ = Test(&st_);
-    if (done_ && st != nullptr) *st = st_;
-    return done_;
-  }
-
- protected:
-  /// Returns true exactly when the operation is locally complete. Called
-  /// at most until it first returns true.
-  virtual bool Test(Status* st) = 0;
-
- private:
-  bool done_ = false;
-  Status st_{};
-};
+/// Base of every nonblocking-operation state machine: the substrate's. Its
+/// completion is cached in the shared state, so every copy of a Request
+/// handle observes it (Section V-B: a Request is a smart pointer to the
+/// operation state).
+using RequestImpl = mpisim::detail::RequestImpl;
 
 }  // namespace detail
 

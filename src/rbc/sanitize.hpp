@@ -13,8 +13,8 @@
 // sparse exchange, ...) is many point-to-point messages; the sanitizer
 // deliberately checks the *intent* -- one logical collective record at
 // the public entry -- not the individual sends. Internal fences such as
-// the sparse exchange's barriers go through detail::MakeBarrierSM and are
-// never recorded. Composition is handled by the substrate's per-rank
+// the sparse exchange's barriers are built inside the schedule core, which
+// records nothing. Composition is handled by the substrate's per-rank
 // depth guard: an RBC collective that calls another public collective
 // (Allgather = Gather + Bcast) records only the outermost intent, and an
 // mpisim collective invoked under an RBC scope is likewise suppressed.

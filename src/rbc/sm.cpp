@@ -2,9 +2,38 @@
 
 namespace rbc::detail {
 
-void RunToCompletion(std::shared_ptr<RequestImpl> sm, std::string_view what) {
-  Request req(std::move(sm));
-  mpisim::WaitUntil([&] { return req.Poll(nullptr); }, what);
+namespace {
+
+class RangeBinding final : public mpisim::detail::Endpoint {
+ public:
+  explicit RangeBinding(Comm comm) : comm_(std::move(comm)) {}
+
+  int Rank() const override { return comm_.Rank(); }
+  int Size() const override { return comm_.Size(); }
+  void Send(const void* buf, int count, Datatype dt, int dest,
+            int tag) const override {
+    SendInternal(buf, count, dt, dest, tag, comm_);
+  }
+  mpisim::Request Irecv(void* buf, int count, Datatype dt, int src,
+                        int tag) const override {
+    return mpisim::Irecv(buf, count, dt, comm_.ToMpi(src), tag, comm_.Mpi());
+  }
+  bool Iprobe(int src, int tag, Status* st) const override {
+    return IprobeInternal(src, tag, comm_, st);
+  }
+  void Recv(void* buf, int count, Datatype dt, int src,
+            int tag) const override {
+    RecvInternal(buf, count, dt, src, tag, comm_);
+  }
+
+ private:
+  Comm comm_;
+};
+
+}  // namespace
+
+mpisim::detail::EndpointPtr EndpointOf(const Comm& comm) {
+  return std::make_shared<RangeBinding>(comm);
 }
 
 topo::VnodeMap VnodesOf(const Comm& comm) {

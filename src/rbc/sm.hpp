@@ -1,57 +1,22 @@
-// Shared internals of the RBC collective state machines.
+// Shared internals of the RBC collectives: the range binding of the
+// collective-schedule core (mpisim/schedule.hpp), the one tree builder,
+// and the public entries' common tail.
 #pragma once
 
-#include <cstring>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
-#include "mpisim/nbc.hpp"  // for the binomial tree topology helper
 #include "mpisim/runtime.hpp"
+#include "mpisim/schedule.hpp"
 #include "rbc/p2p.hpp"
 #include "rbc/request.hpp"
+#include "rbc/sanitize.hpp"
 #include "topo/topology.hpp"
 
 namespace rbc::detail {
 
-/// The tree of one rank in one tree collective, with explicit placement.
-/// A rank's gather buffer holds its own block followed by each child's
-/// subtree, in list order; the buffer of the root is the whole tree in
-/// pre-order. Bcast and Scatter send to the children back to front;
-/// Gather, Gatherv and Reduce receive them front to back, one at a time.
-struct Tree {
-  int parent = -1;                 // RBC rank of the parent, -1 at root
-  std::vector<int> children;       // RBC ranks, in list order
-  std::vector<int> child_extents;  // subtree sizes, aligned with children
-  std::vector<int> child_offsets;  // subtree starts in this rank's buffer
-  std::vector<int> order;          // root only: buffer position -> rank
-
-  /// Ranks in this rank's subtree, itself included.
-  int Extent() const {
-    int e = 1;
-    for (int c : child_extents) e += c;
-    return e;
-  }
-};
-
-/// Binomial tree in RBC rank space, rooted (by rotation) at `root`:
-/// children in increasing mask order, the i-th at buffer offset 1 << i.
-/// The shape of every tree collective on a flat cost model, of each
-/// node's part of a node-spread tree, and of BcastLarge's scatter (whose
-/// ring phase indexes segments by relative rank). `order` stays empty.
-inline Tree BinomialTreeOf(int rank, int p, int root) {
-  auto b = mpisim::detail::BinomialTree::Compute(rank, p, root);
-  Tree t;
-  t.parent = b.parent;
-  t.children = std::move(b.children);
-  t.child_extents = std::move(b.child_extents);
-  t.child_offsets.reserve(t.children.size());
-  for (std::size_t i = 0; i < t.children.size(); ++i) {
-    t.child_offsets.push_back(1 << i);
-  }
-  return t;
-}
+using mpisim::detail::BinomialTreeOf;
+using mpisim::detail::Tree;
 
 /// Vnode map of an RBC communicator under the calling runtime's installed
 /// topology (topo/topology.hpp). Purely local: every member computes the
@@ -82,16 +47,13 @@ inline Tree TreeFor(const Comm& comm, int root) {
     const topo::VnodeMap vn = VnodesOf(comm);
     if (vn.Count() > 1) return NodeSpreadTree(vn, comm.Rank(), root);
   }
-  Tree t = BinomialTreeOf(comm.Rank(), comm.Size(), root);
-  if (t.parent < 0) {
-    const int p = comm.Size();
-    t.order.resize(static_cast<std::size_t>(p));
-    for (int pos = 0; pos < p; ++pos) {
-      t.order[static_cast<std::size_t>(pos)] = (pos + root) % p;
-    }
-  }
-  return t;
+  return BinomialTreeOf(comm.Rank(), comm.Size(), root);
 }
+
+/// The range binding of the schedule core: RBC ranks translate to ranks of
+/// the underlying MPI communicator, on its user channel, and wildcard
+/// probes see only messages from members (Section V-C).
+mpisim::detail::EndpointPtr EndpointOf(const Comm& comm);
 
 inline std::size_t ByteCount(int count, Datatype dt) {
   if (count < 0) {
@@ -114,23 +76,31 @@ inline void ValidateCollective(const Comm& comm, int root, const char* op) {
   }
 }
 
-/// Runs a freshly-built state machine to completion (the blocking form of
-/// every RBC collective is its nonblocking form plus Wait, which matches
-/// the paper's "implemented with point-to-point communication provided by
-/// the RBC library"). `what` names the wait ("rbc: Bcast", ...).
-void RunToCompletion(std::shared_ptr<RequestImpl> sm, std::string_view what);
+/// The tail of a blocking public entry: validates, records `rec` as one
+/// logical collective of the range, and runs the schedule `make()` builds
+/// to completion.
+template <typename Make>
+int Run(const Comm& comm, int root, const char* op,
+        mpisim::sanitize::OpRecord rec, Make make) {
+  ValidateCollective(comm, root, op);
+  sanitize::CollectiveScope san(comm, std::move(rec));
+  mpisim::detail::Run(make(), std::string("rbc: ") + op);
+  return 0;
+}
 
-/// Cross-file state-machine factories (barrier chains reduce + bcast).
-std::shared_ptr<RequestImpl> MakeReduceSM(const void* send, void* recv,
-                                          int count, Datatype dt, ReduceOp op,
-                                          int root, const Comm& comm,
-                                          int tag);
-std::shared_ptr<RequestImpl> MakeBcastSM(void* buf, int count, Datatype dt,
-                                         int root, const Comm& comm, int tag);
-/// Bare barrier schedule (up and down share `tag`). Internal consumers
-/// (the sparse-exchange fences) use this instead of the public Ibarrier so
-/// the sanitizer never sees a schedule's internal fence as a user
-/// collective.
-std::shared_ptr<RequestImpl> MakeBarrierSM(const Comm& comm, int tag);
+/// The tail of a nonblocking public entry: as Run, but the schedule is
+/// handed to *request and the record is marked nonblocking.
+template <typename Make>
+int Start(const Comm& comm, int root, const char* op,
+          mpisim::sanitize::OpRecord rec, Request* request, Make make) {
+  ValidateCollective(comm, root, op);
+  if (request == nullptr) {
+    throw mpisim::UsageError(std::string("rbc::") + op + ": null request");
+  }
+  rec.nonblocking = true;
+  sanitize::CollectiveScope san(comm, std::move(rec));
+  *request = Request(make());
+  return 0;
+}
 
 }  // namespace rbc::detail

@@ -186,17 +186,27 @@ TEST(Collectives, ReducePairMaxFirstSelectsWinner) {
   });
 }
 
-TEST(Collectives, AllgathervVariableBlocks) {
-  RunRanks(4, [](Comm& world) {
-    const int mine_n = world.Rank() + 1;
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(mine_n),
-                                   world.Rank());
-    std::vector<int> counts{1, 2, 3, 4}, displs{0, 1, 3, 6};
-    std::vector<std::int64_t> all(10, -1);
-    mpisim::Allgatherv(mine.data(), mine_n, Datatype::kInt64, all.data(),
-                       counts, displs, world);
-    EXPECT_EQ(all, (std::vector<std::int64_t>{0, 1, 1, 2, 2, 2, 3, 3, 3, 3}));
-  });
+TEST(Collectives, GathervRejectsShortCountSpans) {
+  // The root's recvcounts and displs need Size() entries; three at p = 4
+  // used to be read past their end.
+  const auto gatherv = [](Comm& world) {
+    const std::vector<int> counts{1, 1, 1}, displs{0, 1, 2};
+    const std::int64_t mine = world.Rank();
+    std::vector<std::int64_t> all(4, -1);
+    mpisim::Gatherv(&mine, 1, Datatype::kInt64, all.data(), counts, displs, 0,
+                    world);
+  };
+  EXPECT_THROW(RunRanks(4, gatherv), mpisim::UsageError);
+}
+
+TEST(Collectives, AlltoallvRejectsShortCountSpans) {
+  const auto alltoallv = [](Comm& world) {
+    const std::vector<int> counts{1, 1, 1}, displs{0, 1, 2};
+    std::vector<std::int64_t> send(4, world.Rank()), recv(4, -1);
+    mpisim::Alltoallv(send.data(), counts, displs, Datatype::kInt64,
+                      recv.data(), counts, displs, world);
+  };
+  EXPECT_THROW(RunRanks(4, alltoallv), mpisim::UsageError);
 }
 
 }  // namespace

@@ -274,4 +274,18 @@ TEST(Nbc, IsparseAlltoallvRejectsBadBlocks) {
   });
 }
 
+TEST(Nbc, IgathervRejectsShortCountSpans) {
+  // The root's recvcounts and displs need Size() entries; three at p = 4
+  // used to be read past their end.
+  const auto igatherv = [](Comm& world) {
+    const std::vector<int> counts{1, 1, 1}, displs{0, 1, 2};
+    const std::int64_t mine = world.Rank();
+    std::vector<std::int64_t> all(4, -1);
+    Request r = mpisim::Igatherv(&mine, 1, Datatype::kInt64, all.data(),
+                                 counts, displs, 0, world);
+    mpisim::Wait(r);
+  };
+  EXPECT_THROW(RunRanks(4, igatherv), mpisim::UsageError);
+}
+
 }  // namespace

@@ -1,4 +1,4 @@
-// Scatter / Scatterv / Sendrecv of the substrate.
+// Scatter / Sendrecv of the substrate.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -33,78 +33,6 @@ TEST_P(ScatterSweep, ScatterDistributesBlocksFromEveryRoot) {
       EXPECT_EQ(recv[1], world.Rank() * 10 + 1);
     }
   });
-}
-
-TEST_P(ScatterSweep, ScattervDistributesVariableBlocks) {
-  const int p = GetParam();
-  RunRanks(p, [p](Comm& world) {
-    std::vector<int> counts, displs;
-    int total = 0;
-    for (int r = 0; r < p; ++r) {
-      counts.push_back(r % 3 + 1);
-      displs.push_back(total);
-      total += r % 3 + 1;
-    }
-    std::vector<double> send;
-    if (world.Rank() == 0) {
-      send.resize(static_cast<std::size_t>(total));
-      for (int r = 0; r < p; ++r) {
-        for (int i = 0; i < counts[static_cast<std::size_t>(r)]; ++i) {
-          send[static_cast<std::size_t>(displs[static_cast<std::size_t>(r)] + i)] =
-              r + i * 0.1;
-        }
-      }
-    }
-    const int mine_n = counts[static_cast<std::size_t>(world.Rank())];
-    std::vector<double> recv(static_cast<std::size_t>(mine_n), -1.0);
-    mpisim::Scatterv(send.data(), counts, displs, Datatype::kFloat64,
-                     recv.data(), mine_n, 0, world);
-    for (int i = 0; i < mine_n; ++i) {
-      EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(i)],
-                       world.Rank() + i * 0.1);
-    }
-  });
-}
-
-TEST(Scatterv, RoundTripsWithGatherv) {
-  constexpr int kP = 7;
-  RunRanks(kP, [](Comm& world) {
-    std::vector<int> counts, displs;
-    int total = 0;
-    for (int r = 0; r < kP; ++r) {
-      counts.push_back(r + 1);
-      displs.push_back(total);
-      total += r + 1;
-    }
-    std::vector<std::int64_t> original;
-    if (world.Rank() == 0) {
-      for (int i = 0; i < total; ++i) original.push_back(i * 3);
-    }
-    const int mine_n = counts[static_cast<std::size_t>(world.Rank())];
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(mine_n));
-    mpisim::Scatterv(original.data(), counts, displs, Datatype::kInt64,
-                     mine.data(), mine_n, 0, world);
-    std::vector<std::int64_t> back(
-        world.Rank() == 0 ? static_cast<std::size_t>(total) : 0);
-    mpisim::Gatherv(mine.data(), mine_n, Datatype::kInt64, back.data(),
-                    counts, displs, 0, world);
-    if (world.Rank() == 0) {
-      EXPECT_EQ(back, original);
-    }
-  });
-}
-
-TEST(Scatterv, TooSmallReceiveBufferThrows) {
-  EXPECT_THROW(
-      RunRanks(2,
-               [](Comm& world) {
-                 const std::vector<int> counts{2, 2}, displs{0, 2};
-                 const std::vector<double> send{1, 2, 3, 4};
-                 double recv[1];
-                 mpisim::Scatterv(send.data(), counts, displs,
-                                  Datatype::kFloat64, recv, 1, 0, world);
-               }),
-      mpisim::UsageError);
 }
 
 TEST(Sendrecv, PairwiseExchangeDoesNotDeadlock) {

@@ -232,4 +232,17 @@ TEST(RbcColl, LargePayloadBcast) {
   });
 }
 
+TEST(RbcColl, GathervRejectsShortCountSpans) {
+  // The root's recvcounts and displs need Size() entries; three at p = 4
+  // used to be read past their end.
+  const auto gatherv = [](rbc::Comm& rw) {
+    const std::vector<int> counts{1, 1, 1}, displs{0, 1, 2};
+    const double mine = rw.Rank();
+    std::vector<double> all(4, -1.0);
+    rbc::Gatherv(&mine, 1, Datatype::kFloat64, all.data(), counts, displs, 0,
+                 rw);
+  };
+  EXPECT_THROW(RunRbc(4, gatherv), mpisim::UsageError);
+}
+
 }  // namespace

@@ -189,7 +189,7 @@ TEST(CollectiveTree, FlatModelIsTheBinomialTreeFieldForField) {
       ExpectConsistentTree(t, root, where);
       for (int r = 0; r < p; ++r) {
         const Tree& n = t[static_cast<std::size_t>(r)];
-        const auto b = mpisim::detail::BinomialTree::Compute(r, p, root);
+        const auto b = mpisim::detail::BinomialTreeOf(r, p, root);
         EXPECT_EQ(n.parent, b.parent) << where;
         EXPECT_EQ(n.children, b.children) << where;
         EXPECT_EQ(n.child_extents, b.child_extents) << where;
@@ -223,7 +223,7 @@ TEST(CollectiveTree, NodeSpreadShapeOnTwoLevelMachines) {
       if (m == 1) {
         // One vnode: exactly the binomial tree.
         for (int r = 0; r < p; ++r) {
-          const auto b = mpisim::detail::BinomialTree::Compute(r, p, root);
+          const auto b = mpisim::detail::BinomialTreeOf(r, p, root);
           EXPECT_EQ(t[static_cast<std::size_t>(r)].children, b.children)
               << where;
         }
