@@ -1,7 +1,11 @@
 // Ablation: pivot policy (Section VIII-A). Random-element pivots are
-// cheap (one pair-reduce) but split badly; median-of-samples pivots cost a
-// gather but keep the recursion shallow (the `levels` row field = maximum
-// distributed recursion depth over ranks). A second section contrasts
+// cheap but split badly; median-of-samples pivots keep the recursion
+// shallow (the `levels` row field = maximum distributed recursion depth
+// over ranks). Both policies fold weighted-reservoir candidates in the
+// same sweeps: the root task's in one sweep of zero scan elements, every
+// deeper task's in its parent's prefix-sum sweep. One candidate per block
+// under random-element pivots and 16 (p <= 256) under median-of-samples,
+// so the policies differ in sweep bytes only. A second section contrasts
 // JQuick's perfect output balance with hypercube quicksort's drift on a
 // zipf input (`min_count`/`max_count` row fields; JQuick must report
 // min_count == max_count).

@@ -63,6 +63,10 @@ std::string OpRecord::Describe() const {
   if (count >= 0) os << " count=" << count;
   if (dtype_size != 0) os << " dtype_size=" << dtype_size;
   if (segment_bytes != 0) os << " segment_bytes=" << segment_bytes;
+  if (rider_count != 0) {
+    os << " rider_count=" << rider_count
+       << " rider_dtype_size=" << rider_dtype_size;
+  }
   if (sig != 0) os << " sig=0x" << std::hex << sig << std::dec;
   if (!counts_to.empty()) os << " sendcounts=" << DescribeCounts(counts_to);
   if (!counts_from.empty()) {
@@ -122,6 +126,10 @@ std::string UniformMismatch(const OpRecord& a, const OpRecord& b) {
   }
   if (a.dtype_size != b.dtype_size) return "different datatype sizes";
   if (a.segment_bytes != b.segment_bytes) return "different segment limits";
+  if (a.rider_count != b.rider_count ||
+      a.rider_dtype_size != b.rider_dtype_size) {
+    return "different rider blocks";
+  }
   return {};
 }
 

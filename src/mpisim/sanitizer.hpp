@@ -17,8 +17,9 @@
 //
 // What one record carries and what is checked at each sequence number:
 //  * op kind, blocking/nonblocking flavor, root, logical tag, uniform
-//    element count, datatype size, and segment limit must agree between
-//    every pair of members;
+//    element count, datatype size, segment limit, and IscanWithTotal's
+//    rider block (count and element size) must agree between every pair
+//    of members;
 //  * vector counts are checked pairwise, not just for equality: for
 //    Alltoallv, rank i's sendcounts[j] must equal rank j's recvcounts[i];
 //    for Gatherv, the root's recvcounts[r] must equal rank r's
@@ -89,7 +90,8 @@ enum class CollKind : std::uint8_t {
   kAllreduce,
   kScan,
   // rbc::IscanWithTotal: inclusive prefix and total from one
-  // up-sweep/down-sweep (rbc/collectives.hpp).
+  // up-sweep/down-sweep (rbc/collectives.hpp); the record's rider fields
+  // carry its optional second block.
   kScanWithTotal,
   kExscan,
   kGather,
@@ -118,6 +120,9 @@ struct OpRecord {
   std::int64_t count = -1;  // uniform element count; -1 for vector ops
   std::uint32_t dtype_size = 0;
   std::int64_t segment_bytes = 0;
+  // rbc::IscanWithTotal's rider block; 0 and 0 when the call has none.
+  std::int64_t rider_count = 0;
+  std::uint32_t rider_dtype_size = 0;
   std::uint64_t sig = 0;  // root payload signature; 0 = none recorded
   std::vector<std::int64_t> counts_to;    // vector ops: per-peer send counts
   std::vector<std::int64_t> counts_from;  // vector ops: per-peer recv counts

@@ -33,6 +33,12 @@
 // at rank 0, rather than TreeFor's: that tree's pre-order is rank order,
 // so every subtree is a contiguous run of ranks and a prefix is a fold of
 // whole subtree sums. A node-spread tree's subtrees are not runs of ranks.
+// An optional rider (ScanRider) travels in the same messages: a second
+// block with its own count, datatype and operator, folded beside the scan
+// block on the way up and returned as a total alone (allreduce semantics,
+// no prefix) on the way down. It adds bytes, never messages or hops:
+// JQuick's pivot candidates ride its count sweeps this way, and its root
+// task's ride a sweep with no scan block at all.
 //
 // Tags: each blocking collective uses one distinct exclusive reserved tag;
 // each nonblocking collective defaults to its own reserved tag but accepts
@@ -194,14 +200,31 @@ int Iexscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
             ReduceOp op, const Comm& comm, Request* request,
             int tag = RBC_IEXSCAN_TAG);
 
+/// The optional second block of IscanWithTotal: `count` elements of `dt`
+/// from `sendbuf`, folded over the whole range with `op`; `totalbuf`
+/// receives the total on every rank (no prefix). `sendbuf` may alias
+/// `totalbuf`. count == 0 means no rider: the call then moves exactly the
+/// bytes of a call without one.
+struct ScanRider {
+  const void* sendbuf = nullptr;
+  void* totalbuf = nullptr;
+  int count = 0;
+  Datatype dt = Datatype::kByte;
+  ReduceOp op = ReduceOp::kSum;
+};
+
 /// Inclusive prefix reduction that also returns the total: `inclbuf`
 /// receives the fold over ranks 0..Rank(), `totalbuf` the fold over the
 /// whole range, on every rank. One up-sweep/down-sweep over the binomial
-/// tree rooted at rank 0 (see the top of this file). `sendbuf` may alias
-/// `inclbuf`; `totalbuf` must alias neither. Nonblocking only.
+/// tree rooted at rank 0 (see the top of this file): 2(p-1) messages, with
+/// or without a rider, each carrying the rider's block beside the scan's.
+/// `sendbuf` may alias `inclbuf`; `totalbuf` must alias neither, nor the
+/// rider's buffers. All members must pass riders of one count and
+/// datatype. Nonblocking only.
 int IscanWithTotal(const void* sendbuf, void* inclbuf, void* totalbuf,
                    int count, Datatype dt, ReduceOp op, const Comm& comm,
-                   Request* request, int tag = RBC_ISCAN_WITH_TOTAL_TAG);
+                   Request* request, int tag = RBC_ISCAN_WITH_TOTAL_TAG,
+                   const ScanRider& rider = {});
 
 /// Scatters Size() consecutive blocks of `count` elements from the root's
 /// sendbuf down the tree collectives' tree (the inverse of Gather).

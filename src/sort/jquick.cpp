@@ -24,13 +24,15 @@ namespace {
 constexpr int kTagExchangeBase = 256;
 constexpr int kTagBasePair = 128;
 
+// Every pivot is the median of weighted-reservoir winners folded by a
+// sweep. The root task sweeps its candidates alone (a sweep of zero scan
+// elements); every other task starts at kPartition, holding the pivot its
+// parent's sweep carried.
 enum class Phase {
-  kPivotBegin,
-  kPivotReduce,   // random-element policy: waiting on the pair reduce
-  kPivotGather,   // median policy: waiting on the sample gather
-  kPivotBcast,    // waiting on the pivot broadcast
+  kPivotBegin,    // root only: start the candidate sweep
+  kPivotWait,     // root only: waiting on the candidate sweep
   kPartition,
-  kTotalsWait,    // waiting on the prefix sums and totals
+  kTotalsWait,    // waiting on the prefix sums, totals and pivot winners
   kExchange,
   kSplit,
   kDone,
@@ -54,18 +56,17 @@ struct Task {
   Poll poll;                     // pending nonblocking operation
   bool cmp_le = false;           // comparator of the current partition
   bool retried = false;          // degenerate-split retry performed
-
-  // Pivot selection state.
-  mpisim::PairDD cand{};
-  std::vector<double> my_samples;
-  std::vector<double> all_samples;  // root only
   double pivot = 0.0;
 
-  // Partition / prefix-sum state.
+  // Partition / prefix-sum state. `cands` holds k weighted-reservoir
+  // candidates per block -- the root's data before its first partition,
+  // then the small and the large side -- and the sweep replaces them with
+  // the global winners, whose medians are the pivots.
   std::vector<double> small, large;
   std::int64_t counts[2] = {0, 0};
   std::int64_t incl[2] = {0, 0};
   std::int64_t totals[2] = {0, 0};
+  std::vector<mpisim::PairDD> cands;
 
   // Exchange state: the redistribution (jsort::exchange) appends into
   // these sinks; `poll` reports its completion during Phase::kExchange.
@@ -144,31 +145,17 @@ class Driver {
     for (;;) {
       switch (t.phase) {
         case Phase::kPivotBegin:
-          BeginPivot(t);
+          t.cands.clear();
+          DrawCandidates(t, t.data);
+          t.poll = t.tr->IscanWithTotal(nullptr, nullptr, nullptr, 0,
+                                        Datatype::kInt64, ReduceOp::kSum,
+                                        t.CollTag(), Rider(t));
+          t.phase = Phase::kPivotWait;
           progressed = true;
           continue;
-        case Phase::kPivotReduce:
+        case Phase::kPivotWait:
           if (!t.poll()) return progressed;
-          t.poll = t.tr->Ibcast(&t.cand, 1, Datatype::kPairDoubleDouble, 0,
-                                t.CollTag());
-          t.phase = Phase::kPivotBcast;
-          progressed = true;
-          continue;
-        case Phase::kPivotGather:
-          if (!t.poll()) return progressed;
-          if (t.MyRank() == 0) {
-            t.pivot = MedianOf(t.all_samples);
-          }
-          t.poll = t.tr->Ibcast(&t.pivot, 1, Datatype::kFloat64, 0,
-                                t.CollTag());
-          t.phase = Phase::kPivotBcast;
-          progressed = true;
-          continue;
-        case Phase::kPivotBcast:
-          if (!t.poll()) return progressed;
-          if (cfg_.pivot == PivotPolicy::kRandomElement) {
-            t.pivot = t.cand.second;
-          }
+          t.pivot = WinnersMedian(t, 0);
           t.phase = Phase::kPartition;
           progressed = true;
           continue;
@@ -178,9 +165,12 @@ class Driver {
           t.large = std::move(pr.large);
           t.counts[0] = static_cast<std::int64_t>(t.small.size());
           t.counts[1] = static_cast<std::int64_t>(t.large.size());
+          t.cands.clear();
+          DrawCandidates(t, t.small);
+          DrawCandidates(t, t.large);
           t.poll = t.tr->IscanWithTotal(t.counts, t.incl, t.totals, 2,
                                         Datatype::kInt64, ReduceOp::kSum,
-                                        t.CollTag());
+                                        t.CollTag(), Rider(t));
           t.phase = Phase::kTotalsWait;
           progressed = true;
           continue;
@@ -229,29 +219,46 @@ class Driver {
     }
   }
 
-  void BeginPivot(Task& t) {
-    if (cfg_.pivot == PivotPolicy::kRandomElement) {
-      t.cand = ReservoirCandidate(t.data, rng_);
-      t.poll = t.tr->Ireduce(&t.cand, &t.cand, 1,
-                             Datatype::kPairDoubleDouble,
-                             ReduceOp::kMaxPairFirst, 0, t.CollTag());
-      t.phase = Phase::kPivotReduce;
-      return;
+  /// Pivot candidates per block (Section VIII-A): the task's
+  /// SampleParams::TotalSamples, or 1 under kRandomElement.
+  int CandidatesPerBlock(const Task& t) const {
+    return cfg_.pivot == PivotPolicy::kRandomElement
+               ? 1
+               : cfg_.samples.TotalSamples(t.layout.p, t.layout.quota);
+  }
+
+  /// Appends one block of candidates (Efraimidis & Spirakis, "Weighted
+  /// random sampling with a reservoir", IPL 2006): k local elements of
+  /// `data`, each keyed u^(1/m) over its m elements. A sweep's
+  /// kMaxPairFirst fold of each slot is then a uniform draw from the
+  /// union of `data` over the group. A child's elements are exactly its
+  /// side of its parent's partition on every rank, so the parent's sweep
+  /// draws the child's candidates.
+  void DrawCandidates(Task& t, std::span<const double> data) {
+    const int k = CandidatesPerBlock(t);
+    for (int j = 0; j < k; ++j) {
+      t.cands.push_back(ReservoirCandidate(data, rng_));
     }
-    // Median-of-samples: every rank contributes the same number of local
-    // samples (with replacement); the root takes the median.
-    const int p = t.layout.p;
-    const int total =
-        cfg_.samples.TotalSamples(p, t.layout.quota);
-    const int per_rank = std::max(1, (total + p - 1) / p);
-    t.my_samples.resize(static_cast<std::size_t>(per_rank));
-    DrawSamples(t.data, per_rank, t.my_samples.data(), rng_);
-    if (t.MyRank() == 0) {
-      t.all_samples.resize(static_cast<std::size_t>(per_rank) * p);
+  }
+
+  /// t.cands as the sweep's rider: each slot's winner lands in place.
+  static ScanRider Rider(Task& t) {
+    return ScanRider{t.cands.data(), t.cands.data(),
+                     static_cast<int>(t.cands.size()),
+                     Datatype::kPairDoubleDouble, ReduceOp::kMaxPairFirst};
+  }
+
+  /// The median of block `block`'s k sweep winners, the same on every
+  /// rank. A block drawn from no elements at all sweeps to +inf, as
+  /// MedianOf of no samples; a split that is not degenerate has both
+  /// sides non-empty, so its children's winners are real elements.
+  double WinnersMedian(const Task& t, std::size_t block) const {
+    const auto k = static_cast<std::size_t>(CandidatesPerBlock(t));
+    std::vector<double> values(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      values[j] = t.cands[block * k + j].second;
     }
-    t.poll = t.tr->Igather(t.my_samples.data(), per_rank, Datatype::kFloat64,
-                           t.all_samples.data(), 0, t.CollTag());
-    t.phase = Phase::kPivotGather;
+    return MedianOf(values);
   }
 
   /// Restores t.data = small ++ large (order irrelevant for sorting).
@@ -357,18 +364,19 @@ class Driver {
 
     if (in_left) {
       Enqueue(MakeChild(t, std::move(left_tr), std::move(t.recv_small),
-                        left_layout, t.global_off));
+                        left_layout, t.global_off, WinnersMedian(t, 0)));
     }
     if (in_right) {
       Enqueue(MakeChild(t, std::move(right_tr), std::move(t.recv_large),
-                        right_layout, t.global_off + s));
+                        right_layout, t.global_off + s,
+                        WinnersMedian(t, 1)));
     }
   }
 
   std::unique_ptr<Task> MakeChild(Task& parent, std::shared_ptr<Transport> tr,
                                   std::vector<double> data,
                                   const CapacityLayout& layout,
-                                  std::int64_t global_off) {
+                                  std::int64_t global_off, double pivot) {
     auto child = std::make_unique<Task>();
     child->tr = std::move(tr);
     child->data = std::move(data);
@@ -376,6 +384,8 @@ class Driver {
     child->global_off = global_off;
     child->level = parent.level + 1;
     child->cmp_le = ((child->level % 2) == 1);
+    child->pivot = pivot;
+    child->phase = Phase::kPartition;
     if (static_cast<std::int64_t>(child->data.size()) != child->MyCap()) {
       throw mpisim::Error("JQuick: internal: perfect balance violated");
     }

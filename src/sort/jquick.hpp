@@ -7,11 +7,19 @@
 // both subtasks simultaneously, which is only possible because every
 // communication operation is nonblocking and every group split is cheap.
 //
-// One distributed level = pivot selection (a sample gather or a pair
-// reduce, then a pivot broadcast), local partition, the prefix sums and
-// totals of the (small, large) counts from one up-sweep/down-sweep
-// collective (Transport::IscanWithTotal), greedy capacity-filling data
-// assignment, and a nonblocking data exchange. Tasks covering <= 2
+// One distributed level = local partition, one up-sweep/down-sweep
+// collective (Transport::IscanWithTotal) that returns the prefix sums and
+// totals of the (small, large) counts and, riding beside them, the
+// children's pivots, then greedy capacity-filling data assignment, a
+// nonblocking data exchange and the split. A child's elements are its
+// parent's small (or large) sides, so k weighted-reservoir candidates per
+// side (sampling.hpp's u^(1/m) keys; k = SampleParams::TotalSamples of
+// the parent, 1 under kRandomElement) fold with kMaxPairFirst in the
+// sweep, and every rank takes the median of each side's k winners as that
+// child's pivot. The root task, which has no parent, draws k candidates
+// from its data and sweeps them alone (zero scan elements) before its
+// first partition. A degenerate split retries its partition and sweep
+// once, with fresh candidates. Tasks covering <= 2
 // processes become base cases, deferred to a second phase so a janus never
 // delays a larger subtask (Section VII); the two-process base case
 // exchanges data and quickselects each partner's share.

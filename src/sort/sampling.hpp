@@ -4,10 +4,12 @@
 //  * kRandomElement -- Section VII's description: "a random element is
 //    selected and broadcasted". Distributedly, every rank draws a local
 //    candidate and a weighted-reservoir key u^(1/m) (m = local element
-//    count); a max-key reduction selects a globally uniform element with a
-//    single (alpha log p)-latency reduce + bcast.
+//    count); a max-key fold over the group selects a globally uniform
+//    element. JQuick folds it inside a prefix-sum sweep (jquick.hpp).
 //  * kMedianOfSamples -- Section VIII-A: the pivot is the median of
-//    max(k1 log p, k2 n/p, k3) samples drawn by random sampling.
+//    max(k1 log p, k2 n/p, k3) samples drawn by random sampling; JQuick
+//    draws that many such candidates, each a uniform draw with
+//    replacement.
 //
 // The sample sorts' splitter selection (SelectSplitters) draws from the
 // same sampler.

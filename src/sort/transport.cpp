@@ -35,12 +35,27 @@ int RbcCollTag(int tag, int op) {
 }
 
 Poll StartScanWithTotal(const void* send, void* incl, void* total, int count,
-                        Datatype dt, ReduceOp op, const rbc::Comm& comm,
-                        int tag) {
+                        Datatype dt, ReduceOp op, const ScanRider& rider,
+                        const rbc::Comm& comm, int tag) {
   rbc::Request req;
   rbc::IscanWithTotal(send, incl, total, count, dt, op, comm, &req,
-                      RbcCollTag(tag, kRbcOpScanWithTotal));
+                      RbcCollTag(tag, kRbcOpScanWithTotal), rider);
   return WrapRbc(std::move(req));
+}
+
+/// Starts the first of `steps` at once and each later one once its
+/// predecessor's Poll has completed; completes with the last. No steps
+/// complete at once.
+Poll Chain(std::vector<std::function<Poll()>> steps) {
+  Poll cur = steps.empty() ? Poll([] { return true; }) : steps[0]();
+  return [cur = std::move(cur), steps = std::move(steps),
+          next = std::size_t{1}]() mutable {
+    while (cur()) {
+      if (next >= steps.size()) return true;
+      cur = steps[next++]();
+    }
+    return false;
+  };
 }
 
 class RbcTransport final : public Transport {
@@ -91,8 +106,10 @@ class RbcTransport final : public Transport {
   }
 
   Poll IscanWithTotal(const void* send, void* incl, void* total, int count,
-                      Datatype dt, ReduceOp op, int tag) override {
-    return StartScanWithTotal(send, incl, total, count, dt, op, comm_, tag);
+                      Datatype dt, ReduceOp op, int tag,
+                      const ScanRider& rider = {}) override {
+    return StartScanWithTotal(send, incl, total, count, dt, op, rider, comm_,
+                              tag);
   }
 
   Poll Ialltoallv(const void* send, std::span<const int> sendcounts,
@@ -187,8 +204,10 @@ class MpiTransportBase : public Transport {
   // backends then differ in their splits alone. Its reserved tags never
   // meet the group's user-tag point-to-point traffic.
   Poll IscanWithTotal(const void* send, void* incl, void* total, int count,
-                      Datatype dt, ReduceOp op, int tag) override {
-    return StartScanWithTotal(send, incl, total, count, dt, op, range_, tag);
+                      Datatype dt, ReduceOp op, int tag,
+                      const ScanRider& rider = {}) override {
+    return StartScanWithTotal(send, incl, total, count, dt, op, rider, range_,
+                              tag);
   }
 
   Poll Ialltoallv(const void* send, std::span<const int> sendcounts,
@@ -270,21 +289,33 @@ class IcommTransport final : public MpiTransportBase {
 }  // namespace
 
 Poll Transport::IscanWithTotal(const void* send, void* incl, void* total,
-                               int count, Datatype dt, ReduceOp op,
-                               int tag) {
-  Poll scan = Iscan(send, incl, count, dt, op, tag);
-  const std::size_t bytes =
-      static_cast<std::size_t>(count) * mpisim::SizeOf(dt);
-  return [this, scan = std::move(scan), bcast = Poll(), incl, total, count,
-          dt, tag, bytes]() mutable {
-    if (!bcast) {
-      if (!scan()) return false;
+                               int count, Datatype dt, ReduceOp op, int tag,
+                               const ScanRider& rider) {
+  // Every member skips an empty block alike: counts agree on all of them.
+  std::vector<std::function<Poll()>> steps;
+  if (count != 0) {
+    steps.push_back([this, send, incl, count, dt, op, tag] {
+      return Iscan(send, incl, count, dt, op, tag);
+    });
+    steps.push_back([this, incl, total, count, dt, tag] {
       const int last = Size() - 1;
-      if (Rank() == last && bytes != 0) std::memcpy(total, incl, bytes);
-      bcast = Ibcast(total, count, dt, last, tag);
-    }
-    return bcast();
-  };
+      if (Rank() == last) {
+        std::memcpy(total, incl,
+                    static_cast<std::size_t>(count) * mpisim::SizeOf(dt));
+      }
+      return Ibcast(total, count, dt, last, tag);
+    });
+  }
+  if (rider.count != 0) {
+    steps.push_back([this, rider, tag] {
+      return Ireduce(rider.sendbuf, rider.totalbuf, rider.count, rider.dt,
+                     rider.op, 0, tag);
+    });
+    steps.push_back([this, rider, tag] {
+      return Ibcast(rider.totalbuf, rider.count, rider.dt, 0, tag);
+    });
+  }
+  return Chain(std::move(steps));
 }
 
 std::shared_ptr<Transport> MakeRbcTransport(rbc::Comm comm) {

@@ -45,6 +45,9 @@ using Status = mpisim::Status;
 using SparseBlock = rbc::SparseSendBlock;
 using SparseDelivery = rbc::SparseRecvMessage;
 
+/// IscanWithTotal's optional second block, as in the RBC collective.
+using ScanRider = rbc::ScanRider;
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -72,16 +75,22 @@ class Transport {
   /// Inclusive prefix reduction that also returns the total: `incl`
   /// receives the fold over group ranks 0..Rank(), `total` the fold over
   /// the whole group, on every rank. `send` may alias `incl`; `total` must
-  /// alias neither. All three backends run rbc::IscanWithTotal's
-  /// up-sweep/down-sweep (2(Size()-1) messages over 2 ceil(log2 Size())
-  /// hops): RbcTransport on its range, the MPI transports on a full RBC
-  /// range over their own communicator, so fig8 and ablate_scaling still
-  /// compare split costs only. This default is Iscan followed by an Ibcast
-  /// of the last rank's prefix, both on `tag`; it remains so that Transport
-  /// decorators that do not forward this call still compile and run, and
-  /// its Poll refers to this transport, which must outlive it.
+  /// alias neither. An optional `rider` (count > 0) is a second block with
+  /// its own datatype and operator whose total alone lands in
+  /// rider.totalbuf on every rank. All three backends run
+  /// rbc::IscanWithTotal's up-sweep/down-sweep, rider included (2(Size()-1)
+  /// messages over 2 ceil(log2 Size()) hops, the rider adding bytes only):
+  /// RbcTransport on its range, the MPI transports on a full RBC range over
+  /// their own communicator, so fig8 and ablate_scaling still compare split
+  /// costs only. This default is Iscan followed by an Ibcast of the last
+  /// rank's prefix (none for count == 0), then, given a rider, an Ireduce
+  /// of it to rank 0 and an Ibcast of the result, all on `tag`; it
+  /// remains so that Transport decorators that do not forward this call
+  /// still compile and run correctly, and its Poll refers to this
+  /// transport, which must outlive it.
   virtual Poll IscanWithTotal(const void* send, void* incl, void* total,
-                              int count, Datatype dt, ReduceOp op, int tag);
+                              int count, Datatype dt, ReduceOp op, int tag,
+                              const ScanRider& rider = {});
 
   /// Personalized all-to-all with per-peer counts/displacements (elements;
   /// all four arrays sized Size() and significant on every rank). The

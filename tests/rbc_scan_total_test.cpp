@@ -13,6 +13,13 @@
 //    and counters repeat bit for bit across fresh runtimes and agree
 //    across the rbc, mpi and icomm transports; the collective ends before
 //    an Iscan followed by an Ibcast of the last rank's prefix.
+//  * Riders: a kMaxPairFirst pair rider and an int64 sum rider return the
+//    sequential fold on every rank, beside scans of 0 and 3 elements; a
+//    rider adds 2(p-1) times its bytes and no message; clocks and counters
+//    with a rider repeat and agree across transports like those without;
+//    every transport, and a decorator that leaves the call to the base
+//    class default, returns the same prefixes and totals, and the same
+//    rider totals from a call of 0 scan elements.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +27,10 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "forwarding_transport.hpp"
 #include "mpisim/mpisim.hpp"
 #include "rbc/rbc.hpp"
 #include "sort/transport.hpp"
@@ -175,6 +184,86 @@ TEST(ScanWithTotal, ValuesMatchASequentialLeftFold) {
   }
 }
 
+/// Rank r's j-th pair rider element: keys repeat across ranks, so ties
+/// must go to the lower rank as in a left fold; values name the rank.
+mpisim::PairDD PairInput(int r, int j, int salt) {
+  return {static_cast<double>((r * 37 + j * 11 + salt * 5) % 23),
+          static_cast<double>(r * 1000 + j)};
+}
+
+/// One call per (scan count, rider kind): the scan's prefix and total and
+/// the rider's total against their sequential left folds. The scan is of
+/// int32, so with 3 elements the rider sits at a 12-byte offset in every
+/// message. The pair rider shares its send and total buffer, as JQuick's
+/// does.
+void CheckRiders(const rbc::Comm& comm, const std::string& where) {
+  constexpr int kRider = 4;
+  const int me = comm.Rank();
+  const int last = comm.Size() - 1;
+  int salt = 50;
+  for (const int count : {0, 3}) {
+    for (const bool pairs : {true, false}) {
+      ++salt;
+      const std::string label = where + " count " + std::to_string(count) +
+                                (pairs ? " pair" : " sum") + " rider rank " +
+                                std::to_string(me);
+      std::vector<std::int32_t> send(3), incl(3, -99), total(3, -99);
+      for (int j = 0; j < count; ++j) {
+        send[static_cast<std::size_t>(j)] =
+            static_cast<std::int32_t>(Input(me, j, salt));
+      }
+      std::vector<mpisim::PairDD> cands(kRider);
+      std::vector<std::int64_t> sums(kRider), sum_total(kRider, -99);
+      for (int j = 0; j < kRider; ++j) {
+        cands[static_cast<std::size_t>(j)] = PairInput(me, j, salt);
+        sums[static_cast<std::size_t>(j)] = Input(me, j + 3, salt);
+      }
+      const rbc::ScanRider rider =
+          pairs ? rbc::ScanRider{cands.data(), cands.data(), kRider,
+                                 Datatype::kPairDoubleDouble,
+                                 ReduceOp::kMaxPairFirst}
+                : rbc::ScanRider{sums.data(), sum_total.data(), kRider,
+                                 Datatype::kInt64, ReduceOp::kSum};
+      rbc::Request req;
+      rbc::IscanWithTotal(send.data(), incl.data(), total.data(), count,
+                          Datatype::kInt32, ReduceOp::kSum, comm, &req,
+                          rbc::RBC_ISCAN_WITH_TOTAL_TAG, rider);
+      rbc::Wait(&req);
+      for (int j = 0; j < 3; ++j) {
+        const auto at = static_cast<std::size_t>(j);
+        EXPECT_EQ(incl[at], j < count ? LeftFold(ReduceOp::kSum, me, j, salt)
+                                      : -99)
+            << label << " element " << j;
+        EXPECT_EQ(total[at],
+                  j < count ? LeftFold(ReduceOp::kSum, last, j, salt) : -99)
+            << label << " element " << j;
+      }
+      for (int j = 0; j < kRider; ++j) {
+        const auto at = static_cast<std::size_t>(j);
+        if (pairs) {
+          mpisim::PairDD want = PairInput(0, j, salt);
+          for (int q = 1; q <= last; ++q) {
+            const mpisim::PairDD c = PairInput(q, j, salt);
+            if (c.first > want.first) want = c;
+          }
+          EXPECT_EQ(cands[at].first, want.first) << label << " rider " << j;
+          EXPECT_EQ(cands[at].second, want.second)
+              << label << " rider " << j;
+        } else {
+          EXPECT_EQ(sum_total[at], LeftFold(ReduceOp::kSum, last, j + 3, salt))
+              << label << " rider " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanWithTotal, RidersMatchASequentialFold) {
+  for (const Machine& mc : Machines()) {
+    RunRbc(mc.opts, [&](rbc::Comm& comm) { CheckRiders(comm, mc.name); });
+  }
+}
+
 TEST(ScanWithTotal, BackToBackCallsOnOneTag) {
   for (const Machine& mc : {FlatMachine(17),
                             Ragged()}) {
@@ -262,6 +351,43 @@ TEST(ScanWithTotal, SendsTwoMessagesPerNonRootRank) {
   }
 }
 
+TEST(ScanWithTotal, ARiderAddsBytesButNoMessages) {
+  constexpr int kRider = 5;
+  for (const Machine& mc : Machines()) {
+    const int p = mc.opts.num_ranks;
+    const auto traffic = [&](bool with_rider) {
+      mpisim::Runtime rt(mc.opts);
+      rt.Run([&](mpisim::Comm& world) {
+        rbc::Comm comm;
+        rbc::Create_RBC_Comm(world, &comm);
+        const std::int64_t mine[2] = {world.Rank(), 1};
+        std::int64_t incl[2], total[2];
+        std::vector<mpisim::PairDD> cands(
+            kRider, mpisim::PairDD{1.0 * world.Rank(), 0.0});
+        rbc::ScanRider rider;
+        if (with_rider) {
+          rider = {cands.data(), cands.data(), kRider,
+                   Datatype::kPairDoubleDouble, ReduceOp::kMaxPairFirst};
+        }
+        rbc::Request req;
+        rbc::IscanWithTotal(mine, incl, total, 2, Datatype::kInt64,
+                            ReduceOp::kSum, comm, &req,
+                            rbc::RBC_ISCAN_WITH_TOTAL_TAG, rider);
+        rbc::Wait(&req);
+      });
+      return rt.TotalStats();
+    };
+    const mpisim::Stats bare = traffic(false);
+    const mpisim::Stats ridden = traffic(true);
+    const auto edges = static_cast<std::uint64_t>(p - 1);
+    EXPECT_EQ(ridden.messages_sent, 2 * edges) << mc.name;
+    EXPECT_EQ(ridden.messages_received, 2 * edges) << mc.name;
+    EXPECT_EQ(ridden.bytes_sent,
+              bare.bytes_sent + 2 * edges * kRider * sizeof(mpisim::PairDD))
+        << mc.name;
+  }
+}
+
 /// One rank's clock after the collective, and its counters.
 struct Footprint {
   double clock = 0.0;
@@ -274,17 +400,27 @@ struct Footprint {
 };
 
 /// Every rank's footprint of one IscanWithTotal over the (small, large)
-/// count pair JQuick passes, started through `backend`'s transport.
+/// count pair JQuick passes, started through `backend`'s transport; with
+/// `rider`, beside 16 pivot candidates per side, as JQuick draws them.
 std::vector<Footprint> FootprintsOf(const mpisim::Runtime::Options& opts,
-                                    jsort::Backend backend) {
+                                    jsort::Backend backend, bool rider) {
   PerRank<Footprint> fp(opts.num_ranks);
   testutil::RunRanks(opts, [&](mpisim::Comm& world, mpisim::Runtime&) {
     auto tr = jsort::MakeTransport(backend, world);
     const std::int64_t counts[2] = {world.Rank() % 5, 7 - world.Rank() % 3};
     std::int64_t incl[2], total[2];
+    std::vector<mpisim::PairDD> cands(32);
+    for (std::size_t j = 0; j < cands.size(); ++j) {
+      cands[j] = PairInput(world.Rank(), static_cast<int>(j), 1);
+    }
+    jsort::ScanRider r;
+    if (rider) {
+      r = {cands.data(), cands.data(), static_cast<int>(cands.size()),
+           Datatype::kPairDoubleDouble, ReduceOp::kMaxPairFirst};
+    }
     mpisim::WaitUntil(tr->IscanWithTotal(counts, incl, total, 2,
                                          Datatype::kInt64, ReduceOp::kSum,
-                                         /*tag=*/3),
+                                         /*tag=*/3, r),
                       "IscanWithTotal");
     fp.Set(world.Rank(), {mpisim::Ctx().clock.Now(), mpisim::Ctx().stats});
   });
@@ -292,68 +428,117 @@ std::vector<Footprint> FootprintsOf(const mpisim::Runtime::Options& opts,
 }
 
 TEST(ScanWithTotal, ClocksAndCountersRepeatAcrossFreshRuntimes) {
-  for (const Machine& mc :
-       {FlatMachine(64), EightByEight(),
-        Ragged()}) {
-    const auto first = FootprintsOf(mc.opts, jsort::Backend::kRbc);
-    for (int run = 1; run < 20; ++run) {
-      const auto again = FootprintsOf(mc.opts, jsort::Backend::kRbc);
-      for (std::size_t r = 0; r < first.size(); ++r) {
-        ASSERT_TRUE(again[r] == first[r])
-            << mc.name << ": run " << run << " rank " << r
-            << " differs from run 0";
+  for (const bool rider : {false, true}) {
+    for (const Machine& mc : {FlatMachine(64), EightByEight(), Ragged()}) {
+      const auto first = FootprintsOf(mc.opts, jsort::Backend::kRbc, rider);
+      for (int run = 1; run < 20; ++run) {
+        const auto again =
+            FootprintsOf(mc.opts, jsort::Backend::kRbc, rider);
+        for (std::size_t r = 0; r < first.size(); ++r) {
+          ASSERT_TRUE(again[r] == first[r])
+              << mc.name << (rider ? " rider" : "") << ": run " << run
+              << " rank " << r << " differs from run 0";
+        }
       }
     }
   }
 }
 
 TEST(ScanWithTotal, TransportsShareOneSchedule) {
-  for (const Machine& mc :
-       {FlatMachine(13), FlatMachine(64),
-        EightByEight()}) {
-    const auto rbc_fp = FootprintsOf(mc.opts, jsort::Backend::kRbc);
-    for (const jsort::Backend b :
-         {jsort::Backend::kMpi, jsort::Backend::kIcomm}) {
-      const auto fp = FootprintsOf(mc.opts, b);
-      for (std::size_t r = 0; r < rbc_fp.size(); ++r) {
-        EXPECT_TRUE(fp[r] == rbc_fp[r])
-            << mc.name << " " << jsort::BackendName(b) << " rank " << r
-            << ": clock " << fp[r].clock << " vs rbc " << rbc_fp[r].clock;
+  for (const bool rider : {false, true}) {
+    for (const Machine& mc :
+         {FlatMachine(13), FlatMachine(64), EightByEight()}) {
+      const auto rbc_fp = FootprintsOf(mc.opts, jsort::Backend::kRbc, rider);
+      for (const jsort::Backend b :
+           {jsort::Backend::kMpi, jsort::Backend::kIcomm}) {
+        const auto fp = FootprintsOf(mc.opts, b, rider);
+        for (std::size_t r = 0; r < rbc_fp.size(); ++r) {
+          EXPECT_TRUE(fp[r] == rbc_fp[r])
+              << mc.name << (rider ? " rider " : " ")
+              << jsort::BackendName(b) << " rank " << r << ": clock "
+              << fp[r].clock << " vs rbc " << rbc_fp[r].clock;
+        }
       }
     }
   }
 }
 
+/// A decorator that forwards everything but IscanWithTotal, which it
+/// leaves to the base class default, as a decorator without an override
+/// of that call does.
+class DefaultScanTransport final : public testutil::ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  jsort::Poll IscanWithTotal(const void* send, void* incl, void* total,
+                             int count, Datatype dt, ReduceOp op, int tag,
+                             const jsort::ScanRider& rider = {}) override {
+    return Transport::IscanWithTotal(send, incl, total, count, dt, op, tag,
+                                     rider);
+  }
+
+ protected:
+  std::shared_ptr<jsort::Transport> Wrap(
+      std::shared_ptr<jsort::Transport> child) override {
+    return std::make_shared<DefaultScanTransport>(std::move(child));
+  }
+};
+
 TEST(ScanWithTotal, TransportsComputeThePrefixAndTotal) {
   for (const jsort::Backend b :
        {jsort::Backend::kRbc, jsort::Backend::kMpi, jsort::Backend::kIcomm}) {
-    testutil::RunRanks(Flat(11), [&](mpisim::Comm& world, mpisim::Runtime&) {
-      auto tr = jsort::MakeTransport(b, world);
-      if (world.Rank() < 2 || world.Rank() > 9) return;
-      // A sub-group, as JQuick's levels use them.
-      auto sub = tr->Split(2, 9);
-      const std::int64_t k = sub->Rank() + 1;
-      const std::int64_t mine[2] = {k, 2 * k};
-      // The backend's schedule, then the base class's Iscan + Ibcast
-      // default that decorators without an override fall back to.
-      for (const bool fallback : {false, true}) {
-        const std::string where = std::string(jsort::BackendName(b)) +
-                                  (fallback ? " default" : "");
-        std::int64_t incl[2] = {0, 0}, total[2] = {0, 0};
-        jsort::Poll poll =
-            fallback ? sub->Transport::IscanWithTotal(
-                           mine, incl, total, 2, Datatype::kInt64,
-                           ReduceOp::kSum, /*tag=*/6)
-                     : sub->IscanWithTotal(mine, incl, total, 2,
-                                           Datatype::kInt64, ReduceOp::kSum,
-                                           /*tag=*/5);
-        mpisim::WaitUntil(poll, "IscanWithTotal");
-        EXPECT_EQ(incl[0], k * (k + 1) / 2) << where;
-        EXPECT_EQ(incl[1], k * (k + 1)) << where;
-        EXPECT_EQ(total[0], 36) << where;
-        EXPECT_EQ(total[1], 72) << where;
-      }
-    });
+    // The backend's schedule, then the base class's default (Iscan +
+    // Ibcast, and Ireduce + Ibcast of a rider) run by a decorator that
+    // does not forward the call. Count 0 with a rider is JQuick's root
+    // pivot sweep.
+    for (const bool fallback : {false, true}) {
+      testutil::RunRanks(Flat(11), [&](mpisim::Comm& world,
+                                       mpisim::Runtime&) {
+        auto tr = jsort::MakeTransport(b, world);
+        if (fallback) tr = std::make_shared<DefaultScanTransport>(tr);
+        if (world.Rank() < 2 || world.Rank() > 9) return;
+        // A sub-group, as JQuick's levels use them.
+        auto sub = tr->Split(2, 9);
+        const std::int64_t k = sub->Rank() + 1;
+        const std::int64_t mine[2] = {k, 2 * k};
+        for (const auto& [count, rider] :
+             {std::pair{2, false}, std::pair{2, true}, std::pair{0, false},
+              std::pair{0, true}}) {
+          const std::string where = std::string(jsort::BackendName(b)) +
+                                    (fallback ? " default" : "") +
+                                    " count " + std::to_string(count) +
+                                    (rider ? " rider" : "");
+          std::int64_t incl[2] = {0, 0}, total[2] = {0, 0};
+          mpisim::PairDD cands[2] = {PairInput(sub->Rank(), 0, 3),
+                                     PairInput(sub->Rank(), 1, 3)};
+          jsort::ScanRider r;
+          if (rider) {
+            r = {cands, cands, 2, Datatype::kPairDoubleDouble,
+                 ReduceOp::kMaxPairFirst};
+          }
+          mpisim::WaitUntil(sub->IscanWithTotal(mine, incl, total, count,
+                                                Datatype::kInt64,
+                                                ReduceOp::kSum, /*tag=*/5, r),
+                            "IscanWithTotal");
+          const std::int64_t want_incl[2] = {k * (k + 1) / 2, k * (k + 1)};
+          const std::int64_t want_total[2] = {36, 72};
+          for (int i = 0; i < 2; ++i) {
+            EXPECT_EQ(incl[i], count == 2 ? want_incl[i] : 0) << where;
+            EXPECT_EQ(total[i], count == 2 ? want_total[i] : 0) << where;
+          }
+          for (int j = 0; rider && j < 2; ++j) {
+            mpisim::PairDD want = PairInput(0, j, 3);
+            for (int q = 1; q < sub->Size(); ++q) {
+              const mpisim::PairDD c = PairInput(q, j, 3);
+              if (c.first > want.first) want = c;
+            }
+            EXPECT_EQ(cands[j].first, want.first) << where << " rider " << j;
+            EXPECT_EQ(cands[j].second, want.second)
+                << where << " rider " << j;
+          }
+        }
+      });
+    }
   }
 }
 

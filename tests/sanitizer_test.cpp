@@ -156,6 +156,40 @@ TEST(Sanitizer, RbcScanAgainstScanWithTotalCaught) {
   EXPECT_NE(what.find("IScan tag="), std::string::npos) << what;
 }
 
+TEST(Sanitizer, RbcScanWithTotalRiderMismatchCaught) {
+  // One member hangs a rider on the up-sweep/down-sweep and its peers do
+  // not: their messages would differ in length. The record carries the
+  // rider's count and element size, so the ledger names it at entry.
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto e = ExpectMismatch(4, [](mpisim::Comm& world) {
+    rbc::Comm rw;
+    rbc::Create_RBC_Comm(world, &rw);
+    const std::int64_t mine = rw.Rank() + 1;
+    std::int64_t incl = 0, total = 0;
+    mpisim::PairDD cand{1.0 * rw.Rank(), 0.0};
+    rbc::ScanRider rider;
+    if (rw.Rank() == 1) {
+      rider = {&cand, &cand, 1, Datatype::kPairDoubleDouble,
+               mpisim::ReduceOp::kMaxPairFirst};
+    }
+    rbc::Request req;
+    rbc::IscanWithTotal(&mine, &incl, &total, 1, Datatype::kInt64,
+                        mpisim::ReduceOp::kSum, rw, &req,
+                        rbc::RBC_ISCAN_WITH_TOTAL_TAG, rider);
+    rbc::Wait(&req);
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(5000));
+  EXPECT_TRUE(PairContains(e, 1)) << e.what();
+  EXPECT_EQ(e.seq_a(), 0) << e.what();
+  EXPECT_EQ(e.seq_b(), 0) << e.what();
+  const std::string what = e.what();
+  EXPECT_NE(what.find("different rider blocks"), std::string::npos) << what;
+  EXPECT_NE(what.find("IScanWithTotal tag="), std::string::npos) << what;
+  EXPECT_NE(what.find("rider_count=1 rider_dtype_size=16"), std::string::npos)
+      << what;
+}
+
 TEST(Sanitizer, WildcardRecvNoFalsePositive) {
   // kAnySource receives interleaved with collectives: the sanitizer keys
   // on collective intent, not message arrival order, so the wobble in
