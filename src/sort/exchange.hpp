@@ -2,53 +2,52 @@
 //
 // Every distributed sorter ends a level the same way: each rank holds runs
 // of elements whose destinations are defined by a global slot interval
-// (jquick) or by explicit per-destination buckets (sample sort), and the
-// data must move so that every rank ends up with exactly its share. This
-// layer factors that step out of the sorters and routes it over the
-// jsort::Transport abstraction, so the same code runs on RBC, native-MPI
-// and Icomm backends.
+// (jquick) or by explicit per-destination buckets (sample sort, the
+// multilevel sorter's group-wise pieces), and the data must move so that
+// every rank ends up with exactly its share. This layer factors that step
+// out of the sorters and routes it over the jsort::Transport abstraction,
+// so the same code runs on RBC, native-MPI and Icomm backends.
 //
-// Four delivery paths are provided:
-//  * the dense Alltoallv path -- a counts exchange followed by a payload
-//    Transport::Ialltoallv. Predictable p-1 message rounds, right when
+// One plan, four deliveries. Every entry point lowers its exchange to one
+// plan: per destination one message of k int64 header words followed by
+// that destination's payload run. A segment exchange's header words are
+// its per-segment counts, and its layout gives every rank its receive
+// expectations, held per sink; the bucket and group-wise exchanges ship
+// raw payload (k = 0) and know no receive counts. The plan then goes out
+// through exactly one implementation of each path:
+//  * dense -- a counts round (the header rows, or each destination's
+//    count when k = 0), then one payload Transport::Ialltoallv. 2(p-1)
+//    startups per rank in a predictable pairwise schedule; right when
 //    most destinations receive something (single-level sample sort);
-//  * the coalesced path for skewed partitions -- when each rank sends to
-//    only a few destinations (jquick's greedy chunk assignment spans O(1)
-//    ranks per level), the dense counts exchange would dominate. Instead,
-//    all segments destined to one rank ship as a single self-describing
-//    message ([int64 counts[k]][payload]), and receivers drain
-//    membership-filtered probes until their precomputed expectations are
-//    met. One startup per non-empty destination, zero metadata rounds;
-//  * the sparse path -- the same self-describing one-message-per-non-empty-
-//    destination shipping, but delivered over the transport's sparse
-//    collective (Transport::IsparseAlltoallv), whose two-lightweight-
-//    barrier termination detection replaces the coalesced path's
-//    expectation-driven drain. One startup per non-empty destination plus
-//    O(log p) barrier tokens; the only flat sparse option when receive
-//    counts are unknown (ExchangeGroupwise), and the robust choice at
-//    scale;
-//  * the hierarchical path on two-level machines (topo/hier_exchange.hpp)
-//    -- traffic gathers at one gateway per (node, remote node) pair,
-//    crosses the network in one bundle per node pair and is scattered on
-//    the node. Every receiver knows its senders and their message count
-//    from the node map, even where element counts are unknown, so it
-//    needs neither a counts round nor termination barriers.
+//  * coalesced -- one eager send per non-empty destination, then a
+//    membership-filtered probe drain that ends once the expectations are
+//    met. No metadata round; needs expectations, so only a segment
+//    exchange has it;
+//  * sparse -- the same messages over Transport::IsparseAlltoallv, whose
+//    two-lightweight-barrier termination needs no receive counts: one
+//    startup per non-empty destination plus O(log p) barrier tokens, and
+//    the only flat path that chunks its messages under a segment limit
+//    without a counts round;
+//  * hierarchical (topo/hier_exchange.hpp) -- on two-level machines the
+//    traffic gathers at one gateway per (node, remote node) pair, crosses
+//    the network in one bundle per node pair and is scattered on the
+//    node. Every receiver knows its senders and their message count from
+//    the node map, so it needs neither a counts round nor barriers.
+// Received messages unpack through one routine: raw payload in source
+// order, segment payload into the sinks its header words name.
 //
-// kAuto resolves from globally shared quantities only (the decision must
-// be identical on every rank). On a two-level cost model, a group that
-// spans nodes takes the hierarchical path at every entry point. Otherwise
-// a segment exchange (StartSegmentExchange, jquick's per-level
-// redistribution) has exactly two routes and never goes dense: its
-// receive expectations follow from the layout arithmetic, so it takes the
-// coalesced path -- at most one message per non-empty
-// destination and no counts round, where the dense path pays 2(p-1)
-// startups per rank -- unless a single per-destination message could
-// exceed the segment limit, in which case it takes the chunk-capable
-// sparse path. A group-wise exchange cannot know its receive counts: it
-// estimates the non-empty-destination fraction as f = out.size() / (p-1),
-// takes the dense path at f >= 1/2 (most peers are hit anyway, and the
-// pairwise Alltoallv schedule avoids contention) and the sparse path below
-// it (barrier-based termination, O(log p) tokens).
+// One mode rule, resolved from globally shared quantities only (the
+// decision must be identical on every rank). kAuto: on a two-level cost
+// model, a group that spans nodes goes hierarchical at every entry point.
+// Otherwise a segment exchange coalesces -- at most one message per
+// non-empty destination and no counts round, where the dense path pays
+// 2(p-1) startups per rank -- unless a single message could exceed the
+// segment limit, when it takes the chunk-capable sparse path; a raw
+// exchange estimates its non-empty-destination fraction as f = entries /
+// (p-1) (one entry per bucket) and goes dense at f >= 1/2, sparse below.
+// Every explicit mode is honoured at every entry point, except that
+// kCoalesced, whose drain ends on expectations, runs sparse on the two
+// entry points without receive counts.
 #pragma once
 
 #include <cstdint>
@@ -101,13 +100,15 @@ struct ExchangeStats {
   std::int64_t inter_bytes = 0;
 };
 
-/// Delivery path selection.
+/// Delivery path selection (see the header comment for the rule).
 enum class Mode {
-  kAlltoallv,  // dense: counts exchange + Transport::Ialltoallv
-  kCoalesced,  // skewed: one self-describing message per destination,
-               // expectation-terminated probe drain
-  kSparse,     // skewed: one message per destination over the transport's
-               // sparse collective (barrier-terminated, no expectations)
+  kAlltoallv,  // dense: counts round + one payload Transport::Ialltoallv
+  kCoalesced,  // eager sends, expectation-terminated probe drain; runs
+               // kSparse where receive counts are unknown (bucket and
+               // group-wise exchanges)
+  kSparse,     // one message per non-empty destination over the
+               // transport's sparse collective (barrier-terminated, no
+               // expectations, chunked under a segment limit)
   kHierarchical,  // node-aware: per-destination traffic gathers on each
                   // node at one gateway per remote node, crosses the
                   // network once gateway-to-gateway in one bundle per node
@@ -117,16 +118,12 @@ enum class Mode {
                   // the flat paths. Collective and blocking at start.
                   // Degrades gracefully on a flat or single-node topology
                   // (only the intra phase runs).
-  kAuto,       // On a two-level cost model (CostModel::Hierarchical())
-               // with more than one node in the group: kHierarchical --
-               // matching the exchange structure to the machine beats
-               // every flat path on inter-node traffic. Otherwise a
-               // segment exchange takes kCoalesced, or kSparse exactly
-               // when a single per-destination message could exceed
-               // segment_bytes (the sparse backend chunks its payloads,
-               // the coalesced eager sends cannot); a group-wise exchange
-               // takes dense or sparse by its estimated non-empty-
-               // destination fraction (see the header comment)
+  kAuto,       // hierarchical on a two-level cost model
+               // (CostModel::Hierarchical()) when the group spans more
+               // than one node; otherwise coalesced, or sparse past the
+               // segment limit, for a segment exchange, and dense or
+               // sparse by the estimated non-empty-destination fraction
+               // for a raw one
 };
 
 /// Vnode map of the transport's group under the runtime's installed
@@ -141,36 +138,19 @@ topo::VnodeMap VnodesOfGroup(const Transport& tr);
 /// elements occupy global slots [result, result + n)". Blocking.
 std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag);
 
-/// Sender-side plan of a slot-interval redistribution: per-destination
-/// counts and displacements (elements) for the caller's run occupying
-/// slots [slot_begin, slot_begin + n) of `layout`. Purely local O(spanned
-/// ranks) arithmetic over the greedy chunk assignment.
-struct SendPlan {
-  std::vector<int> counts;  // per destination rank
-  std::vector<int> displs;  // prefix sums of counts
-};
-SendPlan PlanFromInterval(const CapacityLayout& layout,
-                          std::int64_t slot_begin, std::int64_t n, int p);
-
-/// Blocking bucket redistribution (single-level sample sort): bucket[i]
-/// goes to rank i, every rank returns the concatenation of what it
-/// received, ordered by source rank. `stats`, if non-null, is incremented
-/// by this call's payload traffic (p-1 messages on the dense path).
-/// `segment_bytes` > 0 pipelines each per-peer payload block in segments
-/// of at most that many bytes (the large-message regime). Every bucket is
-/// non-empty-or-not per rank, so only two deliveries make sense here:
-/// kHierarchical runs the node-aware engine (skipping the dense counts
-/// round entirely -- its messages are self-describing), kAuto picks it
-/// exactly when the cost model is two-level and the group spans nodes,
-/// and every other mode delivers densely.
-std::vector<double> ExchangeBuckets(
-    Transport& tr, const std::vector<std::vector<double>>& buckets, int tag,
-    ExchangeStats* stats = nullptr, std::int64_t segment_bytes = 0,
-    Mode mode = Mode::kAuto);
-
-/// Flat-bucket variant: bucket i occupies elements [offsets[i],
-/// offsets[i+1]) of `elements` (offsets has Size()+1 entries) -- the
-/// layout PartitionKWay produces, exchanged without per-bucket copies.
+/// Blocking bucket redistribution (single-level sample sort): bucket i
+/// occupies elements [offsets[i], offsets[i+1]) of `elements` (offsets
+/// has Size()+1 entries) -- the layout PartitionKWay produces -- and goes
+/// to rank i; every rank returns the concatenation of what it received,
+/// ordered by source rank. The buckets ship from `elements` in place: no
+/// send-side copy on any path. `stats`, if non-null, is incremented by
+/// this call's payload traffic (p-1 messages on the dense path, one per
+/// non-empty non-self bucket elsewhere). `segment_bytes` > 0 bounds every
+/// payload message (pipelined blocks on the dense path, chunks on the
+/// sparse path, frames on the hierarchical one). Every mode runs the
+/// path it names (kCoalesced: sparse); kAuto goes hierarchical exactly
+/// when the cost model is two-level and the group spans nodes, and dense
+/// otherwise.
 std::vector<double> ExchangeBuckets(Transport& tr,
                                     std::span<const double> elements,
                                     std::span<const std::int64_t> offsets,
@@ -197,14 +177,15 @@ struct Outgoing {
 ///
 /// kSparse (and kAuto below the dense threshold) delivers over the
 /// transport's sparse collective; kAlltoallv runs the dense counts +
-/// payload rounds. kCoalesced degrades to kSparse: its expectation-driven
-/// termination requires known receive counts, which this entry point is
-/// for exchanges without. The kAuto decision uses `out.size()` and the
-/// group size, so every rank must pass the same number of entries (include
-/// the empty ones). `stats`, if non-null, is incremented by the payload
-/// traffic (barrier/counts metadata excluded, as everywhere in this
-/// layer). `segment_bytes` > 0 bounds every payload message of the
-/// sparse and dense paths (chunked / pipelined by the transport).
+/// payload rounds on every machine, kHierarchical the node-aware engine.
+/// kCoalesced runs kSparse: its expectation-driven termination requires
+/// known receive counts, which this entry point is for exchanges without.
+/// The kAuto decision uses `out.size()` and the group size, so every rank
+/// must pass the same number of entries (include the empty ones).
+/// `stats`, if non-null, is incremented by the payload traffic
+/// (barrier/counts metadata excluded, as everywhere in this layer).
+/// `segment_bytes` > 0 bounds every payload message (chunked / pipelined
+/// by the transport, framed by the hierarchical engine).
 std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
                                       std::span<const Outgoing> out, int tag,
                                       Mode mode = Mode::kAuto,

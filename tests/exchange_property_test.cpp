@@ -284,10 +284,11 @@ void RandomizedBuckets(const std::shared_ptr<Transport>& tr,
     }
   }
   ExchangeStats stats;
+  const testutil::FlatBuckets flat(buckets);
   mpisim::Ctx().stats.max_message_bytes = 0;
   const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
-  const std::vector<double> got =
-      jsort::exchange::ExchangeBuckets(*tr, buckets, 43, &stats, seg_bytes);
+  const std::vector<double> got = jsort::exchange::ExchangeBuckets(
+      *tr, flat.elements, flat.offsets, 43, &stats, seg_bytes);
   const std::uint64_t sent = mpisim::Ctx().stats.messages_sent - before;
   std::vector<double> expect;
   for (int r = 0; r < p; ++r) {

@@ -13,6 +13,7 @@
 #include "sort/jquick.hpp"
 #include "sort/workload.hpp"
 #include "testutil.hpp"
+#include "topo/topology.hpp"
 
 namespace {
 
@@ -75,8 +76,9 @@ TEST_P(ExchangeSweep, BucketExchangeRoutesEverythingBySource) {
           static_cast<std::size_t>(me), 100.0 * me + d);
     }
     ExchangeStats stats;
-    std::vector<double> got =
-        jsort::exchange::ExchangeBuckets(*tr, buckets, 9, &stats);
+    const testutil::FlatBuckets flat(buckets);
+    std::vector<double> got = jsort::exchange::ExchangeBuckets(
+        *tr, flat.elements, flat.offsets, 9, &stats);
     // From each source s: s copies of 100*s + me, ordered by source rank.
     std::vector<double> expect;
     for (int s = 0; s < p; ++s) {
@@ -96,8 +98,9 @@ TEST_P(ExchangeSweep, BucketExchangeHandlesSkewToOneRank) {
     // Everything goes to rank 0; every other rank receives nothing.
     std::vector<std::vector<double>> buckets(static_cast<std::size_t>(p));
     buckets[0] = {me * 1.0, me * 1.0 + 0.5};
+    const testutil::FlatBuckets flat(buckets);
     std::vector<double> got =
-        jsort::exchange::ExchangeBuckets(*tr, buckets, 9);
+        jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets, 9);
     if (me == 0) {
       std::vector<double> expect;
       for (int s = 0; s < p; ++s) {
@@ -410,6 +413,97 @@ TEST_P(ExchangeSweep, GroupwiseSparseMatchesDense) {
   });
 }
 
+/// A forced dense group-wise exchange runs the dense path on a two-level
+/// machine too: p = 8 on two nodes of four under bench_topo's model, one
+/// double to every rank. Every rank sends exactly the counts round and the
+/// payload round, p - 1 messages each, and reports the dense arithmetic.
+TEST_P(ExchangeSweep, ForcedDenseGroupwiseStaysDenseOnTwoLevelMachines) {
+  const Backend b = GetParam();
+  mpisim::Runtime::Options opts;
+  opts.topology = topo::Topology::Uniform(8, 4);
+  opts.num_ranks = opts.topology.TotalRanks();
+  opts.cost.intra_alpha = opts.cost.alpha;
+  opts.cost.intra_beta = opts.cost.beta;
+  opts.cost.inter_alpha = 25.0 * opts.cost.alpha;
+  opts.cost.inter_beta = 4.0 * opts.cost.beta;
+  RunRanks(opts, [&](mpisim::Comm& world, mpisim::Runtime&) {
+    auto tr = Make(b, world);
+    const int p = tr->Size();
+    const int me = tr->Rank();
+    std::vector<double> values;
+    for (int d = 0; d < p; ++d) values.push_back(100.0 * me + d);
+    std::vector<jsort::exchange::Outgoing> out;
+    for (int d = 0; d < p; ++d) {
+      out.push_back({d, values.data() + d, 1});
+    }
+    ExchangeStats es;
+    const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
+    const std::vector<double> got = jsort::exchange::ExchangeGroupwise(
+        tr, out, 25, Mode::kAlltoallv, &es);
+    EXPECT_EQ(mpisim::Ctx().stats.messages_sent - before,
+              static_cast<std::uint64_t>(2 * (p - 1)))
+        << "rank " << me;
+    std::vector<double> expect;
+    for (int s = 0; s < p; ++s) expect.push_back(100.0 * s + me);
+    EXPECT_EQ(got, expect);
+    EXPECT_EQ(es.messages_sent, p - 1);
+    EXPECT_EQ(es.elements_sent, p - 1);
+    EXPECT_EQ(es.segments, p - 1);
+    EXPECT_EQ(es.intra_messages + es.inter_messages, 0);
+    EXPECT_EQ(es.intra_bytes + es.inter_bytes, 0);
+  });
+}
+
+/// ExchangeBuckets honours kSparse, and kCoalesced, which has no receive
+/// counts to end a drain on, runs sparse too: one message per non-empty
+/// non-self bucket, chunked by SparseChunksOf, delivering exactly the
+/// dense path's bytes.
+TEST_P(ExchangeSweep, BucketExchangeHonoursSparse) {
+  const Backend b = GetParam();
+  RunRanks(7, [&](mpisim::Comm& world) {
+    auto tr = Make(b, world);
+    const int p = tr->Size();
+    const int me = tr->Rank();
+    // Rank r sends (r + d) % 4 * 5 doubles to rank d: a quarter of the
+    // buckets are empty, the largest span several 61-byte chunks.
+    std::vector<std::vector<double>> buckets(static_cast<std::size_t>(p));
+    std::int64_t messages = 0, elements = 0;
+    for (int d = 0; d < p; ++d) {
+      const int n = (me + d) % 4 * 5;
+      for (int i = 0; i < n; ++i) {
+        buckets[static_cast<std::size_t>(d)].push_back(me * 1e3 + d + i);
+      }
+      if (d != me && n != 0) {
+        ++messages;
+        elements += n;
+      }
+    }
+    const testutil::FlatBuckets flat(buckets);
+    for (const std::int64_t seg : {std::int64_t{0}, std::int64_t{61}}) {
+      std::int64_t segments = 0;
+      for (int d = 0; d < p; ++d) {
+        const std::int64_t n = (me + d) % 4 * 5;
+        if (d != me && n != 0) {
+          segments += mpisim::SparseChunksOf(n * 8, seg);
+        }
+      }
+      const std::vector<double> dense = jsort::exchange::ExchangeBuckets(
+          *tr, flat.elements, flat.offsets, 27, nullptr, seg,
+          Mode::kAlltoallv);
+      for (const Mode mode : {Mode::kSparse, Mode::kCoalesced}) {
+        ExchangeStats es;
+        EXPECT_EQ(jsort::exchange::ExchangeBuckets(*tr, flat.elements,
+                                                   flat.offsets, 27, &es,
+                                                   seg, mode),
+                  dense);
+        EXPECT_EQ(es.messages_sent, messages);
+        EXPECT_EQ(es.elements_sent, elements);
+        EXPECT_EQ(es.segments, segments) << "segment_bytes " << seg;
+      }
+    }
+  });
+}
+
 TEST_P(ExchangeSweep, SegmentExchangeAllElementsOnOneRank) {
   // Extreme skew: rank 0 holds every element; everyone else holds (and in
   // the end receives) their capacity share -- empty senders must complete.
@@ -439,24 +533,6 @@ TEST_P(ExchangeSweep, SegmentExchangeAllElementsOnOneRank) {
               static_cast<double>(layout.PrefixBefore(me)));
     EXPECT_EQ(sink, expect);
   });
-}
-
-TEST(ExchangePlan, PlanFromIntervalMatchesChunks) {
-  const CapacityLayout layout{.p = 4, .quota = 10, .cap_first = 3,
-                              .cap_last = 10};
-  // Interval [1, 17) spans rank 0 (slots 1..2), rank 1 (3..12), rank 2
-  // (13..16 partial).
-  const jsort::exchange::SendPlan plan =
-      jsort::exchange::PlanFromInterval(layout, 1, 16, 4);
-  ASSERT_EQ(plan.counts.size(), 4u);
-  EXPECT_EQ(plan.counts[0], 2);
-  EXPECT_EQ(plan.counts[1], 10);
-  EXPECT_EQ(plan.counts[2], 4);
-  EXPECT_EQ(plan.counts[3], 0);
-  EXPECT_EQ(plan.displs[0], 0);
-  EXPECT_EQ(plan.displs[1], 2);
-  EXPECT_EQ(plan.displs[2], 12);
-  EXPECT_EQ(plan.displs[3], 16);
 }
 
 /// JQuick routed through each forced exchange mode still sorts correctly

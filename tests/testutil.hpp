@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -33,6 +34,21 @@ inline void RunRbc(int p, const std::function<void(rbc::Comm&)>& fn) {
     fn(rw);
   });
 }
+
+/// Per-destination buckets in the bucket-major flat layout
+/// exchange::ExchangeBuckets takes: bucket i is elements[offsets[i],
+/// offsets[i+1]).
+struct FlatBuckets {
+  std::vector<double> elements;
+  std::vector<std::int64_t> offsets{0};
+
+  explicit FlatBuckets(const std::vector<std::vector<double>>& buckets) {
+    for (const std::vector<double>& b : buckets) {
+      elements.insert(elements.end(), b.begin(), b.end());
+      offsets.push_back(static_cast<std::int64_t>(elements.size()));
+    }
+  }
+};
 
 /// Thread-safe per-rank result collector.
 template <typename T>

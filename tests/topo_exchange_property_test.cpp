@@ -190,12 +190,14 @@ void RandomizedBucketsHier(const std::shared_ptr<Transport>& tr,
     }
   }
   ExchangeStats ds, hs;
+  const testutil::FlatBuckets flat(buckets);
   const auto dense = jsort::exchange::ExchangeBuckets(
-      *tr, buckets, 43, &ds, seg_bytes, Mode::kAlltoallv);
+      *tr, flat.elements, flat.offsets, 43, &ds, seg_bytes, Mode::kAlltoallv);
   const auto hier = jsort::exchange::ExchangeBuckets(
-      *tr, buckets, 43, &hs, seg_bytes, Mode::kHierarchical);
+      *tr, flat.elements, flat.offsets, 43, &hs, seg_bytes,
+      Mode::kHierarchical);
   const auto aut = jsort::exchange::ExchangeBuckets(
-      *tr, buckets, 43, nullptr, seg_bytes, Mode::kAuto);
+      *tr, flat.elements, flat.offsets, 43, nullptr, seg_bytes, Mode::kAuto);
   EXPECT_EQ(dense, hier);
   EXPECT_EQ(dense, aut);
   EXPECT_EQ(ds.elements_sent, hs.elements_sent);
@@ -338,8 +340,9 @@ TEST(HierAutoRouting, FollowsCostModelAndNodeSpan) {
     for (int d = 0; d < p; ++d) {
       buckets[static_cast<std::size_t>(d)].assign(4, world.Rank() * 1.0 + d);
     }
-    jsort::exchange::ExchangeBuckets(*tr, buckets, 43, stats, 0,
-                                     Mode::kAuto);
+    const testutil::FlatBuckets flat(buckets);
+    jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets, 43,
+                                     stats, 0, Mode::kAuto);
   };
 
   testutil::PerRank<ExchangeStats> two_level(8);

@@ -102,7 +102,9 @@ std::vector<RankOutcome> RunBuckets(const topo::Topology& shape,
       }
     }
     ExchangeStats mine;
-    EXPECT_EQ(jsort::exchange::ExchangeBuckets(*tr, buckets, kTag, &mine,
+    const testutil::FlatBuckets flat(buckets);
+    EXPECT_EQ(jsort::exchange::ExchangeBuckets(*tr, flat.elements,
+                                               flat.offsets, kTag, &mine,
                                                seg_bytes, mode),
               expect)
         << "rank " << me;
@@ -296,10 +298,11 @@ TEST(HierEngineAbort, PeerFailureNamesTheFailedRank) {
         auto tr = rbc_backend ? RbcTransportOf(world)
                               : jsort::MakeMpiTransport(world);
         if (world.Rank() == kFailed) throw mpisim::Error("injected failure");
-        std::vector<std::vector<double>> buckets(kP,
-                                                 std::vector<double>(4, 1.0));
+        const testutil::FlatBuckets flat(std::vector<std::vector<double>>(
+            kP, std::vector<double>(4, 1.0)));
         try {
-          jsort::exchange::ExchangeBuckets(*tr, buckets, kTag, nullptr, 0,
+          jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets,
+                                           kTag, nullptr, 0,
                                            Mode::kHierarchical);
         } catch (const mpisim::AbortedError& e) {
           origins.Set(world.Rank(), e.origin_rank());
