@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   for (const jsort::Backend backend :
        {jsort::Backend::kRbc, jsort::Backend::kMpi, jsort::Backend::kIcomm}) {
     double kth = 0.0, top_last = 0.0, pctl = 0.0;
-    std::int64_t bound = 0, rounds = 0;
+    std::int64_t bound = 0, rounds = 0, sweeps = 0;
     mpisim::Runtime rt(mpisim::Runtime::Options{.num_ranks = p});
     rt.Run([&](mpisim::Comm& world) {
       auto tr = jsort::MakeTransport(backend, world);
@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
       if (world.Rank() == 0) {
         kth = sel.value;
         rounds = sstats.rounds;
+        sweeps = sstats.sweeps;
         top_last = topk.empty() ? 0.0 : topk.back();
         pctl = summary.Query(q);
         bound = summary.RankErrorBound(q);
@@ -82,9 +83,10 @@ int main(int argc, char** argv) {
     });
     std::printf("  backend=%-5s vtime=%10.1f units\n",
                 jsort::BackendName(backend), rt.MaxVirtualTime());
-    std::printf("    k-th value (k=%lld)   : %.6f  (%lld select rounds)\n",
-                static_cast<long long>(k), kth,
-                static_cast<long long>(rounds));
+    std::printf(
+        "    k-th value (k=%lld)   : %.6f  (%lld select rounds, %lld sweeps)\n",
+        static_cast<long long>(k), kth, static_cast<long long>(rounds),
+        static_cast<long long>(sweeps));
     std::printf("    top-k last element    : %.6f  (== k-th: %s)\n", top_last,
                 top_last == kth ? "yes" : "NO");
     std::printf("    q=%.4f percentile    : %.6f  (rank error <= %lld)\n", q,

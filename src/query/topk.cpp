@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "mpisim/error.hpp"
 #include "mpisim/runtime.hpp"
@@ -56,6 +57,42 @@ std::vector<double> SparseGatherSorted(Transport& tr,
   return out;
 }
 
+/// Sends this rank's candidates (at most `cap` elements) to group rank
+/// `root` as one message, empty or not, and returns, on the root, its own
+/// candidates and everything received, sorted ascending. Empty on every
+/// other rank. Since every member sends exactly one message, the root
+/// needs no termination round: it receives them in rank order, so its
+/// clock does not depend on which message arrives first.
+std::vector<double> LinearGatherSorted(Transport& tr,
+                                       std::vector<double> mine,
+                                       std::int64_t cap, int root, int tag,
+                                       TopKStats* stats) {
+  const bool am_root = tr.Rank() == root;
+  if (stats != nullptr) {
+    stats->candidates_sent =
+        am_root ? 0 : static_cast<std::int64_t>(mine.size());
+  }
+  if (!am_root) {
+    tr.Send(mine.data(), static_cast<int>(mine.size()), Datatype::kFloat64,
+            root, tag);
+    return {};
+  }
+  std::vector<double> out = std::move(mine);
+  const int max_count = static_cast<int>(
+      std::min<std::int64_t>(cap, std::numeric_limits<int>::max()));
+  std::vector<double> msg(static_cast<std::size_t>(max_count));
+  for (int src = 0; src < tr.Size(); ++src) {
+    if (src == root) continue;
+    Status st;
+    tr.Recv(msg.data(), max_count, Datatype::kFloat64, src, tag, &st);
+    out.insert(out.end(), msg.begin(),
+               msg.begin() + static_cast<std::ptrdiff_t>(
+                                 st.bytes / sizeof(double)));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 std::vector<double> DistributedTopK(Transport& tr,
@@ -73,19 +110,32 @@ std::vector<double> DistributedTopK(Transport& tr,
   TopKRoute route = cfg.route;
   if (route == TopKRoute::kAuto) {
     // Route choice from globally shared quantities only, priced in the
-    // substrate's own alpha-beta model: the heap route funnels up to p
-    // candidate messages of k words into the root (serialized at its
-    // single port), the selection route pays ~log2(n) rounds of two
-    // allreduces (~4 log2(p) serial message latencies each) plus the
-    // k-element gather. Pick the heap while its funnel is cheaper.
+    // substrate's own alpha-beta model over the terms in which the two
+    // routes differ (both pay the count allreduce above):
+    //  * heap: the root takes p-1 candidate messages of min(k, n/p) words;
+    //  * select: DistributedSelect's sweeps, each 2 ceil(log2 p) hops of
+    //    at most 24 words (8 candidate pairs beside 8 counts), then the
+    //    tie exscan's ceil(log2 p) rounds, about 2 alpha each, then
+    //    min(p-1, k) messages carrying the k winners. The sparse gather's
+    //    two termination barriers are left out: with them the price
+    //    would pick the heap at bench_query's k = 2,048 cell, where the
+    //    selection measures faster.
+    // A selection of rank k-1 of n starts 0.6 + 0.4 log2(n) + 0.3 log2(k)
+    // sweeps on average (fitted to n = 2^13..2^19, k = 1..2^11).
     const mpisim::CostModel& cost = mpisim::Ctx().runtime->options().cost;
     const double p = static_cast<double>(tr.Size());
-    const double logp = std::max(1.0, std::log2(p));
-    const double logn = std::max(1.0, std::log2(static_cast<double>(n_total)));
-    const double heap_cost =
-        p * (cost.alpha + static_cast<double>(k_eff) * cost.beta);
-    const double select_cost = 4.0 * logp * logn * cost.alpha +
-                               static_cast<double>(k_eff) * cost.beta;
+    const double hops = std::ceil(std::log2(p));
+    const double want = static_cast<double>(k_eff);
+    const double per_rank =
+        std::min(want, std::ceil(static_cast<double>(n_total) / p));
+    const double heap_cost = (p - 1.0) * (cost.alpha + per_rank * cost.beta);
+    const double sweeps =
+        0.6 + 0.4 * std::log2(static_cast<double>(n_total)) +
+        0.3 * std::log2(want);
+    const double select_cost =
+        sweeps * 2.0 * hops * (cost.alpha + 24.0 * cost.beta) +
+        2.0 * hops * cost.alpha +
+        std::min(p - 1.0, want) * cost.alpha + want * cost.beta;
     route = heap_cost <= select_cost ? TopKRoute::kLocalHeap
                                      : TopKRoute::kSelect;
   }
@@ -129,8 +179,8 @@ std::vector<double> DistributedTopK(Transport& tr,
                                     (static_cast<std::uint64_t>(tr.Rank()) +
                                      1)));
     mine.resize(m);
-    out = SparseGatherSorted(tr, std::move(mine), cfg.root, cfg.tag + 3,
-                             stats);
+    out = LinearGatherSorted(tr, std::move(mine), k_eff, cfg.root,
+                             cfg.tag + 3, stats);
   }
   if (tr.Rank() == cfg.root) {
     out.resize(static_cast<std::size_t>(k_eff));

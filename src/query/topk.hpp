@@ -9,17 +9,22 @@
 //    the root over the transport's *sparse* exchange -- most ranks of a
 //    skewed query contribute few or no items, so only non-empty
 //    contributions pay a message. Bytes on the wire: k elements plus the
-//    selection rounds' O(p log n) scalars -- strictly less than any full
-//    sort of the same input moves.
+//    selection sweeps' O(p log n) messages of at most 192 bytes (8
+//    pivot candidates each) -- less than a full sort of the same input
+//    moves from n/p = 256 on (bench_query's topk rows).
 //  * kLocalHeap -- the classic small-k fallback (cf. the mempool_dphpc
 //    heap/quickselect top-k baselines): every rank reduces its slice to
-//    its local k smallest (quickselect, expected O(n/p)), ships those
-//    candidates to the root in one sparse exchange, and the root merges.
-//    One round instead of O(log n), but p*k candidate elements move.
+//    its local k smallest (quickselect, expected O(n/p)), sends those
+//    candidates to the root as one message, empty or not, and the root
+//    receives them in rank order and merges. Since the root expects
+//    exactly p-1 messages, no termination round is needed, and the
+//    model time does not depend on arrival order. No selection sweeps,
+//    but up to p*min(k, n/p) candidate elements move.
 //
 //  * kAuto picks between them from globally shared quantities only:
-//    the candidate volume p*k is compared against the selection route's
-//    round overhead (see topk.cpp), so every rank picks the same route.
+//    the heap's candidate funnel is priced against the selection route's
+//    sweeps, tie exscan and k-element gather (see topk.cpp), so every
+//    rank picks the same route.
 #pragma once
 
 #include <cstdint>

@@ -512,18 +512,27 @@ std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
                                      const JQuickConfig& cfg,
                                      JQuickStats* stats) {
   if (world == nullptr) throw mpisim::UsageError("JQuickSort: null transport");
-  // Agree on the padded quota: the maximum local size over all ranks.
+  // One sweep agrees on the global count and, as a kMax rider, the padded
+  // quota: the maximum local size over all ranks.
   const std::int64_t mine = static_cast<std::int64_t>(local.size());
+  std::int64_t incl = 0;
+  std::int64_t n_total = 0;
   std::int64_t quota = 0;
-  Allreduce(*world, &mine, &quota, 1, Datatype::kInt64, ReduceOp::kMax,
-            /*tag=*/96);
+  mpisim::WaitUntil(
+      world->IscanWithTotal(&mine, &incl, &n_total, 1, Datatype::kInt64,
+                            ReduceOp::kSum, /*tag=*/96,
+                            ScanRider{&mine, &quota, 1, Datatype::kInt64,
+                                      ReduceOp::kMax}),
+      "JQuickSortPadded quota");
   local.resize(static_cast<std::size_t>(quota),
                std::numeric_limits<double>::infinity());
   std::vector<double> out = JQuickSort(world, std::move(local), cfg, stats);
-  while (!out.empty() &&
-         out.back() == std::numeric_limits<double>::infinity()) {
-    out.pop_back();
-  }
+  // Perfect balance: this rank holds global slots [rank * quota, (rank + 1)
+  // * quota), and the first n_total of them are the input, genuine +inf
+  // elements included; the padding is the rest.
+  const std::int64_t keep = std::clamp<std::int64_t>(
+      n_total - static_cast<std::int64_t>(world->Rank()) * quota, 0, quota);
+  out.resize(static_cast<std::size_t>(keep));
   return out;
 }
 

@@ -88,10 +88,11 @@ std::vector<double> JQuickSort(const std::shared_ptr<Transport>& world,
                                const JQuickConfig& cfg = {},
                                JQuickStats* stats = nullptr);
 
-/// Arbitrary-n front end: pads with +infinity sentinels to the next
-/// multiple of p, sorts, and strips the sentinels (they all land on the
-/// highest ranks). Per-rank input sizes may differ by any amount; the
-/// output holds between quota-<pad> and quota elements per rank.
+/// Arbitrary-n front end: pads every rank with +infinity sentinels to the
+/// largest local size (the quota), sorts, and drops the global slots past
+/// the input's count, which all land on the highest ranks. Genuine +inf
+/// inputs survive. Per-rank input sizes may differ by any amount; rank r
+/// returns clamp(n - r * quota, 0, quota) elements.
 std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
                                      std::vector<double> local,
                                      const JQuickConfig& cfg = {},

@@ -16,8 +16,8 @@
 namespace jsort {
 
 struct SampleSortConfig {
-  /// Oversampling factor: each rank contributes `oversample` samples per
-  /// splitter, improving balance.
+  /// Samples per rank: each rank draws `oversample` samples in total (not
+  /// per splitter), so the p-1 splitters come from p * oversample samples.
   int oversample = 8;
   /// Large-message segment limit of the bucket exchange (bytes; 0 =
   /// unsegmented): past it, each per-peer payload block is pipelined in

@@ -1,6 +1,7 @@
 // A Transport decorator that forwards every call to an inner transport and
 // decorates its Split children through Wrap. Tests derive from it to
-// observe single calls, or to leave one unforwarded.
+// observe single calls, or to leave one unforwarded; RecordingTransport
+// logs every collective start.
 #pragma once
 
 #include <memory>
@@ -83,6 +84,93 @@ class ForwardingTransport : public jsort::Transport {
 
  private:
   std::shared_ptr<jsort::Transport> inner_;
+};
+
+/// One collective start seen by a RecordingTransport.
+struct CollectiveCall {
+  enum Kind {
+    kIbcast,
+    kIscan,
+    kIreduce,
+    kIgather,
+    kIscanWithTotal,
+    kIalltoallv,
+    kIsparseAlltoallv,
+  };
+  Kind kind;
+  jsort::ScanRider rider{};  // IscanWithTotal's; empty for the others
+};
+
+/// Records, in order, every collective started on this transport (its
+/// Split children record their own).
+class RecordingTransport final : public ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  const std::vector<CollectiveCall>& calls() const { return calls_; }
+  int Count(CollectiveCall::Kind kind) const {
+    int n = 0;
+    for (const CollectiveCall& c : calls_) n += c.kind == kind ? 1 : 0;
+    return n;
+  }
+
+  jsort::Poll Ibcast(void* buf, int count, jsort::Datatype dt, int root,
+                     int tag) override {
+    calls_.push_back({CollectiveCall::kIbcast});
+    return ForwardingTransport::Ibcast(buf, count, dt, root, tag);
+  }
+  jsort::Poll Iscan(const void* send, void* recv, int count,
+                    jsort::Datatype dt, jsort::ReduceOp op,
+                    int tag) override {
+    calls_.push_back({CollectiveCall::kIscan});
+    return ForwardingTransport::Iscan(send, recv, count, dt, op, tag);
+  }
+  jsort::Poll Ireduce(const void* send, void* recv, int count,
+                      jsort::Datatype dt, jsort::ReduceOp op, int root,
+                      int tag) override {
+    calls_.push_back({CollectiveCall::kIreduce});
+    return ForwardingTransport::Ireduce(send, recv, count, dt, op, root, tag);
+  }
+  jsort::Poll Igather(const void* send, int count, jsort::Datatype dt,
+                      void* recv, int root, int tag) override {
+    calls_.push_back({CollectiveCall::kIgather});
+    return ForwardingTransport::Igather(send, count, dt, recv, root, tag);
+  }
+  jsort::Poll IscanWithTotal(const void* send, void* incl, void* total,
+                             int count, jsort::Datatype dt,
+                             jsort::ReduceOp op, int tag,
+                             const jsort::ScanRider& rider = {}) override {
+    calls_.push_back({CollectiveCall::kIscanWithTotal, rider});
+    return ForwardingTransport::IscanWithTotal(send, incl, total, count, dt,
+                                               op, tag, rider);
+  }
+  jsort::Poll Ialltoallv(const void* send, std::span<const int> sendcounts,
+                         std::span<const int> sdispls, jsort::Datatype dt,
+                         void* recv, std::span<const int> recvcounts,
+                         std::span<const int> rdispls, int tag,
+                         std::int64_t segment_bytes) override {
+    calls_.push_back({CollectiveCall::kIalltoallv});
+    return ForwardingTransport::Ialltoallv(send, sendcounts, sdispls, dt,
+                                           recv, recvcounts, rdispls, tag,
+                                           segment_bytes);
+  }
+  jsort::Poll IsparseAlltoallv(std::span<const jsort::SparseBlock> sends,
+                               jsort::Datatype dt,
+                               std::vector<jsort::SparseDelivery>* received,
+                               int tag, std::int64_t segment_bytes) override {
+    calls_.push_back({CollectiveCall::kIsparseAlltoallv});
+    return ForwardingTransport::IsparseAlltoallv(sends, dt, received, tag,
+                                                 segment_bytes);
+  }
+
+ protected:
+  std::shared_ptr<jsort::Transport> Wrap(
+      std::shared_ptr<jsort::Transport> child) override {
+    return std::make_shared<RecordingTransport>(std::move(child));
+  }
+
+ private:
+  std::vector<CollectiveCall> calls_;
 };
 
 }  // namespace testutil

@@ -1,8 +1,12 @@
 // JQuickSortPadded: the arbitrary-n front end, swept over irregular
-// distributions (the paper assumes n = p * (n/p); padding generalizes it).
+// distributions (the paper assumes n = p * (n/p); padding generalizes it),
+// and genuine +inf inputs, which equal the padding, on every backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "sort/checks.hpp"
 #include "sort/jquick.hpp"
@@ -90,6 +94,51 @@ TEST(Padded, InfinityInputsSurviveSentinelStripping) {
     EXPECT_EQ(before, jsort::GlobalFingerprint(out, rw));
     EXPECT_TRUE(jsort::IsGloballySorted(out, rw));
   });
+}
+
+class PaddedInfinity : public ::testing::TestWithParam<jsort::Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, PaddedInfinity,
+                         ::testing::Values(jsort::Backend::kRbc,
+                                           jsort::Backend::kMpi,
+                                           jsort::Backend::kIcomm));
+
+TEST_P(PaddedInfinity, GenuineInfinitiesSurvive) {
+  constexpr int kRanks = 4;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Each case: every rank's input.
+  const std::vector<std::vector<std::vector<double>>> cases = {
+      {{1.0, kInf}, {2.0}, {3.0}, {4.0}},       // one +inf among finites
+      {{}, {}, {}, {}},                         // all empty
+      {{0.5}, {kInf, kInf, kInf}, {}, {-1.0, 7.0}},  // a slice of +inf
+  };
+  for (const auto& inputs : cases) {
+    std::vector<double> expect;
+    std::size_t quota = 0;
+    for (const auto& in : inputs) {
+      expect.insert(expect.end(), in.begin(), in.end());
+      quota = std::max(quota, in.size());
+    }
+    std::sort(expect.begin(), expect.end());
+    testutil::PerRank<std::vector<double>> outs(kRanks);
+    RunRanks(kRanks, [&](mpisim::Comm& world) {
+      auto tr = jsort::MakeTransport(GetParam(), world);
+      outs.Set(world.Rank(), jsort::JQuickSortPadded(
+                                 tr, inputs[static_cast<std::size_t>(
+                                         world.Rank())]));
+    });
+    std::vector<double> got;
+    for (int r = 0; r < kRanks; ++r) {
+      // Perfect balance: rank r keeps global slots [r * quota, (r + 1) *
+      // quota) of the input's count.
+      const std::size_t first = static_cast<std::size_t>(r) * quota;
+      const std::size_t keep =
+          expect.size() > first ? std::min(quota, expect.size() - first) : 0;
+      EXPECT_EQ(outs[r].size(), keep) << "rank " << r;
+      got.insert(got.end(), outs[r].begin(), outs[r].end());
+    }
+    EXPECT_EQ(got, expect) << jsort::BackendName(GetParam());
+  }
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 // summary is byte-identical to the sequential oracle over the
 // concatenated input (boundaries, counts, total), every query answer
 // honors its own declared rank-error bound, and the bound tightens with
-// refinement passes.
+// refinement passes. The build's collectives: the count and the range in
+// one sweep, one reduction per pass, and clocks and counters that repeat
+// run to run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "forwarding_transport.hpp"
 #include "query/quantile.hpp"
 #include "sort/checks.hpp"
 #include "sort/workload.hpp"
@@ -21,7 +24,9 @@ using jsort::InputKind;
 using jsort::query::BuildQuantileSummary;
 using jsort::query::BuildQuantileSummaryLocal;
 using jsort::query::QuantileConfig;
+using jsort::query::QuantileStats;
 using jsort::query::QuantileSummary;
+using testutil::CollectiveCall;
 using testutil::PerRank;
 using testutil::RunRanks;
 
@@ -178,6 +183,71 @@ TEST(QueryQuantile, DegenerateInputs) {
                                : 0);
   });
   for (int r = 0; r < kRanks; ++r) EXPECT_EQ(same[r], 1);
+}
+
+TEST(QueryQuantile, CountAndRangeShareOneSweep) {
+  constexpr int kRanks = 5;
+  constexpr std::int64_t kPerRank = 60;
+  const std::vector<double> all =
+      Concat(InputKind::kZipf, kRanks, kPerRank, 0x0Bu);
+  for (const Backend backend :
+       {Backend::kRbc, Backend::kMpi, Backend::kIcomm}) {
+    for (const int refinements : {0, 1, 3}) {
+      QuantileConfig cfg;
+      cfg.bins = 16;
+      cfg.refinements = refinements;
+      const QuantileSummary expect = BuildQuantileSummaryLocal(all, cfg);
+      PerRank<int> checked(kRanks);
+      RunRanks(kRanks, [&](mpisim::Comm& world) {
+        testutil::RecordingTransport tr(jsort::MakeTransport(backend, world));
+        const auto local = jsort::GenerateInput(
+            InputKind::kZipf, world.Rank(), kRanks, kPerRank, 0x0Bu);
+        QuantileStats st;
+        const QuantileSummary s = BuildQuantileSummary(tr, local, cfg, &st);
+        // 1 + (refinements + 1) collectives: the sweep, whose rider is
+        // {min, -max}, then one Ireduce + Ibcast allreduce per pass.
+        const int passes = refinements + 1;
+        EXPECT_EQ(st.reductions, 1 + passes);
+        const std::vector<CollectiveCall>& calls = tr.calls();
+        ASSERT_EQ(static_cast<int>(calls.size()), 1 + 2 * passes);
+        EXPECT_EQ(calls[0].kind, CollectiveCall::kIscanWithTotal);
+        EXPECT_EQ(calls[0].rider.count, 2);
+        EXPECT_EQ(calls[0].rider.dt, jsort::Datatype::kFloat64);
+        EXPECT_EQ(calls[0].rider.op, jsort::ReduceOp::kMin);
+        EXPECT_EQ(tr.Count(CollectiveCall::kIscanWithTotal), 1);
+        EXPECT_EQ(tr.Count(CollectiveCall::kIreduce), passes);
+        EXPECT_EQ(tr.Count(CollectiveCall::kIbcast), passes);
+        EXPECT_EQ(s.boundaries(), expect.boundaries());
+        EXPECT_EQ(s.counts(), expect.counts());
+        EXPECT_EQ(s.total(), expect.total());
+        checked.Set(world.Rank(), 1);
+      });
+      for (int r = 0; r < kRanks; ++r) {
+        EXPECT_EQ(checked[r], 1) << jsort::BackendName(backend)
+                                 << " refinements=" << refinements;
+      }
+    }
+  }
+}
+
+TEST(QueryQuantile, ClocksAndStatsRepeatOverFreshRuntimes) {
+  for (const auto& [name, opts] : testutil::SmallMachines()) {
+    const int p = opts.num_ranks;
+    auto run = [&, &opts = opts] {
+      return testutil::EndFootprints(opts, [&](mpisim::Comm& world) {
+        auto tr = jsort::MakeTransport(Backend::kRbc, world);
+        const auto local = jsort::GenerateInput(
+            InputKind::kGaussian, world.Rank(), p, 80, 0x7E7u);
+        const std::vector<std::int64_t> counts =
+            BuildQuantileSummary(*tr, local).counts();
+        return std::vector<double>(counts.begin(), counts.end());
+      });
+    };
+    const auto first = run();
+    for (int again = 0; again < 2; ++again) {
+      EXPECT_EQ(run(), first) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // DistributedTopK on all three split backends and both routes: the
 // result is exactly the k globally smallest elements sorted ascending on
 // the root, ties are apportioned to exactly k, k >= n_total degrades to
-// "everything", and both routes agree element for element.
+// "everything", and both routes agree element for element. kAuto keeps
+// the route that measures faster on the service's and bench_query's
+// shapes. The heap route gathers one message per member in rank order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 
 #include "query/topk.hpp"
 #include "sort/checks.hpp"
+#include "forwarding_transport.hpp"
 #include "sort/workload.hpp"
 #include "testutil.hpp"
 
@@ -22,7 +25,9 @@ using jsort::query::DistributedTopK;
 using jsort::query::TopKConfig;
 using jsort::query::TopKRoute;
 using jsort::query::TopKStats;
+using testutil::CollectiveCall;
 using testutil::PerRank;
+using testutil::RecordingTransport;
 using testutil::RunRanks;
 
 std::vector<double> Concat(InputKind kind, int p, std::int64_t per_rank,
@@ -176,6 +181,117 @@ TEST(QueryTopK, VerifierRejectsTamperedResults) {
     verdicts.Set(world.Rank(), ok);
   });
   for (int r = 0; r < kRanks; ++r) EXPECT_EQ(verdicts[r], 3);
+}
+
+/// The route kAuto takes on p ranks of n/p uniform elements, the same on
+/// every rank.
+TopKRoute AutoRoute(int p, std::int64_t per_rank, std::int64_t k) {
+  PerRank<TopKRoute> taken(p);
+  RunRanks(p, [&](mpisim::Comm& world) {
+    auto tr = jsort::MakeTransport(Backend::kRbc, world);
+    const auto local = jsort::GenerateInput(InputKind::kUniform,
+                                            world.Rank(), p, per_rank, 0xA70u);
+    TopKStats stats;
+    DistributedTopK(*tr, local, k, {}, &stats);
+    taken.Set(world.Rank(), stats.route_taken);
+  });
+  for (int r = 1; r < p; ++r) EXPECT_EQ(taken[r], taken[0]);
+  return taken[0];
+}
+
+TEST(QueryTopK, AutoRouteKeepsTheFasterRoute) {
+  // The service's top-k jobs: widths 2-8, n = 128-2048, any k.
+  for (const int p : {2, 4, 8}) {
+    for (const std::int64_t n : {std::int64_t{128}, std::int64_t{2048}}) {
+      for (const std::int64_t k : {std::int64_t{1}, n / 2, n}) {
+        EXPECT_EQ(AutoRoute(p, n / p, k), TopKRoute::kLocalHeap)
+            << "p=" << p << " n=" << n << " k=" << k;
+      }
+    }
+  }
+  // bench_query's topk rows (p = 32, n/p = 4,096): the heap measured
+  // 420/569 model-us against select's 1,209-1,439/1,509-1,822 at
+  // k = 16/256, and 1,680 against 1,335-1,750 at k = 2,048 (bench seed
+  // and two more: select is faster at two of the three, by 6% on
+  // average).
+  EXPECT_EQ(AutoRoute(32, 4096, 16), TopKRoute::kLocalHeap);
+  EXPECT_EQ(AutoRoute(32, 4096, 256), TopKRoute::kLocalHeap);
+  EXPECT_EQ(AutoRoute(32, 4096, 2048), TopKRoute::kSelect);
+}
+
+TEST(QueryTopK, HeapRouteGathersOneMessagePerRankInRankOrder) {
+  // Beside the count's two collectives, the heap route sends one message
+  // from every member to the root, and the root takes them in rank
+  // order: no sparse exchange, and end clocks and traffic that repeat
+  // over fresh runtimes.
+  constexpr std::int64_t kPerRank = 40;
+  constexpr std::int64_t k = 25;
+  const std::vector<double> count_only = {
+      static_cast<double>(CollectiveCall::kIreduce),
+      static_cast<double>(CollectiveCall::kIbcast)};
+  for (const Backend backend :
+       {Backend::kRbc, Backend::kMpi, Backend::kIcomm}) {
+    for (const auto& [name, opts] : testutil::SmallMachines()) {
+      const int p = opts.num_ranks;
+      const std::string label =
+          std::string(jsort::BackendName(backend)) + " " + name;
+      auto run = [&, &opts = opts] {
+        return testutil::EndFootprints(opts, [&](mpisim::Comm& world) {
+          RecordingTransport tr(jsort::MakeTransport(backend, world));
+          const auto local = jsort::GenerateInput(
+              InputKind::kZipf, world.Rank(), p, kPerRank, 0x4EAu);
+          const std::uint64_t sent0 = mpisim::Ctx().stats.messages_sent;
+          TopKConfig cfg;
+          cfg.route = TopKRoute::kLocalHeap;
+          TopKStats st;
+          std::vector<double> out = DistributedTopK(tr, local, k, cfg, &st);
+          std::vector<double> kinds;
+          for (const CollectiveCall& c : tr.calls()) {
+            kinds.push_back(static_cast<double>(c.kind));
+          }
+          EXPECT_EQ(kinds, count_only) << label;
+          EXPECT_EQ(st.candidates_sent, world.Rank() == 0 ? 0 : k) << label;
+          out.push_back(static_cast<double>(
+              mpisim::Ctx().stats.messages_sent - sent0));
+          return out;
+        });
+      };
+      const auto first = run();
+      // The root's result, after EndFootprints' clock and six traffic
+      // counters, is the k smallest of the concatenated input.
+      constexpr std::ptrdiff_t kFootprint = 7;
+      std::vector<double> all = Concat(InputKind::kZipf, p, kPerRank, 0x4EAu);
+      std::sort(all.begin(), all.end());
+      std::vector<double> expect(all.begin(), all.begin() + k);
+      expect.insert(expect.begin(), first[0].begin(),
+                    first[0].begin() + kFootprint);
+      expect.push_back(first[0].back());
+      EXPECT_EQ(first[0], expect) << label;
+      // The count sends 2(p-1) messages and the gather p-1.
+      double messages = 0;
+      for (const auto& rank : first) messages += rank.back();
+      EXPECT_EQ(messages, 3.0 * (p - 1)) << label;
+      for (int again = 0; again < 2; ++again) {
+        EXPECT_EQ(run(), first) << label;
+      }
+    }
+    // Ranks with fewer candidates than k, and none at all, still send
+    // their one message: rank r holds r elements.
+    constexpr int kRanks = 5;
+    PerRank<std::vector<double>> results(kRanks);
+    RunRanks(kRanks, [&](mpisim::Comm& world) {
+      auto tr = jsort::MakeTransport(backend, world);
+      std::vector<double> local;
+      for (int i = 0; i < world.Rank(); ++i) {
+        local.push_back(10.0 * world.Rank() - i);
+      }
+      TopKConfig cfg;
+      cfg.route = TopKRoute::kLocalHeap;
+      results.Set(world.Rank(), DistributedTopK(*tr, local, 3, cfg));
+    });
+    EXPECT_EQ(results[0], (std::vector<double>{10.0, 19.0, 20.0}))
+        << jsort::BackendName(backend);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mpisim/mpisim.hpp"
@@ -33,6 +35,46 @@ inline void RunRbc(int p, const std::function<void(rbc::Comm&)>& fn) {
     rbc::Create_RBC_Comm(world, &rw);
     fn(rw);
   });
+}
+
+/// Flat 8, flat 64, and eight nodes of eight ranks with the network's
+/// alpha 25x and beta 4x shared memory's (bench_topo's two-level model).
+inline std::vector<std::pair<std::string, mpisim::Runtime::Options>>
+SmallMachines() {
+  mpisim::Runtime::Options two_level;
+  two_level.topology = topo::Topology::OfNodeSizes({8, 8, 8, 8, 8, 8, 8, 8});
+  two_level.num_ranks = two_level.topology.TotalRanks();
+  two_level.cost.inter_alpha = 25.0 * two_level.cost.alpha;
+  two_level.cost.inter_beta = 4.0 * two_level.cost.beta;
+  return {{"flat8", {.num_ranks = 8}},
+          {"flat64", {.num_ranks = 64}},
+          {"8x8", two_level}};
+}
+
+/// Runs `fn(world)` on every rank of a fresh runtime and returns, per
+/// rank, its end clock and traffic counters followed by what `fn`
+/// returned -- to compare runs.
+inline std::vector<std::vector<double>> EndFootprints(
+    const mpisim::Runtime::Options& opts,
+    const std::function<std::vector<double>(mpisim::Comm&)>& fn) {
+  std::vector<std::vector<double>> out(
+      static_cast<std::size_t>(opts.num_ranks));
+  mpisim::Runtime rt(opts);
+  rt.Run([&](mpisim::Comm& world) {
+    const std::vector<double> extra = fn(world);
+    const mpisim::RankContext& rc = mpisim::Ctx();
+    const mpisim::Stats& s = rc.stats;
+    std::vector<double>& mine = out[static_cast<std::size_t>(world.Rank())];
+    mine = {rc.clock.Now(),
+            static_cast<double>(s.messages_sent),
+            static_cast<double>(s.bytes_sent),
+            static_cast<double>(s.messages_received),
+            static_cast<double>(s.bytes_received),
+            static_cast<double>(s.inter_messages_sent),
+            static_cast<double>(s.inter_bytes_sent)};
+    mine.insert(mine.end(), extra.begin(), extra.end());
+  });
+  return out;
 }
 
 /// Per-destination buckets in the bucket-major flat layout
