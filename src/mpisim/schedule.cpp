@@ -9,22 +9,87 @@
 
 namespace mpisim::detail {
 
-Tree BinomialTreeOf(int rank, int p, int root) {
+namespace {
+
+/// Offset `rel` of the binomial tree over offsets 0..n-1 rooted at 0, in
+/// offsets, without the root's order. Its pre-order is offset order, so
+/// child i's subtree is the run of offsets from child_offsets[i] on.
+Tree BinomialLinks(int rel, int n) {
   Tree t;
-  const int relrank = (rank - root + p) % p;
-  if (relrank != 0) {
-    const int lowbit = relrank & (-relrank);
-    t.parent = ((relrank ^ lowbit) + root) % p;
-  }
-  const int limit = relrank == 0 ? p : (relrank & (-relrank));
-  for (int m = 1; m < limit && relrank + m < p; m <<= 1) {
-    const int rel_child = relrank + m;
-    t.children.push_back((rel_child + root) % p);
-    t.child_extents.push_back(std::min(m, p - rel_child));
+  if (rel != 0) t.parent = rel ^ (rel & (-rel));
+  const int limit = rel == 0 ? n : (rel & (-rel));
+  for (int m = 1; m < limit && rel + m < n; m <<= 1) {
+    t.children.push_back(rel + m);
+    t.child_extents.push_back(std::min(m, n - rel - m));
     t.child_offsets.push_back(m);
   }
-  if (relrank == 0) {
-    for (int pos = 0; pos < p; ++pos) t.order.push_back((pos + root) % p);
+  return t;
+}
+
+}  // namespace
+
+Tree BinomialTreeOf(int rank, int p, int root) {
+  const auto at = [&](int rel) { return (rel + root) % p; };
+  Tree t = BinomialLinks((rank - root + p) % p, p);
+  if (t.parent >= 0) {
+    t.parent = at(t.parent);
+  } else {
+    for (int pos = 0; pos < p; ++pos) t.order.push_back(at(pos));
+  }
+  for (int& c : t.children) c = at(c);
+  return t;
+}
+
+Tree InOrderBinomialTreeOf(int rank, int p) {
+  // The root follows the runs of its odd (left) children.
+  int root = 0;
+  for (int m = 2; m < p; m <<= 2) root += std::min(m, p - m);
+  Tree t;
+  int right = root + 1;  // first rank of the next run right of the root
+  int left = root;       // one past the last rank of the next left run
+  for (int j = 0, m = 1; m < p; ++j, m <<= 1) {
+    const int e = std::min(m, p - m);
+    const bool on_right = j % 2 == 0;
+    // Child j's run is [first, first + e), rooted at `head`.
+    const int first = on_right ? right : left - e;
+    const int head = on_right ? first : first + e - 1;
+    if (on_right) {
+      right += e;
+    } else {
+      left -= e;
+    }
+    if (rank == root) {
+      t.children.push_back(head);
+      t.child_extents.push_back(e);
+      t.child_offsets.push_back(first);
+      continue;
+    }
+    if (rank < first || rank >= first + e) continue;
+    // Inside its run: the binomial tree on offsets from the head, mirrored
+    // left of the root.
+    const int dir = on_right ? 1 : -1;
+    const Tree in = BinomialLinks(dir * (rank - head), e);
+    t.parent = in.parent < 0 ? root : head + dir * in.parent;
+    const int lo = on_right ? rank : rank - in.Extent() + 1;  // own run
+    for (std::size_t i = 0; i < in.children.size(); ++i) {
+      const int c = head + dir * in.children[i];
+      const int ce = in.child_extents[i];
+      t.children.push_back(c);
+      t.child_extents.push_back(ce);
+      t.child_offsets.push_back((on_right ? c : c - ce + 1) - lo);
+    }
+    break;
+  }
+  // By increasing extent: all but the last child have extents 1, 2, 4, ...,
+  // so only the last moves, to follow the children of its extent.
+  const std::vector<int>& ext = t.child_extents;
+  if (ext.size() > 1) {
+    const auto at =
+        std::upper_bound(ext.begin(), ext.end() - 1, ext.back()) - ext.begin();
+    for (std::vector<int>* v :
+         {&t.children, &t.child_extents, &t.child_offsets}) {
+      std::rotate(v->begin() + at, v->end() - 1, v->end());
+    }
   }
   return t;
 }

@@ -31,7 +31,8 @@ namespace mpisim::detail {
 
 /// One rank's tree in one tree collective. A rank's gather buffer holds
 /// its own block, then each child's subtree in list order; the root's is
-/// the whole tree in pre-order.
+/// the whole tree in pre-order. (The in-order tree's buffer is its run in
+/// rank order instead, and it has no `order`.)
 struct Tree {
   int parent = -1;                 // group rank of the parent, -1 at root
   std::vector<int> children;       // group ranks, in list order
@@ -51,6 +52,19 @@ struct Tree {
 /// increasing mask order, the i-th at buffer offset 1 << i; at the root,
 /// `order` is the rotation by `root`.
 Tree BinomialTreeOf(int rank, int p, int root);
+
+/// The binomial tree over p ranks laid out in order, for scans: the
+/// root's child j has extent min(2^j, p - 2^j), as in BinomialTreeOf, but
+/// every subtree is a run of ranks. The root's child j lies right of the
+/// root for even j and left of it for odd j, runs stacked outward; a run
+/// right of the root is BinomialTreeOf on offsets from its first rank, one
+/// left of it the mirror image from its last. So the root sits inside the
+/// range, and ranks 0 and p - 1 are leaves for every p >= 3. Children are
+/// listed in increasing extent (ties in mask order), so a schedule that
+/// sends back to front serves the largest subtree first; a child's offset
+/// is the start of its run within this rank's run. O(log p) arithmetic
+/// per rank.
+Tree InOrderBinomialTreeOf(int rank, int p);
 
 /// Point-to-point operations of one group, addressed by group rank. Only
 /// the sparse exchange probes kAnySource; the status then names a group

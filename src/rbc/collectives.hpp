@@ -20,19 +20,27 @@
 // in series. Children are received one at a time in list order, so model
 // time never depends on which message a thread found first. Alltoall(v)
 // run the core's pairwise schedule. BcastLarge and IscanWithTotal have no
-// substrate twin and keep their own state machines on the binomial tree
-// (BcastLarge's ring phase indexes segments by relative rank).
+// substrate twin and keep their own state machines: BcastLarge on the
+// binomial tree (its ring phase indexes segments by relative rank),
+// IscanWithTotal on the in-order binomial tree below.
 //
 // IscanWithTotal returns the inclusive prefix and the total together from
-// one up-sweep/down-sweep: each rank folds its children's subtree sums one
-// at a time, in list order, and sends the result to its parent; then each
-// rank sends every child, back to front, [prefix before that child's run,
+// one up-sweep/down-sweep: each rank takes its children's subtree sums one
+// at a time, in increasing extent, folds them with its own value in rank
+// order and sends the result to its parent; then each rank sends every
+// child, the largest subtree first, [prefix before that child's run,
 // total]. That is 2(p-1) messages over 2 ceil(log2 p) hops on every cost
 // model, against Iscan's distance-doubling rounds plus a broadcast of the
-// last rank's prefix. Like BcastLarge it keeps the binomial tree, rooted
-// at rank 0, rather than TreeFor's: that tree's pre-order is rank order,
-// so every subtree is a contiguous run of ranks and a prefix is a fold of
-// whole subtree sums. A node-spread tree's subtrees are not runs of ranks.
+// last rank's prefix. Its tree is mpisim::detail::InOrderBinomialTreeOf,
+// not TreeFor's: the binomial shape with every subtree a run of ranks, so
+// a prefix is a fold of whole subtree sums (a node-spread tree's subtrees
+// are not runs). Its root sits inside the range, with subtrees on both
+// sides, and ranks 0 and p-1 are leaves: JQuick's janus processes sit at
+// the ends of two tasks' ranges, and as leaves they send one message up
+// and receive one down per sweep and forward nothing, where a root at
+// rank 0 would take and send ceil(log2 p) messages while also serving its
+// other task. On a flat cost model the tree, a relabelling of the
+// binomial tree rooted at rank 0, ends exactly when that tree would.
 // An optional rider (ScanRider) travels in the same messages: a second
 // block with its own count, datatype and operator, folded beside the scan
 // block on the way up and returned as a total alone (allreduce semantics,
@@ -215,9 +223,12 @@ struct ScanRider {
 
 /// Inclusive prefix reduction that also returns the total: `inclbuf`
 /// receives the fold over ranks 0..Rank(), `totalbuf` the fold over the
-/// whole range, on every rank. One up-sweep/down-sweep over the binomial
-/// tree rooted at rank 0 (see the top of this file): 2(p-1) messages, with
-/// or without a rider, each carrying the rider's block beside the scan's.
+/// whole range, on every rank. One up-sweep/down-sweep over the in-order
+/// binomial tree (see the top of this file): 2(p-1) messages, with or
+/// without a rider, each carrying the rider's block beside the scan's.
+/// Every subtree is a run of ranks, folded in rank order, so the lower
+/// rank's operand is always the left one; ranks 0 and p-1 are leaves for
+/// p >= 3, each sending and receiving one message.
 /// `sendbuf` may alias `inclbuf`; `totalbuf` must alias neither, nor the
 /// rider's buffers. All members must pass riders of one count and
 /// datatype. Nonblocking only.

@@ -11,18 +11,23 @@
 // collective (Transport::IscanWithTotal) that returns the prefix sums and
 // totals of the (small, large) counts and, riding beside them, the
 // children's pivots, then greedy capacity-filling data assignment, a
-// nonblocking data exchange and the split. A child's elements are its
-// parent's small (or large) sides, so k weighted-reservoir candidates per
-// side (sampling.hpp's u^(1/m) keys; k = SampleParams::TotalSamples of
-// the parent, 1 under kRandomElement) fold with kMaxPairFirst in the
-// sweep, and every rank takes the median of each side's k winners as that
-// child's pivot. The root task, which has no parent, draws k candidates
-// from its data and sweeps them alone (zero scan elements) before its
-// first partition. A degenerate split retries its partition and sweep
-// once, with fresh candidates. Tasks covering <= 2
-// processes become base cases, deferred to a second phase so a janus never
-// delays a larger subtask (Section VII); the two-process base case
-// exchanges data and quickselects each partner's share.
+// nonblocking data exchange and the split. The sweep runs over the
+// in-order binomial tree, whose end ranks are leaves, so a janus -- the
+// last rank of one task and the first of the next -- sends one message up
+// and receives one down in each of its two sweeps and forwards nothing;
+// the rank doing two tasks' work is never the one the other ranks' sums
+// pass through. A child's elements are its parent's small (or large)
+// sides, so k weighted-reservoir candidates per side (sampling.hpp's
+// u^(1/m) keys; k = SampleParams::TotalSamples of the parent, 1 under
+// kRandomElement) fold with kMaxPairFirst in the sweep, and every rank
+// takes the median of each side's k winners as that child's pivot. The
+// root task, which has no parent, draws k candidates from its data and
+// sweeps them alone (zero scan elements) before its first partition. A
+// degenerate split retries its partition and sweep once, with fresh
+// candidates. Tasks covering <= 2 processes become base cases, deferred
+// to a second phase so a janus never delays a larger subtask (Section
+// VII); the two-process base case exchanges data and quickselects each
+// partner's share.
 #pragma once
 
 #include <cstdint>

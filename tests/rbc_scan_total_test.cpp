@@ -1,6 +1,11 @@
 // rbc::IscanWithTotal: the inclusive prefix and the total from one
-// up-sweep/down-sweep over the binomial tree rooted at rank 0.
+// up-sweep/down-sweep over the in-order binomial tree, whose subtrees are
+// runs of ranks and whose end ranks are leaves.
 //
+//  * Tree: for p = 1..300 the in-order tree has the binomial tree's shape
+//    (children by increasing extent), every subtree is a run that starts
+//    at its child offset, and for p >= 3 the root lies inside the range
+//    and ranks 0 and p-1 are leaves.
 //  * Values: every rank's prefix and total equal a sequential left fold,
 //    for int64 sums, maxima and minima and integer-valued float64 sums, on
 //    flat machines of 1..17, 33 and 64 ranks, on 8 nodes of 8 and on
@@ -8,11 +13,14 @@
 //    buffer aliasing the prefix buffer.
 //  * Tags: back-to-back calls on one tag, and two overlapping ranges that
 //    share one rank (JQuick's janus process) in flight at once on
-//    distinct tags.
-//  * Traffic and time: exactly 2(p-1) messages; every rank's end clock
-//    and counters repeat bit for bit across fresh runtimes and agree
-//    across the rbc, mpi and icomm transports; the collective ends before
-//    an Iscan followed by an Ibcast of the last rank's prefix.
+//    distinct tags, where the shared rank sends one message per range.
+//  * Traffic and time: exactly 2(p-1) messages, of which ranks 0 and p-1
+//    send and receive one each for p >= 3; on flat machines of 1..130
+//    ranks the end clock is the binomial sweep's, ceil(log2 p) times one
+//    up and one down message; every rank's end clock and counters repeat
+//    bit for bit across fresh runtimes and agree across the rbc, mpi and
+//    icomm transports; the collective ends before an Iscan followed by an
+//    Ibcast of the last rank's prefix.
 //  * Riders: a kMaxPairFirst pair rider and an int64 sum rider return the
 //    sequential fold on every rank, beside scans of 0 and 3 elements; a
 //    rider adds 2(p-1) times its bytes and no message; clocks and counters
@@ -23,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -32,6 +41,7 @@
 
 #include "forwarding_transport.hpp"
 #include "mpisim/mpisim.hpp"
+#include "mpisim/schedule.hpp"
 #include "rbc/rbc.hpp"
 #include "sort/transport.hpp"
 #include "testutil.hpp"
@@ -288,7 +298,9 @@ TEST(ScanWithTotal, BackToBackCallsOnOneTag) {
 TEST(ScanWithTotal, OverlappingRangesShareARankOnDistinctTags) {
   // Ranges [0, s] and [s, 8] of a 9-rank world: rank s, like a janus
   // process, runs both collectives at once -- as the last rank of one
-  // range and the root of the other.
+  // range and the first of the other. An end rank is a leaf of a sweep
+  // over three or more ranks, and the root of a two-rank range has one
+  // child, so s sends and receives one message per range.
   constexpr int kP = 9;
   for (const int s : {1, 4, 7}) {
     testutil::RunRanks(Flat(kP), [&](mpisim::Comm& world, mpisim::Runtime&) {
@@ -325,6 +337,12 @@ TEST(ScanWithTotal, OverlappingRangesShareARankOnDistinctTags) {
       if (me >= s) {
         EXPECT_EQ(out[1][0], sum(s + 1, me + 1)) << where;
         EXPECT_EQ(out[1][1], sum(s + 1, kP)) << where;
+      }
+      if (me == s) {
+        // Splits are free, so these are the two sweeps' messages; each
+        // range of two or more ranks takes at least one of each.
+        EXPECT_EQ(mpisim::Ctx().stats.messages_sent, 2u) << where;
+        EXPECT_EQ(mpisim::Ctx().stats.messages_received, 2u) << where;
       }
     });
   }
@@ -459,6 +477,113 @@ TEST(ScanWithTotal, TransportsShareOneSchedule) {
               << fp[r].clock << " vs rbc " << rbc_fp[r].clock;
         }
       }
+    }
+  }
+}
+
+TEST(ScanWithTotal, TheTreeIsTheBinomialTreeLaidOutInRuns) {
+  using mpisim::detail::Tree;
+  for (int p = 1; p <= 300; ++p) {
+    std::vector<Tree> in, bin;
+    for (int r = 0; r < p; ++r) {
+      in.push_back(mpisim::detail::InOrderBinomialTreeOf(r, p));
+      bin.push_back(mpisim::detail::BinomialTreeOf(r, p, 0));
+    }
+    const std::string at = "p " + std::to_string(p);
+    // Walks in-order rank x beside binomial rank y, whose children are
+    // taken by increasing extent (ties in mask order): the shapes must
+    // match, every subtree must be a run with its start at the child's
+    // offset, and the run [lo, hi] is returned.
+    std::function<std::pair<int, int>(int, int)> walk = [&](int x, int y) {
+      const Tree& t = in[static_cast<std::size_t>(x)];
+      const Tree& b = bin[static_cast<std::size_t>(y)];
+      std::vector<std::size_t> by(b.children.size());
+      for (std::size_t i = 0; i < by.size(); ++i) by[i] = i;
+      std::stable_sort(by.begin(), by.end(), [&](std::size_t i, std::size_t j) {
+        return b.child_extents[i] < b.child_extents[j];
+      });
+      std::vector<std::pair<int, int>> runs = {{x, x}};
+      EXPECT_EQ(t.children.size(), by.size()) << at << " rank " << x;
+      for (std::size_t i = 0; i < std::min(t.children.size(), by.size());
+           ++i) {
+        const int c = t.children[i];
+        EXPECT_EQ(in[static_cast<std::size_t>(c)].parent, x) << at;
+        EXPECT_EQ(t.child_extents[i], b.child_extents[by[i]]) << at;
+        runs.push_back(walk(c, b.children[by[i]]));
+        EXPECT_EQ(runs.back().second - runs.back().first + 1,
+                  t.child_extents[i])
+            << at << " rank " << x << " child " << c;
+      }
+      std::sort(runs.begin(), runs.end());
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].first, runs[i - 1].second + 1)
+            << at << ": the subtree of rank " << x << " is not a run";
+      }
+      const int lo = runs.front().first;
+      for (std::size_t i = 0; i < t.children.size(); ++i) {
+        const int c = t.children[i];
+        const int c_lo = c > x ? c : c - t.child_extents[i] + 1;
+        EXPECT_EQ(t.child_offsets[i], c_lo - lo) << at << " rank " << x;
+      }
+      return std::pair{lo, runs.back().second};
+    };
+    const auto root = std::find_if(in.begin(), in.end(),
+                                   [](const Tree& t) { return t.parent < 0; });
+    ASSERT_NE(root, in.end()) << at;
+    const int r = static_cast<int>(root - in.begin());
+    EXPECT_EQ(walk(r, 0), (std::pair{0, p - 1})) << at;
+    if (p >= 3) {
+      EXPECT_NE(r, 0) << at;
+      EXPECT_NE(r, p - 1) << at;
+      EXPECT_TRUE(in.front().children.empty()) << at;
+      EXPECT_TRUE(in.back().children.empty()) << at;
+    }
+  }
+}
+
+TEST(ScanWithTotal, EndRanksAreLeaves) {
+  std::vector<Machine> ms;
+  for (int p = 3; p <= 17; ++p) ms.push_back(FlatMachine(p));
+  ms.insert(ms.end(),
+            {FlatMachine(33), FlatMachine(64), EightByEight(), Ragged()});
+  for (const bool rider : {false, true}) {
+    for (const Machine& mc : ms) {
+      const auto fp = FootprintsOf(mc.opts, jsort::Backend::kRbc, rider);
+      const int p = static_cast<int>(fp.size());
+      std::uint64_t sent = 0;
+      for (const Footprint& f : fp) sent += f.stats.messages_sent;
+      EXPECT_EQ(sent, 2u * static_cast<std::uint64_t>(p - 1)) << mc.name;
+      for (const int r : {0, p - 1}) {
+        // A leaf: its subtree sum up, its prefix and totals down.
+        EXPECT_EQ(fp[static_cast<std::size_t>(r)].stats.messages_sent, 1u)
+            << mc.name << (rider ? " rider" : "") << " rank " << r;
+        EXPECT_EQ(fp[static_cast<std::size_t>(r)].stats.messages_received,
+                  1u)
+            << mc.name << (rider ? " rider" : "") << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(ScanWithTotal, EndClockMatchesTheBinomial) {
+  // The in-order tree is the binomial tree rooted at rank 0 relabelled:
+  // the root takes its ceil(log2 p) children's subtree sums one after
+  // another, then the down sweep's longest chain is as many sends, so on a
+  // flat machine the sweep ends where the binomial one did.
+  const mpisim::CostModel cost;
+  for (const bool rider : {false, true}) {
+    const double words = rider ? 64.0 : 0.0;  // 32 pairs of doubles
+    const double up = cost.alpha + (2.0 + words) * cost.beta;
+    const double down = cost.alpha + (4.0 + words) * cost.beta;
+    for (int p = 1; p <= 130; ++p) {
+      double end = 0.0;
+      for (const Footprint& f :
+           FootprintsOf(Flat(p), jsort::Backend::kRbc, rider)) {
+        end = std::max(end, f.clock);
+      }
+      const int depth = std::bit_width(static_cast<unsigned>(p - 1));
+      EXPECT_DOUBLE_EQ(end, depth * (up + down))
+          << "p " << p << (rider ? " rider" : "");
     }
   }
 }
