@@ -10,7 +10,7 @@
 //    creation is a first-order cost and the backend axis separates in
 //    queries/sec and query tail latency (rbc pays zero split vtime).
 //  * topk   -- bytes on the wire for "the k smallest, please": the
-//    selection route (threshold + sparse gather of exactly k elements)
+//    selection route (threshold, then a gather of the elements below it)
 //    and the local-heap route (p*k candidates) against the full-sort
 //    baseline that moves the entire input. The reason queries exist as a
 //    first-class job kind instead of "sort, then read a prefix".

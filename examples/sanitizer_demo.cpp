@@ -11,25 +11,14 @@
 //   ./examples/sanitizer_demo deadlock    -- a mutual-receive cycle; the
 //       proactive detector dumps the per-rank wait graph and the demo
 //       exits 3.
-//   ./examples/sanitizer_demo hier-leader -- rank 2 derives a divergent
-//       machine view (every rank its own node) before a hierarchical
-//       all-to-all, so its elected leader set (the vnode starts, which
-//       fix the gateways) disagrees with everyone else's. Under the
-//       sanitizer this exits 1 with a "different elected leader sets"
-//       diagnostic at collective entry; without it the divergence only
-//       surfaces later, inside the gateway phase (a malformed-message
-//       error or a deadlock).
 //
 // The sanitizer is opt-in: set MPISIM_SANITIZE=1 (the CI job does), or
 // flip RuntimeConfig::sanitize_collectives in code.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
 #include "mpisim/mpisim.hpp"
-#include "topo/hier_collectives.hpp"
-#include "topo/topology.hpp"
 
 namespace {
 
@@ -38,36 +27,10 @@ int RunMode(const char* mode) {
   opts.num_ranks = 4;
   // Keep a stuck demo short; MPISIM_DEADLOCK_TIMEOUT_MS still overrides.
   opts.deadlock_timeout = std::chrono::milliseconds(5000);
-  if (std::strcmp(mode, "hier-leader") == 0) {
-    opts.num_ranks = 8;
-    opts.topology = topo::Topology::Uniform(8, 4);
-  }
   mpisim::Runtime rt(opts);
 
   try {
-    if (std::strcmp(mode, "hier-leader") == 0) {
-      rt.Run([](mpisim::Comm& world) {
-        rbc::Comm comm;
-        rbc::Create_RBC_Comm(world, &comm);
-        std::vector<double> send(8, world.Rank()), recv(8, 0.0);
-        const std::vector<int> ones(8, 1);
-        const std::vector<int> displs{0, 1, 2, 3, 4, 5, 6, 7};
-        if (world.Rank() == 2) {
-          // Divergent machine view: every rank believed to be its own
-          // node, so rank 2 elects all 8 ranks as leaders.
-          std::vector<int> own_node(8);
-          for (int r = 0; r < 8; ++r) own_node[r] = r;
-          const topo::VnodeMap diverged = topo::VnodesOf(own_node);
-          topo::HierAlltoallv(send.data(), ones, displs,
-                              rbc::Datatype::kFloat64, recv.data(), ones,
-                              displs, comm, /*segment_bytes=*/0, &diverged);
-        } else {
-          topo::HierAlltoallv(send.data(), ones, displs,
-                              rbc::Datatype::kFloat64, recv.data(), ones,
-                              displs, comm);
-        }
-      });
-    } else if (std::strcmp(mode, "deadlock") == 0) {
+    if (std::strcmp(mode, "deadlock") == 0) {
       rt.Run([](mpisim::Comm& world) {
         // Every rank waits for its left neighbor; nobody ever sends.
         double x = 0.0;
@@ -101,11 +64,8 @@ int RunMode(const char* mode) {
 int main(int argc, char** argv) {
   const char* mode = argc > 1 ? argv[1] : "clean";
   if (std::strcmp(mode, "clean") != 0 && std::strcmp(mode, "wrong-root") != 0 &&
-      std::strcmp(mode, "deadlock") != 0 &&
-      std::strcmp(mode, "hier-leader") != 0) {
-    std::fprintf(
-        stderr,
-        "usage: sanitizer_demo [clean|wrong-root|deadlock|hier-leader]\n");
+      std::strcmp(mode, "deadlock") != 0) {
+    std::fprintf(stderr, "usage: sanitizer_demo [clean|wrong-root|deadlock]\n");
     return 2;
   }
   return RunMode(mode);

@@ -95,19 +95,4 @@ void ApplyReduce(ReduceOp op, Datatype dt, const void* in, void* inout,
   throw UsageError("ApplyReduce: unknown datatype");
 }
 
-const char* DatatypeName(Datatype dt) {
-  switch (dt) {
-    case Datatype::kByte: return "byte";
-    case Datatype::kInt32: return "int32";
-    case Datatype::kUint32: return "uint32";
-    case Datatype::kInt64: return "int64";
-    case Datatype::kUint64: return "uint64";
-    case Datatype::kFloat32: return "float32";
-    case Datatype::kFloat64: return "float64";
-    case Datatype::kPairDoubleDouble: return "pair<double,double>";
-    case Datatype::kPairInt64Int64: return "pair<int64,int64>";
-  }
-  return "?";
-}
-
 }  // namespace mpisim

@@ -77,7 +77,4 @@ enum class ReduceOp : std::uint8_t {
 void ApplyReduce(ReduceOp op, Datatype dt, const void* in, void* inout,
                  int count);
 
-/// Human-readable datatype name (diagnostics).
-const char* DatatypeName(Datatype dt);
-
 }  // namespace mpisim

@@ -98,12 +98,4 @@ std::optional<std::pair<int, int>> Group::AffineMap() const {
   return std::make_pair(ranges_[0].first, ranges_[0].stride);
 }
 
-bool Group::SameAs(const Group& other) const {
-  if (size_ != other.size_) return false;
-  for (int i = 0; i < size_; ++i) {
-    if (WorldRank(i) != other.WorldRank(i)) return false;
-  }
-  return true;
-}
-
 }  // namespace mpisim

@@ -77,9 +77,6 @@ class Group {
   std::optional<std::pair<int, int>> AsContiguousRangeOf(
       const Group& parent) const;
 
-  /// True if both groups contain the same world ranks in the same order.
-  bool SameAs(const Group& other) const;
-
   /// If the mapping group rank -> world rank is affine (w = base + i*stride,
   /// i.e. the group is a single range), returns (base, stride). Lets
   /// derived-group constructors stay in O(#ranges) instead of

@@ -50,7 +50,6 @@ const char* KindName(CollKind k) {
     case CollKind::kAlltoall: return "Alltoall";
     case CollKind::kAlltoallv: return "Alltoallv";
     case CollKind::kSparseAlltoallv: return "SparseAlltoallv";
-    case CollKind::kHierAlltoallv: return "HierAlltoallv";
   }
   return "?";
 }
@@ -106,7 +105,6 @@ bool PerMemberCount(CollKind k) {
     case CollKind::kGatherv:
     case CollKind::kAlltoallv:
     case CollKind::kSparseAlltoallv:
-    case CollKind::kHierAlltoallv:
       return true;
     default:
       return false;
@@ -137,12 +135,6 @@ std::string UniformMismatch(const OpRecord& a, const OpRecord& b) {
 /// `mb` (record b); returns a reason on mismatch, empty when consistent.
 std::string PairwiseMismatch(const OpRecord& a, int ma, const OpRecord& b,
                              int mb) {
-  // The hierarchical all-to-all stores the elected leader list in
-  // counts_to: every member must agree, or the gateway phase deadlocks.
-  if (a.kind == CollKind::kHierAlltoallv && !a.counts_to.empty() &&
-      !b.counts_to.empty() && a.counts_to != b.counts_to) {
-    return "different elected leader sets (topology divergence)";
-  }
   // Alltoallv: a's send count towards mb must equal b's expected receive
   // count from ma, and vice versa.
   if (a.kind == CollKind::kAlltoallv || a.kind == CollKind::kAlltoall) {

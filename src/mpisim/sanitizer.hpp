@@ -101,12 +101,6 @@ enum class CollKind : std::uint8_t {
   kAlltoall,
   kAlltoallv,
   kSparseAlltoallv,
-  // Node-aware hierarchical all-to-all (topo/hier_collectives.hpp): three
-  // point-to-point phases recorded as ONE logical op; the vnode leader
-  // list (from which the gateways follow) is stored in counts_to so a
-  // rank disagreeing about the topology produces a pairwise counts
-  // mismatch instead of a deadlock.
-  kHierAlltoallv,
 };
 
 const char* KindName(CollKind k);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "mpisim/error.hpp"
 #include "mpisim/runtime.hpp"
 #include "query/select.hpp"
-#include "sort/exchange.hpp"
 #include "sort/quickselect.hpp"
 
 namespace jsort::query {
@@ -23,39 +21,6 @@ const char* TopKRouteName(TopKRoute r) {
 }
 
 namespace {
-
-/// Ships this rank's candidate elements to group rank `root` over the
-/// sparse exchange (only non-empty contributions pay a message; the
-/// root's own candidates never touch the wire) and returns, on the root,
-/// everything received sorted ascending. Empty on every other rank.
-std::vector<double> SparseGatherSorted(Transport& tr,
-                                       std::vector<double> mine, int root,
-                                       int tag, TopKStats* stats) {
-  const bool am_root = tr.Rank() == root;
-  std::vector<SparseBlock> sends;
-  if (!am_root && !mine.empty()) {
-    sends.push_back(SparseBlock{root, mine.data(),
-                                static_cast<int>(mine.size())});
-  }
-  if (stats != nullptr) {
-    stats->candidates_sent =
-        am_root ? 0 : static_cast<std::int64_t>(mine.size());
-  }
-  std::vector<SparseDelivery> received;
-  mpisim::WaitUntil(
-      tr.IsparseAlltoallv(sends, Datatype::kFloat64, &received, tag),
-      "DistributedTopK candidate gather");
-  if (!am_root) return {};
-  std::vector<double> out = std::move(mine);
-  for (const SparseDelivery& msg : received) {
-    const std::size_t n = msg.bytes.size() / sizeof(double);
-    const std::size_t base = out.size();
-    out.resize(base + n);
-    std::memcpy(out.data() + base, msg.bytes.data(), n * sizeof(double));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 /// Sends this rank's candidates (at most `cap` elements) to group rank
 /// `root` as one message, empty or not, and returns, on the root, its own
@@ -115,11 +80,7 @@ std::vector<double> DistributedTopK(Transport& tr,
     //  * heap: the root takes p-1 candidate messages of min(k, n/p) words;
     //  * select: DistributedSelect's sweeps, each 2 ceil(log2 p) hops of
     //    at most 24 words (8 candidate pairs beside 8 counts), then the
-    //    tie exscan's ceil(log2 p) rounds, about 2 alpha each, then
-    //    min(p-1, k) messages carrying the k winners. The sparse gather's
-    //    two termination barriers are left out: with them the price
-    //    would pick the heap at bench_query's k = 2,048 cell, where the
-    //    selection measures faster.
+    //    root takes p-1 messages carrying the k winners.
     // A selection of rank k-1 of n starts 0.6 + 0.4 log2(n) + 0.3 log2(k)
     // sweeps on average (fitted to n = 2^13..2^19, k = 1..2^11).
     const mpisim::CostModel& cost = mpisim::Ctx().runtime->options().cost;
@@ -134,8 +95,7 @@ std::vector<double> DistributedTopK(Transport& tr,
         0.3 * std::log2(want);
     const double select_cost =
         sweeps * 2.0 * hops * (cost.alpha + 24.0 * cost.beta) +
-        2.0 * hops * cost.alpha +
-        std::min(p - 1.0, want) * cost.alpha + want * cost.beta;
+        (p - 1.0) * cost.alpha + want * cost.beta;
     route = heap_cost <= select_cost ? TopKRoute::kLocalHeap
                                      : TopKRoute::kSelect;
   }
@@ -147,26 +107,19 @@ std::vector<double> DistributedTopK(Transport& tr,
     const SelectResult sel = DistributedSelect(
         tr, local, k_eff - 1, SelectConfig{cfg.seed, cfg.tag}, &sel_stats);
     if (stats != nullptr) stats->select_rounds = sel_stats.rounds;
-    // Everything below the threshold qualifies outright; the remaining
-    // k_eff - less slots go to ties, apportioned deterministically in
-    // rank order by one exscan over per-rank tie counts.
+    // Everything below the threshold qualifies outright and ships to the
+    // root, which fills the remaining k_eff - less slots with copies of
+    // the threshold itself: ties are equal, so whose they are is moot.
     std::vector<double> mine;
-    std::int64_t ties = 0;
     for (const double x : local) {
-      if (x < sel.value) {
-        mine.push_back(x);
-      } else if (x == sel.value) {
-        ++ties;
-      }
+      if (x < sel.value) mine.push_back(x);
     }
-    const std::int64_t need = k_eff - sel.less;
-    const std::int64_t tie_offset =
-        exchange::ExscanCount(tr, ties, cfg.tag + 2);
-    const std::int64_t take =
-        std::clamp<std::int64_t>(need - tie_offset, 0, ties);
-    mine.insert(mine.end(), static_cast<std::size_t>(take), sel.value);
-    out = SparseGatherSorted(tr, std::move(mine), cfg.root, cfg.tag + 3,
-                             stats);
+    out = LinearGatherSorted(tr, std::move(mine), k_eff, cfg.root,
+                             cfg.tag + 3, stats);
+    if (tr.Rank() == cfg.root) {
+      out.insert(out.end(), static_cast<std::size_t>(k_eff - sel.less),
+                 sel.value);
+    }
   } else {
     // Local-heap fallback: each of the global k smallest is among its
     // own rank's k smallest, so per-rank local selection plus one merge

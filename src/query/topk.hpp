@@ -4,27 +4,26 @@
 // Two routes, benchmarked against each other in bench_query:
 //
 //  * kSelect -- DistributedSelect finds the k-th threshold, every rank
-//    keeps its elements below it plus a deterministic rank-ordered share
-//    of the ties (one exscan), and exactly k qualifying elements ship to
-//    the root over the transport's *sparse* exchange -- most ranks of a
-//    skewed query contribute few or no items, so only non-empty
-//    contributions pay a message. Bytes on the wire: k elements plus the
-//    selection sweeps' O(p log n) messages of at most 192 bytes (8
-//    pivot candidates each) -- less than a full sort of the same input
-//    moves from n/p = 256 on (bench_query's topk rows).
+//    sends its elements below it to the root, and the root fills the
+//    remaining slots with copies of the threshold. Bytes on the wire: at
+//    most k - 1 elements plus the selection sweeps' O(p log n) messages
+//    of at most 192 bytes (8 pivot candidates each) -- less than a full
+//    sort of the same input moves from n/p = 256 on (bench_query's topk
+//    rows).
 //  * kLocalHeap -- the classic small-k fallback (cf. the mempool_dphpc
 //    heap/quickselect top-k baselines): every rank reduces its slice to
-//    its local k smallest (quickselect, expected O(n/p)), sends those
-//    candidates to the root as one message, empty or not, and the root
-//    receives them in rank order and merges. Since the root expects
-//    exactly p-1 messages, no termination round is needed, and the
-//    model time does not depend on arrival order. No selection sweeps,
-//    but up to p*min(k, n/p) candidate elements move.
+//    its local k smallest (quickselect, expected O(n/p)) and sends those
+//    candidates to the root. No selection sweeps, but up to
+//    p*min(k, n/p) candidate elements move.
 //
-//  * kAuto picks between them from globally shared quantities only:
-//    the heap's candidate funnel is priced against the selection route's
-//    sweeps, tie exscan and k-element gather (see topk.cpp), so every
-//    rank picks the same route.
+// Both routes gather the same way: every member sends the root one
+// message, empty or not, and the root receives them in rank order and
+// merges. Since the root expects exactly p-1 messages, no termination
+// round is needed, and the model time does not depend on arrival order.
+//
+// kAuto picks between the routes from globally shared quantities only:
+// the heap's candidate funnel is priced against the selection route's
+// sweeps and gather (see topk.cpp), so every rank picks the same route.
 #pragma once
 
 #include <cstdint>

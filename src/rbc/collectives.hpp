@@ -139,13 +139,7 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 // need distinct payload tags, which also keeps their barrier and chunk
 // envelopes apart.
 //
-// The node-aware hierarchical all-to-all (topo/hier_collectives.hpp)
-// extends this map with one exclusive tag:
-//   * kTagHierAlltoallv = kReservedTagBase + 35
-// Its three point-to-point phases use that tag alone -- source-specific
-// receives and a fixed message count per pair keep back-to-back calls
-// apart -- and derive no barrier or chunk tags from it.
-// kReservedTagBase + [32, 34] are unassigned: the tree collectives above
+// kReservedTagBase + [32, 35] are unassigned: the tree collectives above
 // need no hierarchical twins, since their node-spread trees run on their
 // own tags.
 //
@@ -165,11 +159,7 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //     tag discipline above already demands;
 //   * distinct ranges over one MPI communicator keep independent
 //     sequences: concurrent collectives on disjoint or overlapping
-//     ranges are legal (with the usual tag rules) and never compared;
-//   * the hierarchical all-to-all records one logical op
-//     (kHierAlltoallv) in the range's ledger, carrying the elected
-//     leader list so ranks that derive divergent topologies raise a
-//     "different elected leader sets" mismatch at entry.
+//     ranges are legal (with the usual tag rules) and never compared.
 inline constexpr int RBC_IALLREDUCE_TAG = kReservedTagBase + 22;
 inline constexpr int RBC_IALLGATHER_TAG = kReservedTagBase + 23;
 inline constexpr int RBC_IEXSCAN_TAG = kReservedTagBase + 24;  // +25 too

@@ -102,15 +102,24 @@ SortService::~SortService() = default;
 
 namespace {
 
-/// Off-the-clock verification of one job's output on its own group:
-/// every member contributes (locally_sorted, count, first, last); the
-/// group root checks the boundary chain and element conservation and
-/// broadcasts the verdict. The virtual clock is restored afterwards, so
-/// verification never shows up in any reported timing.
-bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
-               std::span<const double> out) {
+/// Runs a verification functor with the virtual clock saved and restored,
+/// so the checkers' collectives never show up in any reported timing.
+template <typename F>
+bool OffClock(F&& verify) {
   mpisim::RankContext& rc = mpisim::Ctx();
   const double saved = rc.clock.Now();
+  const bool ok = verify();
+  rc.clock.Reset();
+  rc.clock.Advance(saved);
+  return ok;
+}
+
+/// Verification of one sort job's output on its own group: every member
+/// contributes (locally_sorted, count, first, last); the group root checks
+/// the boundary chain and element conservation and broadcasts the
+/// verdict. Run it off the clock.
+bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
+               std::span<const double> out) {
   const int p = sub->Size();
   double desc[4] = {
       std::is_sorted(out.begin(), out.end()) ? 1.0 : 0.0,
@@ -145,22 +154,7 @@ bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
   mpisim::WaitUntil(
       sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag),
       "VerifyJob verdict bcast");
-  rc.clock.Reset();
-  rc.clock.Advance(saved);
   return verdict != 0.0;
-}
-
-/// Runs a verification functor with the virtual clock saved and restored,
-/// so the query checkers' collectives (like VerifyJob's) never show up in
-/// any reported timing.
-template <typename F>
-bool OffClock(F&& verify) {
-  mpisim::RankContext& rc = mpisim::Ctx();
-  const double saved = rc.clock.Now();
-  const bool ok = verify();
-  rc.clock.Reset();
-  rc.clock.Advance(saved);
-  return ok;
 }
 
 }  // namespace
@@ -210,7 +204,7 @@ ServiceStats SortService::Run(mpisim::Comm& world) {
           a.spec.n_total / jp + (jr < a.spec.n_total % jp ? 1 : 0);
       std::vector<double> input =
           GenerateInput(a.spec.input, jr, jp, quota, a.spec.seed);
-      if (cfg_.charge_local_sort && quota > 0) {
+      if (quota > 0) {
         // Sorts pay the comparison-sort term; queries touch each local
         // element O(1) times in expectation, so they pay a linear scan.
         const double logn =
@@ -255,7 +249,9 @@ ServiceStats SortService::Run(mpisim::Comm& world) {
               break;
             }
           }
-          if (cfg_.verify) ok = VerifyJob(sub, a.spec, result);
+          if (cfg_.verify) {
+            ok = OffClock([&] { return VerifyJob(sub, a.spec, result); });
+          }
           break;
         }
         case JobKind::kSelect: {
@@ -294,10 +290,8 @@ ServiceStats SortService::Run(mpisim::Comm& world) {
           break;
         }
         case JobKind::kQuantile: {
-          query::QuantileConfig qcfg;
-          qcfg.bins = cfg_.quantile_bins;
           const query::QuantileSummary summary =
-              query::BuildQuantileSummary(*sub, input, qcfg);
+              query::BuildQuantileSummary(*sub, input);
           messages =
               static_cast<std::int64_t>(rc.stats.messages_sent - msg0);
           answer = summary.Query(a.spec.q);

@@ -9,7 +9,9 @@
 // substrate so that service bookkeeping costs *zero* virtual time and
 // the measured latencies contain exactly what the model charges the
 // jobs: the communicator split (the axis under test), the sort's
-// communication, and (optionally) an explicit local-sort compute term.
+// communication, and an explicit local-work compute term per member
+// (sorts pay compute_unit * n * log2(n), queries compute_unit * n), so
+// even communication-free (width-1) jobs have positive duration.
 //
 // Execution model per wave: every member rank of an admitted job lifts
 // its clock to the admission vtime, splits the job's range off the world
@@ -41,14 +43,6 @@ struct ServiceConfig {
   /// from the original input (checks.hpp query checkers). Runs off the
   /// virtual clock, so enabling it does not perturb reported timings.
   bool verify = false;
-  /// Charge explicit model time per member for the local work: sorts pay
-  /// compute_unit * n * log2(n) (comparison sort), queries pay
-  /// compute_unit * n (linear scans/partitions), so even
-  /// communication-free (width-1) jobs have positive duration. Identical
-  /// across backends.
-  bool charge_local_sort = true;
-  /// Summary size for kQuantile jobs (QuantileConfig::bins).
-  int quantile_bins = 64;
   /// Rank-local observation hook: called by every member rank with its
   /// slice of the job's sorted output (tests use this for byte-exact
   /// comparison against the standalone sorters).

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
-
-#include "topo/hier_exchange.hpp"
+#include <string>
 
 namespace jsort {
 namespace exchange {
@@ -17,8 +17,9 @@ topo::VnodeMap VnodesOfGroup(const Transport& tr) {
 
 namespace {
 
-/// Bytes of one payload element, and of one header word.
-constexpr std::size_t kWord = sizeof(double);
+/// Bytes of one payload element, of one header word, and of one length
+/// word of a hierarchical message.
+constexpr std::int64_t kWord = sizeof(double);
 static_assert(sizeof(std::int64_t) == kWord);
 
 /// Copies `n` 8-byte words: int64 header words and double payload share
@@ -87,7 +88,6 @@ struct Plan {
   std::vector<int> rc, rd;          // dense: payload per source
   std::vector<double> staging;      // dense: segment payload
   std::vector<SparseDelivery> got;  // sparse
-  topo::HierLevelStats hs;          // hierarchical
 
   const void* Message(int d) const { return words + at[d]; }
   std::int64_t Words(int d) const {
@@ -100,12 +100,339 @@ struct Plan {
 
   void Start(Mode m, ExchangeStats* stats);
   void StartPayload();
-  void Hierarchical();
   bool Step();
   std::size_t Unpack(const std::byte* header, const std::byte* payload,
                      std::size_t bytes);
   void UnpackRun(std::span<const std::byte> run);
   void Count(ExchangeStats* s) const;
+};
+
+// The hierarchical delivery: a node-aware engine that routes a plan's
+// messages in three point-to-point phases so that every inter-node byte
+// travels exactly once, inside one bundle per ordered pair of nodes. A
+// flat exchange ships one message per non-empty (source, destination)
+// pair; with p ranks spread over m nodes, almost all of them cross the
+// network. The bundles are spread over the ranks of each node: on vnode u
+// (see VnodeMap in topo/topology.hpp; m vnodes, s_u ranks on u) the
+// *gateway* for remote vnode w is member
+//   ((w - u) mod m - 1) mod s_u,
+// so with m - 1 <= s_u every rank carries at most one bundle each way
+// (the node-aware exchange of Bienz, Gropp and Olson, JPDC 2019).
+//
+//   A (intra): every rank sends exactly one message to every other
+//     member of its vnode: the direct payload for that member (possibly
+//     none) and this rank's messages for every destination on the remote
+//     vnodes that member is the gateway for. Every rank receives exactly
+//     s - 1 messages.
+//   B (inter): the gateway of u for w merges u's messages for w PER
+//     DESTINATION -- all of u's sources for one destination concatenate,
+//     source-ascending, into ONE section -- and trades exactly one
+//     bundle, possibly empty, with w's gateway for u.
+//   C (intra): each gateway sends every other member of its vnode
+//     exactly one message: that member's bytes from each of the
+//     gateway's remote vnodes.
+//
+// Every wire message is a *sectioned message*
+//   [int64 total bytes][int64 section bytes x n][section payloads]
+// whose section count n both ends derive from the vnode map, so source
+// ranks are never transmitted: vnodes are contiguous rank runs and each
+// merged section is internally source-ascending, so the receiver
+// reconstructs the global source order from structure alone. Every rank
+// hands Plan::UnpackRun exactly the messages a flat exchange would have
+// delivered, part by part in source-rank order:
+//   remote lower vnodes ++ own-vnode direct blocks ++ remote upper.
+//
+// Termination needs no traffic. Every receive names its source and runs
+// in a fixed rotation order, and every (source, destination) pair sends a
+// fixed number of messages per exchange (the frames of one message are
+// announced by its total), so FIFO matching keeps back-to-back exchanges
+// on one tag apart -- no wildcard probe, no barrier, no sparse
+// collective. A wire message never exceeds segment_bytes (at least the
+// 8-byte total). The first frame of a message is also bounded by
+// kFirstFrameBytes; with segment_bytes == 0 only that frame is bounded and
+// the rest of a longer message follows as one message. The receiver takes
+// every first frame into one reusable, never zero-filled buffer, receives
+// the rest in place into one buffer of the message's exact size, and
+// unpacks the sections as views -- no copy per section.
+//
+// Cost and scaling limit: a rank pays 2(s - 1) intra-node startups in
+// phase A, and in phase C s - 1 sends if it is a gateway plus one receive
+// per other gateway of its vnode; a gateway pays 2 ceil((m - 1) / s)
+// inter-node startups in phase B, where one leader per node would
+// serialize 2(m - 1). Known expectations save the two group-wide
+// termination barriers every sparse-collective phase would pay. By the
+// same alpha-beta arithmetic, barrier termination of phase B would only
+// win at about a hundred nodes or more with sparse traffic, when a
+// gateway's ceil((m - 1) / s) bundles are mostly empty.
+
+using Bytes = std::span<const std::byte>;
+
+/// One outgoing sectioned message under construction: its length words
+/// (the total, then one per section) and the views that fill the
+/// sections, in order (a section may gather several views -- the phase-B
+/// merge).
+struct Sectioned {
+  std::vector<std::int64_t> lens = {kWord};  // the total counts its own word
+  std::vector<Bytes> views;
+
+  /// Opens the next section, `b` its first view.
+  void Section(Bytes b = {}) {
+    lens.push_back(0);
+    lens[0] += kWord;
+    Add(b);
+  }
+  void Add(Bytes b) {
+    lens.back() += static_cast<std::int64_t>(b.size());
+    lens[0] += static_cast<std::int64_t>(b.size());
+    if (!b.empty()) views.push_back(b);
+  }
+};
+
+/// Buffers one rank reuses across exchanges. Ranks are threads, so
+/// thread-local storage is one set per rank. Allocating the frame buffer
+/// once instead of per exchange keeps it out of every exchange's heap
+/// traffic; a fresh 64 KiB buffer per call measurably raises the peak RSS
+/// of a 64-rank run.
+struct RankBuffers {
+  std::unique_ptr<std::byte[]> frame;  // first frames; never zero-filled
+  std::int64_t frame_bytes = 0;
+  std::vector<std::byte> send;  // serialized outgoing messages
+};
+
+/// This rank's buffers, the frame buffer at least `frame_bytes` long.
+RankBuffers& BuffersOfThisRank(std::int64_t frame_bytes) {
+  thread_local RankBuffers buffers;
+  if (buffers.frame_bytes < frame_bytes) {
+    buffers.frame = std::make_unique_for_overwrite<std::byte[]>(
+        static_cast<std::size_t>(frame_bytes));
+    buffers.frame_bytes = frame_bytes;
+  }
+  return buffers;
+}
+
+/// One rank's part of one hierarchical delivery of a plan, over the
+/// plan's transport and tag. Blocking; every group member reaches it, and
+/// a janus rank finishes one group's exchange before it starts the
+/// other's. Every wire frame counts into `stats`, by level.
+class HierEngine {
+ public:
+  HierEngine(Plan& plan, ExchangeStats* stats) : plan_(plan), stats_(stats) {}
+
+  void Run() {
+    PhaseA();
+    PhaseB();
+    PhaseC();
+    Deliver();
+  }
+
+ private:
+  /// Remote vnodes member `j` of this vnode is the gateway for, in
+  /// distance order: d = j + 1, j + 1 + s, ... <= m - 1.
+  std::vector<int> TargetsOf(int j) const {
+    std::vector<int> t;
+    for (int d = j + 1; d < m_; d += s_) t.push_back((v_ + d) % m_);
+    return t;
+  }
+
+  /// Group rank of the member `t` steps after (or before, t < 0) this
+  /// rank in the vnode's rotation.
+  int Rotate(int t) const { return f_ + ((i_ + t) % s_ + s_) % s_; }
+
+  /// The plan's message for group rank `dest`; empty when it carries no
+  /// payload, since such a message never travels.
+  Bytes Mine(int dest) const {
+    if (plan_.n[dest] == 0) return {};
+    return Bytes(static_cast<const std::byte*>(plan_.Message(dest)),
+                 static_cast<std::size_t>(plan_.Words(dest) * kWord));
+  }
+
+  void PhaseA() {
+    for (int t = 1; t < s_; ++t) {
+      const int q = Rotate(t);
+      Sectioned msg;
+      msg.Section(Mine(q));
+      for (int w : TargetsOf(q - f_)) {
+        for (int d = vn_.first[w]; d < vn_.first[w] + vn_.size[w]; ++d) {
+          msg.Section(Mine(d));
+        }
+      }
+      Send(q, msg, /*inter=*/false);
+    }
+    int relayed = 0;
+    for (int w : targets_) relayed += vn_.size[w];
+    from_member_.resize(s_);
+    for (int t = 1; t < s_; ++t) {
+      const int y = Rotate(-t);
+      from_member_[y - f_] = Recv(y, 1 + relayed);
+    }
+  }
+
+  void PhaseB() {
+    // Bundle for target w: per destination of w, the messages of every
+    // member of this vnode, source-ascending (a member's messages for my
+    // targets follow its direct section, target by target).
+    int base = 1;
+    for (int w : targets_) {
+      Sectioned msg;
+      for (int j = 0; j < vn_.size[w]; ++j) {
+        msg.Section();
+        for (int k = 0; k < s_; ++k) {
+          msg.Add(k == i_ ? Mine(vn_.first[w] + j)
+                          : from_member_[k][base + j]);
+        }
+      }
+      base += vn_.size[w];
+      Send(vn_.GatewayOf(w, v_), msg, /*inter=*/true);
+    }
+    for (int w : targets_) {
+      from_remote_.push_back(Recv(vn_.GatewayOf(w, v_), s_));
+    }
+  }
+
+  void PhaseC() {
+    // Only gateways hold remote bundles to scatter.
+    for (int t = 1; t < s_ && !targets_.empty(); ++t) {
+      const int q = Rotate(t);
+      Sectioned msg;
+      for (const std::vector<Bytes>& bundle : from_remote_) {
+        msg.Section(bundle[q - f_]);
+      }
+      Send(q, msg, /*inter=*/false);
+    }
+    from_gateway_.resize(s_);
+    for (int t = 1; t < s_; ++t) {
+      const int g = Rotate(-t);
+      if (g - f_ >= vn_.GatewayCount(v_)) continue;
+      from_gateway_[g - f_] =
+          Recv(g, static_cast<int>(TargetsOf(g - f_).size()));
+    }
+  }
+
+  /// Hands the plan its parts in source-rank order: vnode by vnode, the
+  /// own vnode's direct blocks in member order, every remote vnode's one
+  /// merged section for me from whichever gateway carried it.
+  void Deliver() {
+    std::vector<Bytes> parts;
+    for (int w = 0; w < m_; ++w) {
+      if (w == v_) {
+        for (int k = 0; k < s_; ++k) {
+          parts.push_back(k == i_ ? Mine(me_) : from_member_[k][0]);
+        }
+        continue;
+      }
+      const int idx = (((w - v_) % m_ + m_) % m_ - 1) / s_;
+      const int g = vn_.GatewayOf(v_, w);
+      parts.push_back(g == me_ ? from_remote_[idx][i_]
+                               : from_gateway_[g - f_][idx]);
+    }
+    std::size_t bytes = 0;
+    for (Bytes part : parts) bytes += part.size();
+    if (plan_.k == 0) plan_.out.reserve(bytes / kWord);
+    for (Bytes part : parts) plan_.UnpackRun(part);
+  }
+
+  /// Serializes `msg` into the rank's send buffer and injects it as a
+  /// first frame of at most first_cap_ bytes and, when longer, the rest
+  /// in frames of at most segment_bytes (as one message when
+  /// unsegmented).
+  void Send(int dest, const Sectioned& msg, bool inter) {
+    const std::int64_t total = msg.lens[0];
+    std::vector<std::byte>& buf = buffers_.send;
+    buf.resize(static_cast<std::size_t>(total));
+    std::memcpy(buf.data(), msg.lens.data(), msg.lens.size() * kWord);
+    std::byte* at = buf.data() + msg.lens.size() * kWord;
+    for (Bytes b : msg.views) {
+      std::memcpy(at, b.data(), b.size());
+      at += b.size();
+    }
+    for (std::int64_t off = 0; off < total;) {
+      const std::int64_t frame = std::min(FrameCap(off), total - off);
+      if (frame > std::numeric_limits<int>::max()) {
+        throw mpisim::UsageError(
+            "hier exchange: message tail exceeds 2^31 bytes");
+      }
+      plan_.tr->Send(buf.data() + off, static_cast<int>(frame),
+                     Datatype::kByte, dest, plan_.tag);
+      off += frame;
+      if (stats_ != nullptr) {
+        (inter ? stats_->inter_messages : stats_->intra_messages) += 1;
+        (inter ? stats_->inter_bytes : stats_->intra_bytes) += frame;
+        stats_->segments += 1;
+      }
+    }
+  }
+
+  /// Bound of the wire frame that starts at byte `off` of a message.
+  std::int64_t FrameCap(std::int64_t off) const {
+    if (off == 0) return first_cap_;
+    return plan_.segment_bytes > 0
+               ? plan_.segment_bytes
+               : std::numeric_limits<std::int64_t>::max();
+  }
+
+  /// Receives the next wire frame from `src` (at most `cap` bytes) and
+  /// returns its size.
+  std::int64_t RecvFrame(int src, std::byte* buf, std::int64_t cap) {
+    Status st;
+    plan_.tr->Recv(buf, static_cast<int>(cap), Datatype::kByte, src,
+                   plan_.tag, &st);
+    return static_cast<std::int64_t>(st.bytes);
+  }
+
+  /// Receives the next sectioned message from `src` with `nsec`
+  /// sections: the first frame into the rank's frame buffer, the rest
+  /// straight into the message's own exact-size buffer. Returns views of
+  /// the sections.
+  std::vector<Bytes> Recv(int src, int nsec) {
+    const auto malformed = [src] {
+      return mpisim::UsageError(
+          "hier exchange: malformed message from rank " + std::to_string(src));
+    };
+    std::byte* frame = buffers_.frame.get();
+    const std::int64_t first = RecvFrame(src, frame, first_cap_);
+    std::int64_t total = -1;
+    if (first >= kWord) std::memcpy(&total, frame, kWord);
+    std::int64_t at = kWord * (1 + nsec);  // the payload after the lengths
+    if (total < at || total < first ||
+        (first < total && first < first_cap_)) {
+      throw malformed();
+    }
+    auto buf = std::make_unique_for_overwrite<std::byte[]>(
+        static_cast<std::size_t>(total));
+    std::memcpy(buf.get(), frame, static_cast<std::size_t>(first));
+    for (std::int64_t off = first; off < total;) {
+      const std::int64_t want = std::min(FrameCap(off), total - off);
+      if (RecvFrame(src, buf.get() + off, want) != want) throw malformed();
+      off += want;
+    }
+    std::vector<Bytes> sections(nsec);
+    for (int k = 0; k < nsec; ++k) {
+      std::int64_t len = 0;
+      std::memcpy(&len, buf.get() + kWord * (1 + k), kWord);
+      if (len < 0 || len > total - at) throw malformed();
+      sections[k] = Bytes(buf.get() + at, static_cast<std::size_t>(len));
+      at += len;
+    }
+    if (at != total) throw malformed();
+    storage_.push_back(std::move(buf));
+    return sections;
+  }
+
+  Plan& plan_;
+  ExchangeStats* stats_;
+  const topo::VnodeMap vn_ = VnodesOfGroup(*plan_.tr);
+  const int me_ = plan_.me, m_ = vn_.Count(), v_ = vn_.vnode_of[me_];
+  const int f_ = vn_.first[v_], s_ = vn_.size[v_], i_ = me_ - f_;
+  const std::int64_t first_cap_ =
+      plan_.segment_bytes > 0
+          ? std::clamp(plan_.segment_bytes, kWord, kFirstFrameBytes)
+          : kFirstFrameBytes;
+  RankBuffers& buffers_ = BuffersOfThisRank(first_cap_);
+  const std::vector<int> targets_ = TargetsOf(i_);  // vnodes I relay to
+  std::vector<std::vector<Bytes>> from_member_;   // phase A, by member
+  std::vector<std::vector<Bytes>> from_remote_;   // phase B, by target
+  std::vector<std::vector<Bytes>> from_gateway_;  // phase C, by member
+  std::vector<std::unique_ptr<std::byte[]>> storage_;  // received messages
 };
 
 /// Starts the delivery: dense, the counts round (each destination's header
@@ -125,7 +452,7 @@ void Plan::Start(Mode m, ExchangeStats* stats) {
     pending = tr->Ialltoallv(from, counts, sd, Datatype::kInt64, rows.data(),
                              counts, rdw, tag, segment_bytes);
   } else if (mode == Mode::kHierarchical) {
-    Hierarchical();
+    HierEngine(*this, stats).Run();
   } else {
     std::vector<SparseBlock> blocks;
     for (int d = 0; d < p; ++d) {
@@ -168,37 +495,6 @@ void Plan::StartPayload() {
   pending = tr->Ialltoallv(words, sc, sd, Datatype::kFloat64, into.data(), rc,
                            rd, tag, segment_bytes);
   counted = true;
-}
-
-/// The node-aware engine over the transport's point-to-point Send/Recv,
-/// every phase on the plan's tag: its source-specific receives need no
-/// termination traffic. Blocking; every group member reaches it, and a
-/// janus rank finishes one group's exchange before it starts the other's.
-void Plan::Hierarchical() {
-  std::vector<topo::BytePiece> pieces;
-  for (int d = 0; d < p; ++d) {
-    if (n[d] == 0) continue;
-    pieces.push_back(topo::BytePiece{
-        d, static_cast<const std::byte*>(Message(d)),
-        Words(d) * static_cast<std::int64_t>(kWord)});
-  }
-  const topo::HierWire wire{
-      .send =
-          [this](int dest, const std::byte* data, int bytes) {
-            tr->Send(data, bytes, Datatype::kByte, dest, tag);
-          },
-      .recv =
-          [this](int src, std::byte* buf, int capacity) {
-            Status st;
-            tr->Recv(buf, capacity, Datatype::kByte, src, tag, &st);
-            return static_cast<int>(st.bytes);
-          }};
-  const topo::HierReceived received = topo::HierExchangeBytes(
-      VnodesOfGroup(*tr), me, pieces, segment_bytes, wire, &hs);
-  if (k == 0) out.reserve(static_cast<std::size_t>(received.bytes) / kWord);
-  for (const std::span<const std::byte> part : received.parts) {
-    UnpackRun(part);
-  }
 }
 
 /// Progresses the delivery; true once every message is unpacked.
@@ -295,8 +591,8 @@ void Plan::UnpackRun(std::span<const std::byte> run) {
 /// elements, one logical message (dense: every peer, empty or not) and
 /// its wire messages by the backend's segmentation arithmetic
 /// (mpisim::AlltoallvSegmentsOf / SparseChunksOf; the coalesced sends are
-/// whole). The hierarchical path adds the wire traffic it measured per
-/// level instead. Counts rounds and termination traffic stay out.
+/// whole). The hierarchical engine counts its wire frames, by level, as it
+/// sends them. Counts rounds and termination traffic stay out.
 void Plan::Count(ExchangeStats* s) const {
   if (s == nullptr) return;
   for (int d = 0; d < p; ++d) {
@@ -306,17 +602,11 @@ void Plan::Count(ExchangeStats* s) const {
     if (mode == Mode::kAlltoallv) {
       s->segments += mpisim::AlltoallvSegmentsOf(n[d], kWord, segment_bytes);
     } else if (mode == Mode::kSparse) {
-      s->segments += mpisim::SparseChunksOf(
-          Words(d) * static_cast<std::int64_t>(kWord), segment_bytes);
+      s->segments += mpisim::SparseChunksOf(Words(d) * kWord, segment_bytes);
     } else if (mode == Mode::kCoalesced) {
       s->segments += 1;
     }
   }
-  s->segments += hs.intra_messages + hs.inter_messages;
-  s->intra_messages += hs.intra_messages;
-  s->intra_bytes += hs.intra_bytes;
-  s->inter_messages += hs.inter_messages;
-  s->inter_bytes += hs.inter_bytes;
 }
 
 /// Delivers a blocking raw exchange and returns what it received.
@@ -328,14 +618,6 @@ std::vector<double> Run(Plan& plan, Mode mode, ExchangeStats* stats,
 }
 
 }  // namespace
-
-std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag) {
-  std::int64_t incl = 0;
-  mpisim::WaitUntil(
-      tr.Iscan(&mine, &incl, 1, Datatype::kInt64, ReduceOp::kSum, tag),
-      "ExscanCount");
-  return incl - mine;
-}
 
 std::vector<double> ExchangeBuckets(Transport& tr,
                                     std::span<const double> elements,
@@ -470,8 +752,7 @@ Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,
 
   std::int64_t max_cap = std::max(layout.cap_first, layout.cap_last);
   if (p > 2) max_cap = std::max(max_cap, layout.quota);
-  const std::int64_t bound = (static_cast<std::int64_t>(k) + max_cap) *
-                             static_cast<std::int64_t>(kWord);
+  const std::int64_t bound = (static_cast<std::int64_t>(k) + max_cap) * kWord;
   plan->Start(Resolve(mode, *tr, true, 0, bound, segment_bytes), stats);
   return [tr, plan] { return plan->Step(); };
 }

@@ -28,11 +28,13 @@
 //    startup per non-empty destination plus O(log p) barrier tokens, and
 //    the only flat path that chunks its messages under a segment limit
 //    without a counts round;
-//  * hierarchical (topo/hier_exchange.hpp) -- on two-level machines the
-//    traffic gathers at one gateway per (node, remote node) pair, crosses
-//    the network in one bundle per node pair and is scattered on the
-//    node. Every receiver knows its senders and their message count from
-//    the node map, so it needs neither a counts round nor barriers.
+//  * hierarchical -- on two-level machines the traffic gathers at one
+//    gateway per (node, remote node) pair, crosses the network in one
+//    bundle per node pair and is scattered on the node: the three-phase
+//    node-aware engine in exchange.cpp, over the transport's
+//    point-to-point Send/Recv. Every receiver knows its senders and their
+//    message count from the node map, so it needs neither a counts round
+//    nor barriers.
 // Received messages unpack through one routine: raw payload in source
 // order, segment payload into the sinks its header words name.
 //
@@ -72,6 +74,10 @@ namespace exchange {
 /// both paths with per-chunk startups. Messages below the limit are
 /// unaffected; above it, memory per in-flight message stays bounded.
 inline constexpr std::int64_t kDefaultSegmentBytes = 65536;
+
+/// Bound of the first wire frame of a hierarchical message, the size of
+/// each rank's reusable receive buffer (smaller when segment_bytes is).
+inline constexpr std::int64_t kFirstFrameBytes = 65536;
 
 /// Per-rank traffic accounting of one redistribution. Counts payload
 /// messages only; the dense path's metadata (counts) round is excluded so
@@ -113,11 +119,11 @@ enum class Mode {
                   // node at one gateway per remote node, crosses the
                   // network once gateway-to-gateway in one bundle per node
                   // pair, and is scattered locally -- three point-to-point
-                  // phases with known expectations, no barrier
-                  // (topo/hier_exchange.hpp); byte-identical results to
-                  // the flat paths. Collective and blocking at start.
-                  // Degrades gracefully on a flat or single-node topology
-                  // (only the intra phase runs).
+                  // phases with known expectations, no barrier (the
+                  // node-aware engine in exchange.cpp); byte-identical
+                  // results to the flat paths. Collective and blocking at
+                  // start. Degrades gracefully on a flat or single-node
+                  // topology (only the intra phase runs).
   kAuto,       // hierarchical on a two-level cost model
                // (CostModel::Hierarchical()) when the group spans more
                // than one node; otherwise coalesced, or sparse past the
@@ -132,11 +138,6 @@ enum class Mode {
 /// sorter's topology-derived branching factor. Purely local -- every
 /// member computes the identical map.
 topo::VnodeMap VnodesOfGroup(const Transport& tr);
-
-/// Exclusive prefix sum of per-rank element counts over the transport --
-/// the interval computation that turns "I hold n elements" into "my
-/// elements occupy global slots [result, result + n)". Blocking.
-std::int64_t ExscanCount(Transport& tr, std::int64_t mine, int tag);
 
 /// Blocking bucket redistribution (single-level sample sort): bucket i
 /// occupies elements [offsets[i], offsets[i+1]) of `elements` (offsets

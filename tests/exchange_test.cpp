@@ -1,6 +1,6 @@
-// The jsort::exchange redistribution layer: exscan interval computation,
-// bucket exchange, and the coalesced / dense segment exchange, across all
-// three Transport backends, with skewed partitions and empty ranks.
+// The jsort::exchange redistribution layer: bucket exchange and the
+// coalesced / dense segment exchange, across all three Transport
+// backends, with skewed partitions and empty ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,18 +50,6 @@ class ExchangeSweep : public ::testing::TestWithParam<Backend> {};
 INSTANTIATE_TEST_SUITE_P(Backends, ExchangeSweep,
                          ::testing::Values(Backend::kRbc, Backend::kMpi,
                                            Backend::kIcomm));
-
-TEST_P(ExchangeSweep, ExscanCountComputesIntervals) {
-  const Backend b = GetParam();
-  RunRanks(6, [&](mpisim::Comm& world) {
-    auto tr = Make(b, world);
-    // Rank r holds r+1 elements; its interval starts at 1+2+...+r.
-    const std::int64_t mine = tr->Rank() + 1;
-    const std::int64_t begin = jsort::exchange::ExscanCount(*tr, mine, 7);
-    const std::int64_t r = tr->Rank();
-    EXPECT_EQ(begin, r * (r + 1) / 2);
-  });
-}
 
 TEST_P(ExchangeSweep, BucketExchangeRoutesEverythingBySource) {
   const Backend b = GetParam();

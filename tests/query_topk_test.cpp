@@ -1,9 +1,10 @@
 // DistributedTopK on all three split backends and both routes: the
 // result is exactly the k globally smallest elements sorted ascending on
-// the root, ties are apportioned to exactly k, k >= n_total degrades to
+// the root, ties are apportioned to exactly k (also with empty ranks and
+// a root that holds none of them), k >= n_total degrades to
 // "everything", and both routes agree element for element. kAuto keeps
 // the route that measures faster on the service's and bench_query's
-// shapes. The heap route gathers one message per member in rank order.
+// shapes. Both routes gather one message per member in rank order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,6 +97,69 @@ TEST_P(TopKSweep, ExactAcrossDistributionsAndK) {
       }
       for (int r = 0; r < kRanks; ++r) {
         EXPECT_TRUE(verified[r]) << "rank " << r;
+      }
+    }
+  }
+}
+
+TEST_P(TopKSweep, ExactWithEmptyRanksAndTiesAwayFromTheRoot) {
+  // Ragged slices, two of them empty, with the seven copies of 5.0 spread
+  // over ranks 1, 2, 3 and 5. The root either holds three of the ties
+  // (rank 3) or nothing at all (rank 4), and k walks every boundary of
+  // the tie run. The select route ships only what lies below the k-th
+  // value and the root fills the rest with copies of it; the heap route
+  // ships each rank's min(k, n_local) smallest.
+  const SweepCase c = GetParam();
+  const std::vector<std::vector<double>> slices = {
+      {}, {5.0, 5.0, 2.0, 9.0}, {3.0, 5.0, 8.0}, {5.0, 5.0, 5.0, 1.0},
+      {}, {6.0, 5.0, 0.5, 4.0}};
+  const int p = static_cast<int>(slices.size());
+  std::vector<double> oracle;
+  for (const auto& s : slices) oracle.insert(oracle.end(), s.begin(), s.end());
+  std::sort(oracle.begin(), oracle.end());
+  const std::int64_t n = static_cast<std::int64_t>(oracle.size());
+  for (const int root : {3, 4}) {
+    for (std::int64_t k = 0; k <= n + 1; ++k) {
+      const std::string label = "root=" + std::to_string(root) +
+                                " k=" + std::to_string(k);
+      const std::int64_t k_eff = std::min(k, n);
+      PerRank<std::vector<double>> results(p);
+      PerRank<std::int64_t> sent(p);
+      PerRank<int> verified(p);
+      RunRanks(p, [&](mpisim::Comm& world) {
+        auto tr = jsort::MakeTransport(c.backend, world);
+        const auto& local = slices[static_cast<std::size_t>(world.Rank())];
+        TopKConfig cfg;
+        cfg.route = c.route;
+        cfg.root = root;
+        TopKStats st;
+        std::vector<double> topk = DistributedTopK(*tr, local, k, cfg, &st);
+        verified.Set(world.Rank(),
+                     jsort::VerifyTopK(*tr, local, k, topk, root) ? 1 : 0);
+        sent.Set(world.Rank(), st.candidates_sent);
+        results.Set(world.Rank(), std::move(topk));
+      });
+      const std::vector<double> expect(
+          oracle.begin(), oracle.begin() + static_cast<std::ptrdiff_t>(k_eff));
+      EXPECT_EQ(results[root], expect) << label;
+      for (int r = 0; r < p; ++r) {
+        if (r != root) {
+          EXPECT_TRUE(results[r].empty()) << label << " rank " << r;
+        }
+        EXPECT_TRUE(verified[r]) << label << " rank " << r;
+        const auto& s = slices[static_cast<std::size_t>(r)];
+        std::int64_t want = 0;
+        if (r != root && k_eff > 0) {
+          want = c.route == TopKRoute::kSelect
+                     ? std::count_if(s.begin(), s.end(),
+                                     [&](double x) {
+                                       return x < oracle[static_cast<
+                                                      std::size_t>(k_eff - 1)];
+                                     })
+                     : std::min<std::int64_t>(
+                           k_eff, static_cast<std::int64_t>(s.size()));
+        }
+        EXPECT_EQ(sent[r], want) << label << " rank " << r;
       }
     }
   }
@@ -291,6 +355,80 @@ TEST(QueryTopK, HeapRouteGathersOneMessagePerRankInRankOrder) {
     });
     EXPECT_EQ(results[0], (std::vector<double>{10.0, 19.0, 20.0}))
         << jsort::BackendName(backend);
+  }
+}
+
+TEST(QueryTopK, SelectRouteGathersOneMessagePerRankInRankOrder) {
+  // Beside the count's two collectives, the select route runs only its
+  // selection sweeps -- no exscan over the ties, no sparse exchange --
+  // then sends one message from every member to the root, which takes
+  // them in rank order: end clocks and traffic repeat over fresh
+  // runtimes. The root fills the tie slots itself, so an all-equal input
+  // ships no element at all.
+  constexpr std::int64_t kPerRank = 40;
+  constexpr std::int64_t k = 25;
+  const std::vector<double> count_only = {
+      static_cast<double>(CollectiveCall::kIreduce),
+      static_cast<double>(CollectiveCall::kIbcast)};
+  for (const Backend backend :
+       {Backend::kRbc, Backend::kMpi, Backend::kIcomm}) {
+    for (const auto& [name, opts] : testutil::SmallMachines()) {
+      for (const InputKind input : {InputKind::kZipf, InputKind::kAllEqual}) {
+        const int p = opts.num_ranks;
+        const std::string label = std::string(jsort::BackendName(backend)) +
+                                  " " + name + " " +
+                                  jsort::InputKindName(input);
+        auto run = [&, &opts = opts] {
+          return testutil::EndFootprints(opts, [&](mpisim::Comm& world) {
+            RecordingTransport tr(jsort::MakeTransport(backend, world));
+            const auto local = jsort::GenerateInput(input, world.Rank(), p,
+                                                    kPerRank, 0x4EBu);
+            const std::uint64_t sent0 = mpisim::Ctx().stats.messages_sent;
+            TopKConfig cfg;
+            cfg.route = TopKRoute::kSelect;
+            TopKStats st;
+            std::vector<double> out = DistributedTopK(tr, local, k, cfg, &st);
+            const std::vector<CollectiveCall>& calls = tr.calls();
+            std::vector<double> head;
+            for (std::size_t i = 0; i < std::min<std::size_t>(2, calls.size());
+                 ++i) {
+              head.push_back(static_cast<double>(calls[i].kind));
+            }
+            EXPECT_EQ(head, count_only) << label;
+            const int sweeps = tr.Count(CollectiveCall::kIscanWithTotal);
+            EXPECT_GE(sweeps, 1) << label;
+            EXPECT_EQ(sweeps + 2, static_cast<int>(calls.size())) << label;
+            if (input == InputKind::kAllEqual) {
+              EXPECT_EQ(st.candidates_sent, 0) << label;
+            }
+            out.push_back(static_cast<double>(sweeps));
+            out.push_back(static_cast<double>(
+                mpisim::Ctx().stats.messages_sent - sent0));
+            return out;
+          });
+        };
+        const auto first = run();
+        // The root's result, after EndFootprints' clock and six traffic
+        // counters, is the k smallest of the concatenated input.
+        constexpr std::ptrdiff_t kFootprint = 7;
+        std::vector<double> all = Concat(input, p, kPerRank, 0x4EBu);
+        std::sort(all.begin(), all.end());
+        std::vector<double> expect(all.begin(), all.begin() + k);
+        expect.insert(expect.begin(), first[0].begin(),
+                      first[0].begin() + kFootprint);
+        expect.insert(expect.end(), first[0].end() - 2, first[0].end());
+        EXPECT_EQ(first[0], expect) << label;
+        // The count sends 2(p-1) messages, every sweep 2(p-1) and the
+        // gather p-1.
+        const double sweeps = first[0][first[0].size() - 2];
+        double messages = 0;
+        for (const auto& rank : first) messages += rank.back();
+        EXPECT_EQ(messages, (3.0 + 2.0 * sweeps) * (p - 1)) << label;
+        for (int again = 0; again < 2; ++again) {
+          EXPECT_EQ(run(), first) << label;
+        }
+      }
+    }
   }
 }
 

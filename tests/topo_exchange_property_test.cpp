@@ -1,13 +1,13 @@
 // Property tests for the node-aware hierarchical exchange: randomized
 // traffic matrices asserting byte-exact equivalence of the hierarchical
 // delivery path (exchange::Mode::kHierarchical, the three-phase
-// point-to-point engine of topo/hier_exchange.hpp) with every flat path,
+// point-to-point engine of sort/exchange.cpp) with every flat path,
 // across all three Transport backends, the segment-size sweep, and
 // machine shapes including ragged node sizes, 1-rank nodes and the
-// one-node degenerate case. Also pins the auto-routing contract: kAuto takes the hierarchical
-// path exactly when the cost model is two-level AND the group spans more
-// than one node, and topo::HierAlltoallv delivers bit-for-bit what
-// rbc::Alltoallv delivers.
+// one-node degenerate case (where nothing crosses the network). Also
+// pins the auto-routing contract: kAuto takes the hierarchical path
+// exactly when the cost model is two-level AND the group spans more than
+// one node.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "sort/exchange.hpp"
 #include "sort/workload.hpp"
 #include "testutil.hpp"
-#include "topo/hier_collectives.hpp"
 #include "topo/topology.hpp"
 
 namespace {
@@ -201,6 +200,10 @@ void RandomizedBucketsHier(const std::shared_ptr<Transport>& tr,
   EXPECT_EQ(dense, hier);
   EXPECT_EQ(dense, aut);
   EXPECT_EQ(ds.elements_sent, hs.elements_sent);
+  if (jsort::exchange::VnodesOfGroup(*tr).Count() == 1) {
+    EXPECT_EQ(hs.inter_messages, 0);
+    EXPECT_EQ(hs.inter_bytes, 0);
+  }
   std::vector<double> expect;
   for (int r = 0; r < p; ++r) {
     for (std::int64_t i = 0;
@@ -376,73 +379,6 @@ TEST(HierAutoRouting, FollowsCostModelAndNodeSpan) {
     EXPECT_EQ(flat_stats[r].inter_messages, 0);
     EXPECT_EQ(flat_stats[r].intra_messages, 0);
     EXPECT_EQ(flat_stats[r].inter_bytes, 0);
-  }
-}
-
-/// topo::HierAlltoallv (the dense-counts rbc collective) must deliver
-/// bit-for-bit what rbc::Alltoallv delivers, for random ragged counts on
-/// every machine shape and segment size.
-TEST(HierAlltoallv, MatchesFlatAlltoallvAcrossShapes) {
-  for (const topo::Topology& shape : Shapes8()) {
-    for (const std::int64_t seg : {std::int64_t{0}, kSegPrime}) {
-      RunRanks(TwoLevelOpts(8, shape),
-               [&](mpisim::Comm& world, mpisim::Runtime&) {
-                 rbc::Comm rw;
-                 rbc::Create_RBC_Comm(world, &rw);
-                 const int p = rw.Size();
-                 const int me = rw.Rank();
-                 std::mt19937_64 shared(911);
-                 std::vector<std::vector<int>> counts(
-                     static_cast<std::size_t>(p));
-                 for (int r = 0; r < p; ++r) {
-                   for (int d = 0; d < p; ++d) {
-                     counts[static_cast<std::size_t>(r)].push_back(
-                         static_cast<int>(shared() % 17));
-                   }
-                 }
-                 const auto& mine = counts[static_cast<std::size_t>(me)];
-                 std::vector<int> sdispls(static_cast<std::size_t>(p), 0);
-                 int stotal = 0;
-                 for (int d = 0; d < p; ++d) {
-                   sdispls[static_cast<std::size_t>(d)] = stotal;
-                   stotal += mine[static_cast<std::size_t>(d)];
-                 }
-                 std::vector<double> send(static_cast<std::size_t>(stotal));
-                 for (int d = 0; d < p; ++d) {
-                   for (int i = 0; i < mine[static_cast<std::size_t>(d)];
-                        ++i) {
-                     send[static_cast<std::size_t>(
-                         sdispls[static_cast<std::size_t>(d)] + i)] =
-                         me * 1000.0 + d * 50.0 + i;
-                   }
-                 }
-                 std::vector<int> rcounts(static_cast<std::size_t>(p));
-                 std::vector<int> rdispls(static_cast<std::size_t>(p), 0);
-                 int rtotal_i = 0;
-                 for (int r = 0; r < p; ++r) {
-                   rcounts[static_cast<std::size_t>(r)] =
-                       counts[static_cast<std::size_t>(r)]
-                             [static_cast<std::size_t>(me)];
-                   rdispls[static_cast<std::size_t>(r)] = rtotal_i;
-                   rtotal_i += rcounts[static_cast<std::size_t>(r)];
-                 }
-                 const std::size_t rtotal = static_cast<std::size_t>(rtotal_i);
-                 std::vector<double> flat_out(rtotal, -1.0);
-                 std::vector<double> hier_out(rtotal, -2.0);
-                 rbc::Alltoallv(send.data(), mine, sdispls,
-                                rbc::Datatype::kFloat64, flat_out.data(),
-                                rcounts, rdispls, rw);
-                 topo::HierLevelStats hs;
-                 topo::HierAlltoallv(send.data(), mine, sdispls,
-                                     rbc::Datatype::kFloat64, hier_out.data(),
-                                     rcounts, rdispls, rw, seg, nullptr, &hs);
-                 EXPECT_EQ(flat_out, hier_out);
-                 if (shape.NodeCount() <= 1) {
-                   EXPECT_EQ(hs.inter_messages, 0);
-                   EXPECT_EQ(hs.inter_bytes, 0);
-                 }
-               });
-    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Wire-level tests of the hierarchical exchange engine
-// (topo/hier_exchange.hpp) through exchange::ExchangeBuckets: exact
+// (sort/exchange.cpp) through exchange::ExchangeBuckets: exact
 // message counts per machine shape, frame bounds, bit-identical virtual
 // time across fresh runtimes, and failure propagation. Byte-exactness
 // against the flat paths is the property suite's job
@@ -16,7 +16,6 @@
 
 #include "sort/jsort.hpp"
 #include "testutil.hpp"
-#include "topo/hier_exchange.hpp"
 #include "topo/topology.hpp"
 
 namespace {
@@ -213,7 +212,7 @@ TEST(HierEngineWire, UnsegmentedMessagesSendTheirTailInOnePiece) {
   for (const RankOutcome& o : ranks) {
     largest = std::max(largest, o.stats.max_message_bytes);
   }
-  EXPECT_GT(largest, static_cast<std::uint64_t>(topo::kFirstFrameBytes));
+  EXPECT_GT(largest, static_cast<std::uint64_t>(jsort::exchange::kFirstFrameBytes));
   EXPECT_GT(SumSent(ranks), ExpectedMessages(shape));
   ExpectStatsReconcile(ranks);
 }
