@@ -70,7 +70,8 @@ std::vector<double> MultilevelSampleSort(
     const int k = std::min(k_cfg, p);
     const GroupLayout groups{p, k};
 
-    // 1) Splitter selection: sample, gather, pick k-1 equidistant, bcast.
+    // 1) Splitter selection: sample, gather, pick k-1 weighted, bcast
+    //    (twice where a larger sample pays).
     const std::vector<double> splitters =
         SelectSplitters(*tr, local, std::max(1, cfg.oversample), k,
                         kTagSplitter + level, rng);

@@ -33,7 +33,8 @@ struct MultilevelConfig {
   /// level's groups then align with node boundaries, so the recursion
   /// goes node-local after one exchange), else 4.
   int k = 4;
-  /// Samples contributed per rank per splitter selection.
+  /// Samples contributed per rank in the first round of each level's
+  /// splitter selection (SelectSplitters may add a larger second round).
   int oversample = 8;
   std::uint64_t seed = 1;
   /// Delivery path of the per-level group-wise exchange (kAuto: sparse

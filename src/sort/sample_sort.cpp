@@ -35,8 +35,9 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
                        (static_cast<std::uint64_t>(mpisim::Ctx().world_rank) +
                         1)));
 
-  // 1) Splitter selection: every rank contributes `oversample` samples;
-  //    the root sorts the sample and picks p-1 equidistant splitters.
+  // 1) Splitter selection: every rank contributes its size and
+  //    `oversample` samples; the root picks p-1 size-weighted splitters,
+  //    after a second, larger round where the cost model says it pays.
   const std::vector<double> splitters = SelectSplitters(
       tr, local, std::max(1, cfg.oversample), p, kTagSplitter, rng);
 

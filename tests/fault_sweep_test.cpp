@@ -192,6 +192,11 @@ using EntryPoint = std::function<void(const std::shared_ptr<Transport>&,
 struct Entry {
   const char* name;
   EntryPoint run;
+  /// Elements per rank of the generated input.
+  std::int64_t per_rank = kPerRank;
+  /// Communicating calls of the failing rank's clean run, at least: an
+  /// entry there for a later call proves that the sweep walked past it.
+  std::int64_t min_calls = 0;
 };
 
 const std::vector<Entry>& Entries() {
@@ -224,6 +229,11 @@ const std::vector<Entry>& Entries() {
        [](const auto& tr, auto in) {
          jsort::query::BuildQuantileSummary(*tr, in);
        }},
+      // At n/p = 2^14 SelectSplitters takes its second round: Igather,
+      // Ibcast, Igather, Ibcast, then the exchange's two Ialltoallv.
+      {"SampleSortTwoRounds",
+       [](const auto& tr, auto in) { jsort::SampleSort(tr, std::move(in)); },
+       std::int64_t{1} << 14, 6},
   };
   return entries;
 }
@@ -263,12 +273,15 @@ TEST_P(FaultSweep, EveryRankUnwindsNamingTheFailedRank) {
                 jsort::MakeTransport(backend, world),
                 faults[static_cast<std::size_t>(world.Rank())]);
             entry.run(tr, jsort::GenerateInput(jsort::InputKind::kUniform,
-                                               world.Rank(), kP, kPerRank,
-                                               7));
+                                               world.Rank(), kP,
+                                               entry.per_rank, 7));
           },
           failed, label);
       if (!hit) {
         EXPECT_LE(faults[static_cast<std::size_t>(failed)]->calls, k)
+            << label;
+        EXPECT_GE(faults[static_cast<std::size_t>(failed)]->calls,
+                  entry.min_calls)
             << label;
         break;
       }
