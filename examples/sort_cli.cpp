@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     jsort::JQuickStats jstats;
     jsort::HypercubeStats hstats;
     if (algo == "hypercube") {
-      out = jsort::HypercubeQuicksort(tr, std::move(input), {}, &hstats);
+      out = jsort::HypercubeQuicksort(tr, std::move(input), &hstats);
     } else if (algo == "samplesort") {
       out = jsort::SampleSort(tr, std::move(input));
     } else if (algo == "multilevel") {

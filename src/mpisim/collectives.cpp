@@ -12,16 +12,11 @@ namespace {
 using detail::BinomialTreeOf;
 using detail::Run;
 
-// Internal tags on the kColl sub-channel. Scan round k runs on
-// kTagScanBase + k.
+// Internal tags on the kColl sub-channel.
 constexpr int kTagBcast = 1;
 constexpr int kTagReduce = 2;
-constexpr int kTagExscanShift = 3;
 constexpr int kTagGather = 4;
-constexpr int kTagGatherv = 5;
 constexpr int kTagAlltoall = 6;
-constexpr int kTagScatter = 7;
-constexpr int kTagScanBase = 64;
 
 void Validate(const Comm& comm, const char* what, int count, int root = 0) {
   if (comm.IsNull()) {
@@ -72,16 +67,6 @@ void Bcast(void* buf, int count, Datatype dt, int root, const Comm& comm) {
       "Bcast");
 }
 
-void Reduce(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
-            int root, const Comm& comm) {
-  Validate(comm, "Reduce", count, root);
-  sanitize::Scope san(
-      comm, Op(sanitize::CollKind::kReduce, root, kTagReduce, count, dt));
-  Run(detail::MakeReduce(Coll(comm), TreeOf(comm, root), send, recv, count,
-                         dt, op, kTagReduce),
-      "Reduce");
-}
-
 void Allreduce(const void* send, void* recv, int count, Datatype dt,
                ReduceOp op, const Comm& comm) {
   Validate(comm, "Allreduce", count);
@@ -92,51 +77,6 @@ void Allreduce(const void* send, void* recv, int count, Datatype dt,
       "Allreduce");
 }
 
-void Scan(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
-          const Comm& comm) {
-  Validate(comm, "Scan", count);
-  sanitize::Scope san(comm, Op(sanitize::CollKind::kScan, /*root=*/-1,
-                               kTagScanBase, count, dt));
-  Run(detail::MakeScan(Coll(comm), send, recv, count, dt, op, kTagScanBase,
-                       /*tag_step=*/1),
-      "Scan");
-}
-
-void Exscan(const void* send, void* recv, int count, Datatype dt, ReduceOp op,
-            const Comm& comm) {
-  Validate(comm, "Exscan", count);
-  sanitize::Scope san(comm, Op(sanitize::CollKind::kExscan, /*root=*/-1,
-                               kTagExscanShift, count, dt));
-  Run(detail::MakeExscan(Coll(comm), send, recv, count, dt, op, kTagScanBase,
-                         /*scan_tag_step=*/1, kTagExscanShift),
-      "Exscan");
-}
-
-void Gather(const void* send, int count, Datatype dt, void* recv, int root,
-            const Comm& comm) {
-  Validate(comm, "Gather", count, root);
-  sanitize::Scope san(
-      comm, Op(sanitize::CollKind::kGather, root, kTagGather, count, dt));
-  Run(detail::MakeGather(Coll(comm), TreeOf(comm, root), send, count, dt, recv,
-                         kTagGather),
-      "Gather");
-}
-
-void Gatherv(const void* send, int count, Datatype dt, void* recv,
-             std::span<const int> recvcounts, std::span<const int> displs,
-             int root, const Comm& comm) {
-  Validate(comm, "Gatherv", count, root);
-  sanitize::OpRecord rec =
-      Op(sanitize::CollKind::kGatherv, root, kTagGatherv, count, dt);
-  if (sanitize::Enabled() && comm.Rank() == root) {
-    rec.counts_from.assign(recvcounts.begin(), recvcounts.end());
-  }
-  sanitize::Scope san(comm, std::move(rec));
-  Run(detail::MakeGatherv(Coll(comm), TreeOf(comm, root), send, count, dt,
-                          recv, recvcounts, displs, kTagGatherv),
-      "Gatherv");
-}
-
 void Allgather(const void* send, int count, Datatype dt, void* recv,
                const Comm& comm) {
   Validate(comm, "Allgather", count);
@@ -145,26 +85,6 @@ void Allgather(const void* send, int count, Datatype dt, void* recv,
   Run(detail::MakeAllgather(Coll(comm), TreeOf(comm, 0), send, count, dt,
                             recv, kTagGather, kTagBcast),
       "Allgather");
-}
-
-void Scatter(const void* send, int count, Datatype dt, void* recv, int root,
-             const Comm& comm) {
-  Validate(comm, "Scatter", count, root);
-  sanitize::Scope san(
-      comm, Op(sanitize::CollKind::kScatter, root, kTagScatter, count, dt));
-  Run(detail::MakeScatter(Coll(comm), TreeOf(comm, root), send, count, dt,
-                          recv, kTagScatter),
-      "Scatter");
-}
-
-void Alltoall(const void* send, int count, Datatype dt, void* recv,
-              const Comm& comm) {
-  Validate(comm, "Alltoall", count);
-  sanitize::Scope san(comm, Op(sanitize::CollKind::kAlltoall, /*root=*/-1,
-                               kTagAlltoall, count, dt));
-  Run(detail::MakeAlltoall(Coll(comm), detail::AlltoallAlgo::kSpread, send,
-                           count, dt, recv, kTagAlltoall),
-      "Alltoall");
 }
 
 void Alltoallv(const void* send, std::span<const int> sendcounts,

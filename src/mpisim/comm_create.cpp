@@ -17,8 +17,6 @@ namespace {
 using Mask = std::bitset<kMaxMaskContexts>;
 constexpr int kMaskBytes = kMaxMaskContexts / 8;
 constexpr Channel kCh = Channel::kInternal;
-constexpr int kTagDup = (1 << 20) + 1;
-constexpr int kTagCreate = (1 << 20) + 2;
 
 void Serialize(const Mask& m, std::byte* out) {
   std::memset(out, 0, kMaskBytes);
@@ -119,7 +117,7 @@ Group MaterializeCharged(const Group& g) {
 }
 
 /// Context agreement over a whole communicator via the blocking collective
-/// machinery (used by split / create / dup).
+/// machinery (used by split).
 std::uint64_t AgreeOverWholeComm(const Comm& parent) {
   std::array<std::byte, kMaskBytes> mine{};
   std::array<std::byte, kMaskBytes> unioned{};
@@ -164,18 +162,6 @@ Group GroupRangeIncl(const Comm& comm, std::span<const RankRange> ranges) {
     for (int i = 0; i < r.size(); ++i) world.push_back(comm.WorldRank(r.at(i)));
   }
   return Group::FromExplicit(std::move(world));
-}
-
-Comm CommDup(const Comm& parent) {
-  if (parent.IsNull()) throw UsageError("CommDup: null communicator");
-  const std::uint64_t base = AgreeOverWholeComm(parent);
-  std::optional<TupleCtx> tuple;
-  if (parent.Tuple()) {
-    tuple = *parent.Tuple();
-    tuple->c += 1;
-  }
-  return Comm::Make(parent.GetGroup(), base, parent.Rank(), tuple,
-                    MarkUsed(base));
 }
 
 Comm CommSplit(const Comm& parent, int color, int key) {
@@ -248,18 +234,6 @@ Comm CommCreateGroup(const Comm& parent, const Group& group, int tag) {
 
   // Explicit rank-array materialization during construction (Section III:
   // even sparse-storage implementations build this mapping when creating).
-  Group stored = MaterializeCharged(group);
-  return Comm::Make(std::move(stored), base, my_index, std::nullopt,
-                    MarkUsed(base));
-}
-
-Comm CommCreate(const Comm& parent, const Group& group) {
-  if (parent.IsNull()) throw UsageError("CommCreate: null communicator");
-  RankContext& rc = Ctx();
-  // Collective over the whole parent communicator.
-  const std::uint64_t base = AgreeOverWholeComm(parent);
-  const int my_index = group.RankOfWorld(rc.world_rank);
-  if (my_index < 0) return Comm{};
   Group stored = MaterializeCharged(group);
   return Comm::Make(std::move(stored), base, my_index, std::nullopt,
                     MarkUsed(base));

@@ -34,10 +34,6 @@ Group GroupIncl(const Comm& comm, std::span<const int> ranks);
 /// mapping is affine, otherwise falls back to explicit format.
 Group GroupRangeIncl(const Comm& comm, std::span<const RankRange> ranges);
 
-/// Duplicates a communicator: context agreement over the whole parent,
-/// group shared structurally.
-Comm CommDup(const Comm& parent);
-
 /// MPI_Comm_split: blocking collective over the *whole* parent. Performs an
 /// allgather of (color, key) pairs -- Omega(alpha log p + beta p), the
 /// scaling problem quoted in Section III -- then groups locally. Returns
@@ -49,9 +45,5 @@ Comm CommSplit(const Comm& parent, int color, int key);
 /// only. Context agreement runs over the parent communicator using `tag`.
 /// The calling rank must be a member.
 Comm CommCreateGroup(const Comm& parent, const Group& group, int tag);
-
-/// MPI_Comm_create: blocking collective over the whole parent; returns a
-/// null Comm on non-members.
-Comm CommCreate(const Comm& parent, const Group& group);
 
 }  // namespace mpisim

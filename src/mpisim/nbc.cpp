@@ -10,7 +10,6 @@
 namespace mpisim {
 namespace {
 
-
 /// Validates the communicator (and root, if any) and records the
 /// operation's envelope at initiation: the NBC-tag-counter precondition
 /// already requires all ranks to initiate in the same order, so initiation
@@ -45,8 +44,8 @@ detail::Tree TreeOf(const Comm& comm, int root) {
 
 int NextTag(const Comm& comm) { return 2 * comm.NextNbcTag(); }
 
-/// Chained operations draw two counter values, so their two halves run on
-/// an (even, odd) tag pair no other operation shares.
+/// A fence draws two counter values, so its two halves run on an (even,
+/// odd) tag pair no other operation shares.
 int NextTagPair(const Comm& comm) {
   const int t = comm.NextNbcTag();
   comm.NextNbcTag();
@@ -71,16 +70,6 @@ Request Ireduce(const void* send, void* recv, int count, Datatype dt,
       count, dt, op, NextTag(comm)));
 }
 
-Request Iallreduce(const void* send, void* recv, int count, Datatype dt,
-                   ReduceOp op, const Comm& comm) {
-  Start(comm, "Iallreduce",
-        Op(sanitize::CollKind::kAllreduce, /*root=*/-1, count, dt));
-  const int tag = NextTagPair(comm);
-  return Request(detail::MakeAllreduce(
-      Nbc(comm), TreeOf(comm, 0), send, recv,
-      count, dt, op, tag, tag + 1));
-}
-
 Request Iscan(const void* send, void* recv, int count, Datatype dt,
               ReduceOp op, const Comm& comm) {
   Start(comm, "Iscan", Op(sanitize::CollKind::kScan, /*root=*/-1, count, dt));
@@ -95,26 +84,6 @@ Request Igather(const void* send, int count, Datatype dt, void* recv,
   return Request(detail::MakeGather(
       Nbc(comm), TreeOf(comm, root), send, count,
       dt, recv, NextTag(comm)));
-}
-
-Request Igatherv(const void* send, int count, Datatype dt, void* recv,
-                 std::span<const int> recvcounts, std::span<const int> displs,
-                 int root, const Comm& comm) {
-  sanitize::OpRecord rec = Op(sanitize::CollKind::kGatherv, root, count, dt);
-  if (sanitize::Enabled() && !comm.IsNull() && comm.Rank() == root) {
-    rec.counts_from.assign(recvcounts.begin(), recvcounts.end());
-  }
-  Start(comm, "Igatherv", std::move(rec), root);
-  return Request(detail::MakeGatherv(
-      Nbc(comm), TreeOf(comm, root), send, count,
-      dt, recv, recvcounts, displs, NextTag(comm)));
-}
-
-Request Ibarrier(const Comm& comm) {
-  Start(comm, "Ibarrier", sanitize::MakeOp(sanitize::CollKind::kBarrier));
-  const int tag = NextTagPair(comm);
-  return Request(detail::MakeBarrier(
-      Nbc(comm), TreeOf(comm, 0), tag, tag + 1));
 }
 
 Request IsparseAlltoallv(std::span<const SparseSendBlock> sends, Datatype dt,
@@ -134,15 +103,6 @@ Request IsparseAlltoallv(std::span<const SparseSendBlock> sends, Datatype dt,
       received,
       {payload, payload + 1, fence_a, fence_a + 1, fence_b, fence_b + 1},
       segment_bytes));
-}
-
-Request Ialltoall(const void* send, int count, Datatype dt, void* recv,
-                  const Comm& comm) {
-  if (count < 0) throw UsageError("Ialltoall: negative count");
-  Start(comm, "Ialltoall",
-        Op(sanitize::CollKind::kAlltoall, /*root=*/-1, count, dt));
-  return Request(detail::MakeAlltoall(Nbc(comm), detail::AlltoallAlgo::kSpread,
-                                      send, count, dt, recv, NextTag(comm)));
 }
 
 Request Ialltoallv(const void* send, std::span<const int> sendcounts,

@@ -1,20 +1,21 @@
-// Nonblocking collective operations (MPI-3 style).
+// Nonblocking collective operations (MPI-3 style): the ones the MPI
+// transports (sort/transport.hpp) start.
 //
 // Every operation starts one state machine of the collective-schedule core
 // (mpisim/schedule.hpp) -- the schedules the blocking collectives and the
 // RBC library run too -- and returns it as a Request. Progress happens
 // inside Test/Wait calls; there is no progress thread. The tree
-// collectives pass the binomial tree rooted at `root` (Iallreduce and
-// Ibarrier: at rank 0), a topology-oblivious MPI's tree.
+// collectives pass the binomial tree rooted at `root` (IsparseAlltoallv's
+// fences: at rank 0), a topology-oblivious MPI's tree.
 //
 // Tags follow the scheme the paper describes (Section III): every
 // nonblocking collective draws the next value t from the communicator's
 // tag counter, which stays synchronous across ranks because all ranks
 // invoke nonblocking collectives on a communicator in the same order, and
-// runs on tag 2t of the dedicated kNbc sub-channel. Iallreduce and
-// Ibarrier draw two values and run their reduce on 2t and their broadcast
-// on 2t + 1; IsparseAlltoallv sends payloads on 2t and trailing chunks on
-// 2t + 1, and draws one such pair per fence.
+// runs on tag 2t of the dedicated kNbc sub-channel. IsparseAlltoallv
+// sends payloads on 2t and trailing chunks on 2t + 1, and draws two more
+// values per fence, whose reduce runs on the first's even tag and whose
+// broadcast on the odd one after it.
 #pragma once
 
 #include <algorithm>
@@ -37,10 +38,6 @@ Request Ibcast(void* buf, int count, Datatype dt, int root, const Comm& comm);
 Request Ireduce(const void* send, void* recv, int count, Datatype dt,
                 ReduceOp op, int root, const Comm& comm);
 
-/// Nonblocking reduce-to-0 followed by broadcast.
-Request Iallreduce(const void* send, void* recv, int count, Datatype dt,
-                   ReduceOp op, const Comm& comm);
-
 /// Nonblocking inclusive prefix reduction (distance doubling).
 Request Iscan(const void* send, void* recv, int count, Datatype dt,
               ReduceOp op, const Comm& comm);
@@ -48,20 +45,6 @@ Request Iscan(const void* send, void* recv, int count, Datatype dt,
 /// Nonblocking gather with uniform block size.
 Request Igather(const void* send, int count, Datatype dt, void* recv,
                 int root, const Comm& comm);
-
-/// Nonblocking gather with per-rank counts; recvcounts/displs are
-/// significant at the root, where they must hold Size() entries.
-Request Igatherv(const void* send, int count, Datatype dt, void* recv,
-                 std::span<const int> recvcounts, std::span<const int> displs,
-                 int root, const Comm& comm);
-
-/// Nonblocking barrier (reduce + broadcast of an empty token).
-Request Ibarrier(const Comm& comm);
-
-/// Nonblocking personalized all-to-all with uniform block size. Send and
-/// receive buffers hold Size()*count elements, ordered by rank.
-Request Ialltoall(const void* send, int count, Datatype dt, void* recv,
-                  const Comm& comm);
 
 // ---------------------------------------------------------------------------
 // Large-message segmentation. A real transport switches from eager to

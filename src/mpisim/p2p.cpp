@@ -238,14 +238,6 @@ bool Iprobe(int src, int tag, const Comm& comm, Status* st) {
   return detail::IprobeOnChannel(src, tag, comm, Channel::kUser, st);
 }
 
-void Sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest,
-              int sendtag, void* recvbuf, int recvcount, Datatype rdt,
-              int src, int recvtag, const Comm& comm, Status* st) {
-  Request r = Irecv(recvbuf, recvcount, rdt, src, recvtag, comm);
-  Send(sendbuf, sendcount, sdt, dest, sendtag, comm);
-  Wait(r, st);
-}
-
 bool Test(Request& req, Status* st) { return req.Test(st); }
 
 void WaitUntil(const std::function<bool()>& poll, std::string_view what) {

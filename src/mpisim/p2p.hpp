@@ -46,13 +46,6 @@ void Probe(int src, int tag, const Comm& comm, Status* st);
 /// pending.
 bool Iprobe(int src, int tag, const Comm& comm, Status* st = nullptr);
 
-/// Combined send+receive (MPI_Sendrecv): posts the receive, performs the
-/// eager send, then completes the receive -- deadlock-free for pairwise
-/// exchanges.
-void Sendrecv(const void* sendbuf, int sendcount, Datatype sdt, int dest,
-              int sendtag, void* recvbuf, int recvcount, Datatype rdt,
-              int src, int recvtag, const Comm& comm, Status* st = nullptr);
-
 /// Tests a request for completion (progresses it).
 bool Test(Request& req, Status* st = nullptr);
 

@@ -42,12 +42,9 @@ const char* KindName(CollKind k) {
     case CollKind::kAllreduce: return "Allreduce";
     case CollKind::kScan: return "Scan";
     case CollKind::kScanWithTotal: return "ScanWithTotal";
-    case CollKind::kExscan: return "Exscan";
     case CollKind::kGather: return "Gather";
     case CollKind::kGatherv: return "Gatherv";
     case CollKind::kAllgather: return "Allgather";
-    case CollKind::kScatter: return "Scatter";
-    case CollKind::kAlltoall: return "Alltoall";
     case CollKind::kAlltoallv: return "Alltoallv";
     case CollKind::kSparseAlltoallv: return "SparseAlltoallv";
   }
@@ -137,7 +134,7 @@ std::string PairwiseMismatch(const OpRecord& a, int ma, const OpRecord& b,
                              int mb) {
   // Alltoallv: a's send count towards mb must equal b's expected receive
   // count from ma, and vice versa.
-  if (a.kind == CollKind::kAlltoallv || a.kind == CollKind::kAlltoall) {
+  if (a.kind == CollKind::kAlltoallv) {
     const auto at = [](const std::vector<std::int64_t>& v, int i,
                        std::int64_t* out) {
       if (i < 0 || static_cast<std::size_t>(i) >= v.size()) return false;

@@ -47,8 +47,8 @@
 // library's Section V-A discipline; the sanitizer turns a violation from
 // a hang into a two-rank diagnostic.
 //
-// Composite operations (Allreduce = Reduce + Bcast, Barrier = reduce +
-// bcast chain, Alltoall -> Alltoallv, ...) record only their outermost
+// Composite operations (Allreduce = Reduce + Bcast, Allgather = Gather +
+// Bcast, Barrier = reduce + bcast chain, ...) record only their outermost
 // public entry: a per-rank nesting depth suppresses the inner records, so
 // every rank logs the logical op it was asked for, on every backend.
 //
@@ -93,12 +93,9 @@ enum class CollKind : std::uint8_t {
   // up-sweep/down-sweep (rbc/collectives.hpp); the record's rider fields
   // carry its optional second block.
   kScanWithTotal,
-  kExscan,
   kGather,
   kGatherv,
   kAllgather,
-  kScatter,
-  kAlltoall,
   kAlltoallv,
   kSparseAlltoallv,
 };

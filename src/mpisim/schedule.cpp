@@ -396,57 +396,12 @@ class GathervSM final : public SM {
   std::size_t child_ = 0;
 };
 
-class ScatterSM final : public SM {
- public:
-  ScatterSM(EndpointPtr ep, Tree tree, const void* send, int count,
-            Datatype dt, void* recv, int tag)
-      : SM(std::move(ep), count, dt, tag), tree_(std::move(tree)),
-        recv_(recv), buf_(static_cast<std::size_t>(tree_.Extent()) * bytes_) {
-    if (tree_.parent < 0) {
-      // Lay the rank-ordered blocks out in the tree's pre-order.
-      const auto* in = static_cast<const std::byte*>(send);
-      for (std::size_t pos = 0; pos < tree_.order.size() && bytes_ != 0;
-           ++pos) {
-        std::memcpy(buf_.data() + pos * bytes_,
-                    in + static_cast<std::size_t>(tree_.order[pos]) * bytes_,
-                    bytes_);
-      }
-      Forward();
-    } else {
-      pending_ = ep_->Irecv(buf_.data(), tree_.Extent() * count_, dt_,
-                            tree_.parent, tag_);
-    }
-  }
-
- protected:
-  bool Test(Status*) override {
-    if (!done_ && pending_.Test()) Forward();
-    return done_;
-  }
-
- private:
-  void Forward() {
-    for (std::size_t i = tree_.children.size(); i-- > 0;) {
-      ep_->Send(buf_.data() +
-                    static_cast<std::size_t>(tree_.child_offsets[i]) * bytes_,
-                tree_.child_extents[i] * count_, dt_, tree_.children[i],
-                tag_);
-    }
-    if (bytes_ != 0) std::memcpy(recv_, buf_.data(), bytes_);
-    done_ = true;
-  }
-
-  Tree tree_;
-  void* recv_;
-  std::vector<std::byte> buf_;
-};
-
 class ScanSM final : public SM {
  public:
   ScanSM(EndpointPtr ep, const void* send, void* recv, int count,
-         Datatype dt, ReduceOp op, int tag, int tag_step)
+         Datatype dt, ReduceOp op, int tag)
       : SM(std::move(ep), count, dt, tag), recv_(recv), op_(op),
-        tag_step_(tag_step), partial_(bytes_), incoming_(bytes_) {
+        partial_(bytes_), incoming_(bytes_) {
     if (bytes_ != 0) std::memcpy(partial_.data(), send, bytes_);
     AdvanceRounds();
   }
@@ -469,11 +424,10 @@ class ScanSM final : public SM {
     const int rank = ep_->Rank();
     for (; (1 << round_) < p; ++round_) {
       const int d = 1 << round_;
-      const int tag = tag_ + round_ * tag_step_;
       // Send the pre-round partial before merging this round's input.
-      if (rank + d < p) ep_->Send(partial_.data(), count_, dt_, rank + d, tag);
+      if (rank + d < p) ep_->Send(partial_.data(), count_, dt_, rank + d, tag_);
       if (rank - d >= 0) {
-        pending_ = ep_->Irecv(incoming_.data(), count_, dt_, rank - d, tag);
+        pending_ = ep_->Irecv(incoming_.data(), count_, dt_, rank - d, tag_);
         return;  // this round's data dependency
       }
     }
@@ -483,44 +437,9 @@ class ScanSM final : public SM {
 
   void* recv_;
   ReduceOp op_;
-  int tag_step_;
   std::vector<std::byte> partial_;
   std::vector<std::byte> incoming_;
   int round_ = 0;
-};
-
-/// The scan into a scratch buffer, then the shift on tag_.
-class ExscanSM final : public SM {
- public:
-  ExscanSM(EndpointPtr ep, const void* send, void* recv, int count,
-           Datatype dt, ReduceOp op, int scan_tag, int scan_tag_step,
-           int shift_tag)
-      : SM(std::move(ep), count, dt, shift_tag), recv_(recv), incl_(bytes_),
-        scan_(std::make_shared<ScanSM>(ep_, send, incl_.data(), count, dt, op,
-                                       scan_tag, scan_tag_step)) {}
-
- protected:
-  bool Test(Status*) override {
-    const int rank = ep_->Rank();
-    if (scan_ != nullptr) {
-      if (!scan_->Progress(nullptr)) return false;
-      scan_ = nullptr;
-      if (rank + 1 < ep_->Size()) {
-        ep_->Send(incl_.data(), count_, dt_, rank + 1, tag_);
-      }
-      if (rank > 0) {
-        pending_ = ep_->Irecv(recv_, count_, dt_, rank - 1, tag_);
-      } else if (bytes_ != 0) {
-        std::memset(recv_, 0, bytes_);
-      }
-    }
-    return pending_.Test();
-  }
-
- private:
-  void* recv_;
-  std::vector<std::byte> incl_;
-  Schedule scan_;
 };
 
 /// Shared by both all-to-all algorithms: copied, checked count arrays and
@@ -864,23 +783,10 @@ Schedule MakeGatherv(EndpointPtr ep, Tree tree, const void* send, int count,
                                      tag);
 }
 
-Schedule MakeScatter(EndpointPtr ep, Tree tree, const void* send, int count,
-                     Datatype dt, void* recv, int tag) {
-  return std::make_shared<ScatterSM>(std::move(ep), std::move(tree), send,
-                                     count, dt, recv, tag);
-}
-
 Schedule MakeScan(EndpointPtr ep, const void* send, void* recv, int count,
-                  Datatype dt, ReduceOp op, int tag, int tag_step) {
+                  Datatype dt, ReduceOp op, int tag) {
   return std::make_shared<ScanSM>(std::move(ep), send, recv, count, dt, op,
-                                  tag, tag_step);
-}
-
-Schedule MakeExscan(EndpointPtr ep, const void* send, void* recv, int count,
-                    Datatype dt, ReduceOp op, int scan_tag, int scan_tag_step,
-                    int shift_tag) {
-  return std::make_shared<ExscanSM>(std::move(ep), send, recv, count, dt, op,
-                                    scan_tag, scan_tag_step, shift_tag);
+                                  tag);
 }
 
 Schedule MakeAllreduce(EndpointPtr ep, Tree tree, const void* send,
@@ -924,16 +830,6 @@ Schedule MakeAlltoallv(EndpointPtr ep, AlltoallAlgo algo, const void* send,
   return std::make_shared<PairwiseAlltoallvSM>(
       std::move(ep), send, sendcounts, sdispls, dt, recv, recvcounts, rdispls,
       tag, segment_bytes);
-}
-
-Schedule MakeAlltoall(EndpointPtr ep, AlltoallAlgo algo, const void* send,
-                      int count, Datatype dt, void* recv, int tag) {
-  Bytes(count, dt);
-  std::vector<int> counts(static_cast<std::size_t>(ep->Size()), count);
-  std::vector<int> displs;
-  for (int i = 0; i < ep->Size(); ++i) displs.push_back(i * count);
-  return MakeAlltoallv(std::move(ep), algo, send, counts, displs, dt, recv,
-                       counts, displs, tag, /*segment_bytes=*/0);
 }
 
 Schedule MakeSparseAlltoallv(EndpointPtr ep, Tree fence_tree,

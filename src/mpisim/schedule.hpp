@@ -9,7 +9,8 @@
 // and an Endpoint, the thin transport binding: a communicator's
 // sub-channel (ChannelEndpoint) or an RBC range (rbc::detail::EndpointOf).
 // Blocking collectives run the same state machine to completion (Run), so
-// both forms leave identical clocks and traffic. Callers own argument
+// a collective's blocking and nonblocking forms leave identical clocks and
+// traffic. Callers own argument
 // validation, tags and sanitizer records. Tree schedules take children one
 // at a time, in list order -- model time never depends on which message a
 // thread found first -- and send to children back to front.
@@ -115,19 +116,11 @@ Schedule MakeGatherv(EndpointPtr ep, Tree tree, const void* send, int count,
                      Datatype dt, void* recv,
                      std::span<const int> recvcounts,
                      std::span<const int> displs, int tag);
-/// The inverse of Gather: the root's `send` holds Size() * count elements.
-Schedule MakeScatter(EndpointPtr ep, Tree tree, const void* send, int count,
-                     Datatype dt, void* recv, int tag);
 
-/// Inclusive scan in Hillis-Steele distance-doubling rounds; round k runs
-/// on tag + k * tag_step.
+/// Inclusive scan in Hillis-Steele distance-doubling rounds, all on `tag`:
+/// round k receives from rank - 2^k, so the source tells rounds apart.
 Schedule MakeScan(EndpointPtr ep, const void* send, void* recv, int count,
-                  Datatype dt, ReduceOp op, int tag, int tag_step = 0);
-/// Exclusive scan: the scan above, then each rank ships its inclusive
-/// prefix one rank to the right on `shift_tag`. Rank 0 zero-fills.
-Schedule MakeExscan(EndpointPtr ep, const void* send, void* recv, int count,
-                    Datatype dt, ReduceOp op, int scan_tag, int scan_tag_step,
-                    int shift_tag);
+                  Datatype dt, ReduceOp op, int tag);
 
 /// Chains over one tree rooted at rank 0: Reduce on `up_tag`, then Bcast
 /// on `down_tag` (Allreduce, Barrier), or Gather then Bcast (Allgather).
@@ -155,10 +148,6 @@ Schedule MakeAlltoallv(EndpointPtr ep, AlltoallAlgo algo, const void* send,
                        std::span<const int> recvcounts,
                        std::span<const int> rdispls, int tag,
                        std::int64_t segment_bytes);
-/// Alltoallv with `count` elements for every peer: both buffers hold
-/// Size() * count elements, in rank order.
-Schedule MakeAlltoall(EndpointPtr ep, AlltoallAlgo algo, const void* send,
-                      int count, Datatype dt, void* recv, int tag);
 
 /// Tags of one sparse exchange: first chunks, trailing chunks, and the
 /// (up, down) tags of its two fences.

@@ -1,8 +1,9 @@
-// The public RBC collectives (Table I and the Section V-D extensions):
-// each entry validates the range, records one logical collective in the
-// range's sanitizer ledger, and runs or starts one schedule of the
-// collective-schedule core (mpisim/schedule.hpp) over the range binding
-// (detail::EndpointOf) and TreeFor's tree, on the tags of collectives.hpp.
+// The public RBC collectives (Table I and the all-to-all extensions of
+// Section V-D): each entry validates the range, records one logical
+// collective in the range's sanitizer ledger, and runs or starts one
+// schedule of the collective-schedule core (mpisim/schedule.hpp) over the
+// range binding (detail::EndpointOf) and TreeFor's tree, on the tags of
+// collectives.hpp.
 #include "rbc/collectives.hpp"
 
 #include <vector>
@@ -178,98 +179,6 @@ int Ibarrier(const Comm& comm, Request* request, int tag) {
   auto rec = sanitize::MakeOp(CollKind::kBarrier, /*root=*/-1, tag);
   return detail::Start(comm, 0, "Ibarrier", rec, request, [&] {
     return core::MakeBarrier(EndpointOf(comm), TreeFor(comm, 0), tag, tag);
-  });
-}
-
-int Allreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-              ReduceOp op, const Comm& comm) {
-  auto rec = Op(CollKind::kAllreduce, /*root=*/-1, kTagAllreduce, count, dt);
-  return detail::Run(comm, 0, "Allreduce", rec, [&] {
-    return core::MakeAllreduce(EndpointOf(comm), TreeFor(comm, 0), sendbuf,
-                               recvbuf, count, dt, op, kTagAllreduce,
-                               kTagAllreduce);
-  });
-}
-
-int Iallreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-               ReduceOp op, const Comm& comm, Request* request, int tag) {
-  auto rec = Op(CollKind::kAllreduce, /*root=*/-1, tag, count, dt);
-  return detail::Start(comm, 0, "Iallreduce", rec, request, [&] {
-    return core::MakeAllreduce(EndpointOf(comm), TreeFor(comm, 0), sendbuf,
-                               recvbuf, count, dt, op, tag, tag);
-  });
-}
-
-int Allgather(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-              const Comm& comm) {
-  auto rec = Op(CollKind::kAllgather, /*root=*/-1, kTagAllgather, count, dt);
-  return detail::Run(comm, 0, "Allgather", rec, [&] {
-    return core::MakeAllgather(EndpointOf(comm), TreeFor(comm, 0), sendbuf,
-                               count, dt, recvbuf, kTagAllgather,
-                               kTagAllgather);
-  });
-}
-
-int Iallgather(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-               const Comm& comm, Request* request, int tag) {
-  auto rec = Op(CollKind::kAllgather, /*root=*/-1, tag, count, dt);
-  return detail::Start(comm, 0, "Iallgather", rec, request, [&] {
-    return core::MakeAllgather(EndpointOf(comm), TreeFor(comm, 0), sendbuf,
-                               count, dt, recvbuf, tag, tag);
-  });
-}
-
-int Exscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-           ReduceOp op, const Comm& comm) {
-  auto rec = Op(CollKind::kExscan, /*root=*/-1, kTagExscan, count, dt);
-  return detail::Run(comm, 0, "Exscan", rec, [&] {
-    return core::MakeExscan(EndpointOf(comm), sendbuf, recvbuf, count, dt, op,
-                            kTagExscan, 0, kTagExscan + 1);
-  });
-}
-
-int Iexscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-            ReduceOp op, const Comm& comm, Request* request, int tag) {
-  auto rec = Op(CollKind::kExscan, /*root=*/-1, tag, count, dt);
-  return detail::Start(comm, 0, "Iexscan", rec, request, [&] {
-    return core::MakeExscan(EndpointOf(comm), sendbuf, recvbuf, count, dt, op,
-                            tag, 0, tag + 1);
-  });
-}
-
-int Scatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-            int root, const Comm& comm) {
-  auto rec = Op(CollKind::kScatter, root, kTagScatter, count, dt);
-  return detail::Run(comm, root, "Scatter", rec, [&] {
-    return core::MakeScatter(EndpointOf(comm), TreeFor(comm, root), sendbuf,
-                             count, dt, recvbuf, kTagScatter);
-  });
-}
-
-int Iscatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-             int root, const Comm& comm, Request* request, int tag) {
-  auto rec = Op(CollKind::kScatter, root, tag, count, dt);
-  return detail::Start(comm, root, "Iscatter", rec, request, [&] {
-    return core::MakeScatter(EndpointOf(comm), TreeFor(comm, root), sendbuf,
-                             count, dt, recvbuf, tag);
-  });
-}
-
-int Alltoall(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-             const Comm& comm) {
-  auto rec = Op(CollKind::kAlltoall, /*root=*/-1, kTagAlltoall, count, dt);
-  return detail::Run(comm, 0, "Alltoall", rec, [&] {
-    return core::MakeAlltoall(EndpointOf(comm), AlltoallAlgo::kPairwise,
-                              sendbuf, count, dt, recvbuf, kTagAlltoall);
-  });
-}
-
-int Ialltoall(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-              const Comm& comm, Request* request, int tag) {
-  auto rec = Op(CollKind::kAlltoall, /*root=*/-1, tag, count, dt);
-  return detail::Start(comm, 0, "Ialltoall", rec, request, [&] {
-    return core::MakeAlltoall(EndpointOf(comm), AlltoallAlgo::kPairwise,
-                              sendbuf, count, dt, recvbuf, tag);
   });
 }
 

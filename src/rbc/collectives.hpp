@@ -10,16 +10,16 @@
 // blocking forms run the same state machine to completion.
 //
 // The tree collectives take their tree from rbc::detail::TreeFor (sm.hpp),
-// rooted at `root` or, for Barrier, Allreduce and Allgather, at rank 0. On
-// a flat cost model it is the substrate's binomial tree. On a two-level
-// cost model (mpisim::CostModel::Hierarchical()) over a range spanning
-// several nodes it is a node-spread tree: binomial inside each node, and
-// each member of the root's node carries at most one network edge per
-// round, so a machine with m nodes of at least m - 1 ranks is crossed
-// once, in parallel, where the binomial tree crosses it ceil(log2 m) times
-// in series. Children are received one at a time in list order, so model
-// time never depends on which message a thread found first. Alltoall(v)
-// run the core's pairwise schedule. BcastLarge and IscanWithTotal have no
+// rooted at `root` or, for Barrier, at rank 0. On a flat cost model it is
+// the substrate's binomial tree. On a two-level cost model
+// (mpisim::CostModel::Hierarchical()) over a range spanning several nodes
+// it is a node-spread tree: binomial inside each node, and each member of
+// the root's node carries at most one network edge per round, so a
+// machine with m nodes of at least m - 1 ranks is crossed once, in
+// parallel, where the binomial tree crosses it ceil(log2 m) times in
+// series. Children are received one at a time in list order, so model
+// time never depends on which message a thread found first. Alltoallv
+// runs the core's pairwise schedule. BcastLarge and IscanWithTotal have no
 // substrate twin and keep their own state machines: BcastLarge on the
 // binomial tree (its ring phase indexes segments by relative rank),
 // IscanWithTotal on the in-order binomial tree below.
@@ -108,24 +108,25 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 
 // ---------------------------------------------------------------------------
 // Extensions beyond Table I. Section V-D: "It is easy to extend our library
-// by additional collective operations, e.g., for large input sizes." These
-// follow the same state-machine construction over RBC point-to-point
-// operations and the same tag discipline.
+// by additional collective operations, e.g., for large input sizes." The
+// extensions here are the ones the sorters, the transports and the
+// benchmarks call: IscanWithTotal, the large-input BcastLarge, and the
+// dense and sparse personalized all-to-alls. They follow the same
+// state-machine construction over RBC point-to-point operations and the
+// same tag discipline.
 // ---------------------------------------------------------------------------
 
-// Reserved-tag map of the extension collectives. Blocking collectives own
-// one exclusive tag each in kReservedTagBase + [7, 15]; nonblocking
-// defaults live in kReservedTagBase + [22, 31]. Exscan/Iexscan consume two
-// consecutive tags (the inclusive scan and the right-shift), so the tag
-// after theirs stays unassigned. IscanWithTotal has no blocking form; its
-// default tag is kReservedTagBase + 31, and its up and down messages share
-// it (they travel in opposite directions along each tree edge).
-// Alltoall/Alltoallv use a single tag: the pairwise schedules exchange at
-// most one message per ordered rank pair per operation -- or, in the
-// segmented large-message regime, the segments of a pair in strictly
-// increasing order -- so (source, tag) plus per-envelope FIFO order is
-// unambiguous; back-to-back operations on the same tag are disambiguated
-// the same way.
+// Reserved-tag map of the extensions. Blocking forms own one exclusive tag
+// each in kReservedTagBase + [7, 15], nonblocking defaults live in
+// kReservedTagBase + [22, 31]; the slots not named below are unassigned.
+// IscanWithTotal has no blocking form; its default tag is kReservedTagBase
+// + 31, and its up and down messages share it (they travel in opposite
+// directions along each tree edge). Alltoallv uses a single tag: the
+// pairwise schedule exchanges at most one message per ordered rank pair
+// per operation -- or, in the segmented large-message regime, the
+// segments of a pair in strictly increasing order -- so (source, tag) plus
+// per-envelope FIFO order is unambiguous; back-to-back operations on the
+// same tag are disambiguated the same way.
 //
 // Derived-tag regions of the sparse exchange (indexed by the exchange's
 // payload tag `t`, which RbcTransport passes through raw):
@@ -150,9 +151,9 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 // (blocking forms record their exclusive kTag*, nonblocking forms the
 // caller-supplied tag). The rules:
 //   * one record per public call; the internal schedule's messages,
-//     composite sub-collectives (Allgather's Gather+Bcast, Barrier's
-//     reduce+bcast halves) and the sparse exchange's derived-tag fences
-//     are never recorded (the core's schedules record nothing);
+//     composite sub-collectives (Barrier's reduce+bcast halves) and the
+//     sparse exchange's derived-tag fences are never recorded (the core's
+//     schedules record nothing);
 //   * records of one (comm, range) pair are compared in per-member call
 //     order, so members of a range must issue the same collectives in the
 //     same order with consistent envelopes -- exactly the agreement the
@@ -160,43 +161,11 @@ int Ibarrier(const Comm& comm, Request* request, int tag = RBC_IBARRIER_TAG);
 //   * distinct ranges over one MPI communicator keep independent
 //     sequences: concurrent collectives on disjoint or overlapping
 //     ranges are legal (with the usual tag rules) and never compared.
-inline constexpr int RBC_IALLREDUCE_TAG = kReservedTagBase + 22;
-inline constexpr int RBC_IALLGATHER_TAG = kReservedTagBase + 23;
-inline constexpr int RBC_IEXSCAN_TAG = kReservedTagBase + 24;  // +25 too
-inline constexpr int RBC_ISCATTER_TAG = kReservedTagBase + 26;
-inline constexpr int RBC_IALLTOALL_TAG = kReservedTagBase + 27;
 inline constexpr int RBC_IALLTOALLV_TAG = kReservedTagBase + 28;
 inline constexpr int RBC_SPARSE_ALLTOALLV_TAG = kReservedTagBase + 29;
 inline constexpr int RBC_ISCAN_WITH_TOTAL_TAG = kReservedTagBase + 31;
-inline constexpr int kTagAllreduce = kReservedTagBase + 7;
-inline constexpr int kTagAllgather = kReservedTagBase + 8;
-inline constexpr int kTagExscan = kReservedTagBase + 9;  // +10 too
-inline constexpr int kTagScatter = kReservedTagBase + 11;
 inline constexpr int kTagBcastLarge = kReservedTagBase + 12;
-inline constexpr int kTagAlltoall = kReservedTagBase + 13;
 inline constexpr int kTagAlltoallv = kReservedTagBase + 14;
-
-/// Reduce to rank 0 chained with a broadcast.
-int Allreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-              ReduceOp op, const Comm& comm);
-int Iallreduce(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-               ReduceOp op, const Comm& comm, Request* request,
-               int tag = RBC_IALLREDUCE_TAG);
-
-/// Gather to rank 0 chained with a broadcast; recvbuf holds Size()*count
-/// elements on every rank.
-int Allgather(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-              const Comm& comm);
-int Iallgather(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-               const Comm& comm, Request* request,
-               int tag = RBC_IALLGATHER_TAG);
-
-/// Exclusive prefix reduction; rank 0's output is zero-filled.
-int Exscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-           ReduceOp op, const Comm& comm);
-int Iexscan(const void* sendbuf, void* recvbuf, int count, Datatype dt,
-            ReduceOp op, const Comm& comm, Request* request,
-            int tag = RBC_IEXSCAN_TAG);
 
 /// The optional second block of IscanWithTotal: `count` elements of `dt`
 /// from `sendbuf`, folded over the whole range with `op`; `totalbuf`
@@ -227,14 +196,6 @@ int IscanWithTotal(const void* sendbuf, void* inclbuf, void* totalbuf,
                    Request* request, int tag = RBC_ISCAN_WITH_TOTAL_TAG,
                    const ScanRider& rider = {});
 
-/// Scatters Size() consecutive blocks of `count` elements from the root's
-/// sendbuf down the tree collectives' tree (the inverse of Gather).
-int Scatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-            int root, const Comm& comm);
-int Iscatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-             int root, const Comm& comm, Request* request,
-             int tag = RBC_ISCATTER_TAG);
-
 /// Large-input broadcast: binomial scatter of p segments followed by a
 /// ring allgather -- 2*beta*l bandwidth instead of the binomial tree's
 /// beta*l*log(p), at the price of O(alpha*p) latency. Callers pick the
@@ -242,23 +203,15 @@ int Iscatter(const void* sendbuf, int count, Datatype dt, void* recvbuf,
 int BcastLarge(void* buffer, int count, Datatype dt, int root,
                const Comm& comm);
 
-/// Personalized all-to-all with uniform block size: block i of sendbuf
-/// goes to rank i; recvbuf's block j arrives from rank j. Both buffers
-/// hold Size()*count elements. The schedule is a hypercube (XOR) pairing
-/// for power-of-two ranges and a 1-factorization for general sizes --
-/// p-1 pairwise exchange rounds either way, each round a send/recv with
-/// one partner. Zero-count blocks are still transmitted (MPI semantics),
-/// so the operation matches mpisim::Alltoall message for message.
-int Alltoall(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-             const Comm& comm);
-int Ialltoall(const void* sendbuf, int count, Datatype dt, void* recvbuf,
-              const Comm& comm, Request* request,
-              int tag = RBC_IALLTOALL_TAG);
-
 /// Personalized all-to-all with per-peer counts/displacements (elements).
 /// All four arrays are significant on every rank and sized Size();
-/// sendcounts[j] on rank i must equal recvcounts[i] on rank j. Same
-/// schedules as Alltoall. With segment_bytes > 0 every per-partner block
+/// sendcounts[j] on rank i must equal recvcounts[i] on rank j. The
+/// schedule is a hypercube (XOR) pairing for power-of-two ranges and a
+/// 1-factorization for general sizes -- p-1 pairwise exchange rounds
+/// either way, each round a send/recv with one partner. Zero-count blocks
+/// are still transmitted (MPI semantics), so the operation matches
+/// mpisim::Alltoallv message for message. With segment_bytes > 0 every
+/// per-partner block
 /// is pipelined as segments of at most segment_bytes payload bytes (at
 /// least one element each), interleaved segment-major across the pairing
 /// rounds -- the large-message regime; 0 keeps the one-message-per-pair

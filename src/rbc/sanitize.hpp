@@ -15,9 +15,8 @@
 // the public entry -- not the individual sends. Internal fences such as
 // the sparse exchange's barriers are built inside the schedule core, which
 // records nothing. Composition is handled by the substrate's per-rank
-// depth guard: an RBC collective that calls another public collective
-// (Allgather = Gather + Bcast) records only the outermost intent, and an
-// mpisim collective invoked under an RBC scope is likewise suppressed.
+// depth guard: a public collective entered inside another one's scope --
+// RBC or mpisim -- records nothing, so only the outermost intent counts.
 #pragma once
 
 #include <optional>

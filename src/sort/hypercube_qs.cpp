@@ -4,31 +4,22 @@
 #include <random>
 
 #include "sort/partition.hpp"
+#include "sort/sampling.hpp"
 
 namespace jsort {
 namespace {
 
 constexpr int kTagPairExchange = 512;
+constexpr std::uint64_t kSeed = 1;
 
-/// Group-wide pivot: weighted-reservoir random element or
-/// median-of-samples, via reduce/gather + bcast (blocking here -- the
-/// hypercube baseline has no janus processes, every process is in exactly
-/// one group).
+/// Group-wide pivot: the median of PivotSamples(p) samples, via gather +
+/// bcast (blocking here -- the hypercube baseline has no janus processes,
+/// every process is in exactly one group).
 double PickPivot(Transport& tr, const std::vector<double>& data,
-                 const HypercubeConfig& cfg, std::mt19937_64& rng,
-                 int level) {
+                 std::mt19937_64& rng, int level) {
   const int tag = level;
-  if (cfg.pivot == PivotPolicy::kRandomElement) {
-    mpisim::PairDD cand = ReservoirCandidate(data, rng);
-    Poll r = tr.Ireduce(&cand, &cand, 1, Datatype::kPairDoubleDouble,
-                        ReduceOp::kMaxPairFirst, 0, tag);
-    mpisim::WaitUntil(r, "HypercubeQuicksort pivot reduce");
-    Poll b = tr.Ibcast(&cand, 1, Datatype::kPairDoubleDouble, 0, tag);
-    mpisim::WaitUntil(b, "HypercubeQuicksort pivot bcast");
-    return cand.second;
-  }
   const int p = tr.Size();
-  const int total = cfg.samples.TotalSamples(p, 1);
+  const int total = PivotSamples(p);
   const int per_rank = std::max(1, (total + p - 1) / p);
   std::vector<double> mine(static_cast<std::size_t>(per_rank));
   DrawSamples(data, per_rank, mine.data(), rng);
@@ -48,7 +39,7 @@ double PickPivot(Transport& tr, const std::vector<double>& data,
 
 std::vector<double> HypercubeQuicksort(
     const std::shared_ptr<Transport>& world, std::vector<double> local,
-    const HypercubeConfig& cfg, HypercubeStats* stats) {
+    HypercubeStats* stats) {
   if (world == nullptr) {
     throw mpisim::UsageError("HypercubeQuicksort: null transport");
   }
@@ -57,7 +48,7 @@ std::vector<double> HypercubeQuicksort(
         "HypercubeQuicksort: process count must be a power of two");
   }
   if (stats != nullptr) *stats = HypercubeStats{};
-  std::mt19937_64 rng(cfg.seed ^
+  std::mt19937_64 rng(kSeed ^
                       (0x9E3779B97F4A7C15ull *
                        (static_cast<std::uint64_t>(mpisim::Ctx().world_rank) +
                         1)));
@@ -69,7 +60,7 @@ std::vector<double> HypercubeQuicksort(
     const int rank = tr->Rank();
     const int half = p / 2;
     const bool low = rank < half;
-    const double pivot = PickPivot(*tr, local, cfg, rng, level);
+    const double pivot = PickPivot(*tr, local, rng, level);
     // Alternate the comparator like JQuick to split duplicate runs.
     const std::size_t cut =
         PartitionInPlace(local, pivot, /*less_equal=*/(level % 2) == 1);

@@ -3,27 +3,22 @@
 // *not* load balanced (per-process data volumes drift apart as the pivots
 // miss the medians).
 //
-// Each level: the group agrees on a pivot, every process splits its data,
-// partners across the current hypercube dimension exchange the halves
-// (small halves travel to the lower subcube), and the algorithm recurses
-// on both subcubes. Implemented over RBC communicators, whose O(1) splits
-// make the recursion cheap.
+// Each level: the group agrees on a pivot -- the median of Section
+// VIII-A's PivotSamples(p) samples, gathered to the group's first rank and
+// broadcast back -- every process splits its data, partners across the
+// current hypercube dimension exchange the halves (small halves travel to
+// the lower subcube), and the algorithm recurses on both subcubes.
+// Implemented over RBC communicators, whose O(1) splits make the
+// recursion cheap.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "sort/sampling.hpp"
 #include "sort/transport.hpp"
 
 namespace jsort {
-
-struct HypercubeConfig {
-  PivotPolicy pivot = PivotPolicy::kMedianOfSamples;
-  SampleParams samples{};
-  std::uint64_t seed = 1;
-};
 
 struct HypercubeStats {
   int levels = 0;
@@ -38,6 +33,6 @@ struct HypercubeStats {
 /// comparison).
 std::vector<double> HypercubeQuicksort(
     const std::shared_ptr<Transport>& world, std::vector<double> local,
-    const HypercubeConfig& cfg = {}, HypercubeStats* stats = nullptr);
+    HypercubeStats* stats = nullptr);
 
 }  // namespace jsort

@@ -219,12 +219,11 @@ class Driver {
     }
   }
 
-  /// Pivot candidates per block (Section VIII-A): the task's
-  /// SampleParams::TotalSamples, or 1 under kRandomElement.
+  /// Pivot candidates per block (Section VIII-A): PivotSamples of the
+  /// task's group size, or 1 under kRandomElement.
   int CandidatesPerBlock(const Task& t) const {
-    return cfg_.pivot == PivotPolicy::kRandomElement
-               ? 1
-               : cfg_.samples.TotalSamples(t.layout.p, t.layout.quota);
+    return cfg_.pivot == PivotPolicy::kRandomElement ? 1
+                                                     : PivotSamples(t.layout.p);
   }
 
   /// Appends one block of candidates (Efraimidis & Spirakis, "Weighted
@@ -295,7 +294,7 @@ class Driver {
     t.poll = exchange::StartSegmentExchange(t.tr, t.layout,
                                             std::move(segments),
                                             t.ExchangeTag(),
-                                            cfg_.exchange_mode, &es,
+                                            exchange::Mode::kAuto, &es,
                                             cfg_.segment_bytes);
     if (stats_ != nullptr) {
       stats_->messages_sent += es.messages_sent;

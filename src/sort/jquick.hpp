@@ -18,7 +18,7 @@
 // the rank doing two tasks' work is never the one the other ranks' sums
 // pass through. A child's elements are its parent's small (or large)
 // sides, so k weighted-reservoir candidates per side (sampling.hpp's
-// u^(1/m) keys; k = SampleParams::TotalSamples of the parent, 1 under
+// u^(1/m) keys; k = PivotSamples of the parent's group size, 1 under
 // kRandomElement) fold with kMaxPairFirst in the sweep, and every rank
 // takes the median of each side's k winners as that child's pivot. The
 // root task, which has no parent, draws k candidates from its data and
@@ -51,21 +51,16 @@ enum class SplitSchedule {
 
 struct JQuickConfig {
   PivotPolicy pivot = PivotPolicy::kMedianOfSamples;
-  SampleParams samples{};
   SplitSchedule schedule = SplitSchedule::kAlternating;
-  /// Delivery path of the per-level data exchange (jsort::exchange).
-  /// kAuto coalesces the (small, large) sides into one message per
-  /// non-empty destination on every group size: eager coalesced sends, or
-  /// the chunk-capable sparse collective when one such message could
-  /// exceed segment_bytes. Either way a level costs a rank one payload
-  /// startup per destination it reaches (O(1) under the greedy
-  /// assignment; the sparse route adds O(log p) barrier tokens) instead
-  /// of the dense Alltoallv's 2(p-1).
-  exchange::Mode exchange_mode = exchange::Mode::kAuto;
   /// Large-message segment limit of the per-level exchange (bytes; 0 =
-  /// unsegmented). Past it, payload messages are pipelined/chunked and
-  /// kAuto prefers the chunk-capable sparse path over coalesced. Defaults
-  /// to the measured crossover (see exchange::kDefaultSegmentBytes).
+  /// unsegmented). The exchange (jsort::exchange, Mode::kAuto) coalesces
+  /// the (small, large) sides into one message per non-empty destination
+  /// on every group size: eager coalesced sends, or the chunk-capable
+  /// sparse collective when one such message could exceed this limit.
+  /// Either way a level costs a rank one payload startup per destination
+  /// it reaches (O(1) under the greedy assignment; the sparse route adds
+  /// O(log p) barrier tokens) instead of the dense Alltoallv's 2(p-1).
+  /// Defaults to the measured crossover (see exchange::kDefaultSegmentBytes).
   std::int64_t segment_bytes = exchange::kDefaultSegmentBytes;
   std::uint64_t seed = 1;
 };

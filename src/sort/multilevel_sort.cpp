@@ -73,7 +73,7 @@ std::vector<double> MultilevelSampleSort(
     // 1) Splitter selection: sample, gather, pick k-1 weighted, bcast
     //    (twice where a larger sample pays).
     const std::vector<double> splitters =
-        SelectSplitters(*tr, local, std::max(1, cfg.oversample), k,
+        SelectSplitters(*tr, local, kFirstRoundSamples, k,
                         kTagSplitter + level, rng);
 
     // 2) Partition into k pieces with the branchless splitter-tree kernel.
@@ -97,7 +97,7 @@ std::vector<double> MultilevelSampleSort(
     exchange::ExchangeStats es;
     local = exchange::ExchangeGroupwise(tr, out, kTagPieceBase + level,
                                         cfg.exchange_mode, &es,
-                                        cfg.segment_bytes);
+                                        exchange::kDefaultSegmentBytes);
     if (stats != nullptr) {
       stats->messages_sent += es.messages_sent;
       stats->segments_sent += es.segments;

@@ -33,18 +33,10 @@ struct MultilevelConfig {
   /// level's groups then align with node boundaries, so the recursion
   /// goes node-local after one exchange), else 4.
   int k = 4;
-  /// Samples contributed per rank in the first round of each level's
-  /// splitter selection (SelectSplitters may add a larger second round).
-  int oversample = 8;
   std::uint64_t seed = 1;
   /// Delivery path of the per-level group-wise exchange (kAuto: sparse
   /// below the dense threshold -- see exchange.hpp).
   exchange::Mode exchange_mode = exchange::Mode::kAuto;
-  /// Large-message segment limit of the per-level exchange (bytes; 0 =
-  /// unsegmented): past it, payload messages are chunked/pipelined by the
-  /// selected path. Defaults to the measured crossover (see
-  /// exchange::kDefaultSegmentBytes).
-  std::int64_t segment_bytes = exchange::kDefaultSegmentBytes;
 };
 
 struct MultilevelStats {
@@ -52,8 +44,8 @@ struct MultilevelStats {
   /// Non-empty payload messages this rank sent across all levels (empty
   /// pieces and self-destined pieces cost no startup).
   std::int64_t messages_sent = 0;
-  /// Wire-level payload messages after segmentation, across all levels
-  /// (== messages_sent when segment_bytes is 0).
+  /// Wire-level payload messages after segmentation at
+  /// exchange::kDefaultSegmentBytes, across all levels.
   std::int64_t segments_sent = 0;
   std::int64_t final_elements = 0;
   /// Per-level traffic of this rank's group-wise exchange.

@@ -2,12 +2,13 @@
 //
 // QuickselectSmallest is used by the two-process base case of JQuick
 // (Section VII): after the pairwise data exchange, each partner selects
-// the k elements that belong to its side of the boundary.
+// the k elements that belong to its side of the boundary. The distributed
+// top-k's heap route (src/query) selects each rank's k smallest with it.
 //
-// QuickselectKth is the local workhorse of the distributed selection
-// queries (src/query): it reports the k-th order statistic together with
-// the three-way split boundary around it, which the distributed top-k
-// needs to apportion ties deterministically across ranks.
+// QuickselectKth is the three-way selection underneath: it reports the
+// k-th order statistic together with the three-way split boundary around
+// it. QuickselectSmallest is its one caller; the distributed selection
+// (src/query) partitions its windows itself.
 #pragma once
 
 #include <cstddef>

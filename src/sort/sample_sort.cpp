@@ -36,10 +36,11 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
                         1)));
 
   // 1) Splitter selection: every rank contributes its size and
-  //    `oversample` samples; the root picks p-1 size-weighted splitters,
-  //    after a second, larger round where the cost model says it pays.
+  //    kFirstRoundSamples samples; the root picks p-1 size-weighted
+  //    splitters, after a second, larger round where the cost model says
+  //    it pays.
   const std::vector<double> splitters = SelectSplitters(
-      tr, local, std::max(1, cfg.oversample), p, kTagSplitter, rng);
+      tr, local, kFirstRoundSamples, p, kTagSplitter, rng);
 
   // 2) Local partition into p buckets with the branchless splitter-tree
   //    kernel (bucket-major flat layout, ready for the flat exchange).

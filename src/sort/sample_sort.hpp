@@ -16,12 +16,6 @@
 namespace jsort {
 
 struct SampleSortConfig {
-  /// Samples per rank of the splitter selection's first round: each rank
-  /// draws `oversample` samples in total (not per splitter), so round 1
-  /// picks the p-1 splitters from p * oversample samples. Where the cost
-  /// model says a larger sample pays, a second round draws more (see
-  /// SelectSplitters).
-  int oversample = 8;
   /// Large-message segment limit of the bucket exchange (bytes; 0 =
   /// unsegmented): past it, each per-peer payload block is pipelined in
   /// segments of at most this many bytes. Defaults to the measured
@@ -48,8 +42,8 @@ struct SampleSortStats {
 /// approximately balanced, not perfectly: the splitters are weighted
 /// sample quantiles, so data held by a few ranks spreads too, and the
 /// largest slice exceeds n/p by about sqrt(2 ln p * p / S) for S samples
-/// -- S = p * oversample, or p * B after a second round of B per rank
-/// where the larger sample pays for itself (SecondRoundSamples).
+/// -- S = p * kFirstRoundSamples, or p * B after a second round of B per
+/// rank where the larger sample pays for itself (SecondRoundSamples).
 std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
                                std::vector<double> local,
                                const SampleSortConfig& cfg = {},

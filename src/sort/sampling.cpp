@@ -6,11 +6,9 @@
 
 namespace jsort {
 
-int SampleParams::TotalSamples(int p, std::int64_t n_over_p) const {
-  const double logp = p > 1 ? std::log2(static_cast<double>(p)) : 1.0;
-  double s = std::max(k1 * logp, k3);
-  s = std::max(s, k2 * static_cast<double>(n_over_p));
-  return std::max(1, static_cast<int>(s));
+int PivotSamples(int p) {
+  const double logp = p > 1 ? std::log2(static_cast<double>(p)) : 0.0;
+  return static_cast<int>(std::max(2.0 * logp, 16.0));
 }
 
 mpisim::PairDD ReservoirCandidate(std::span<const double> data,

@@ -7,9 +7,9 @@
 //    count); a max-key fold over the group selects a globally uniform
 //    element. JQuick folds it inside a prefix-sum sweep (jquick.hpp).
 //  * kMedianOfSamples -- Section VIII-A: the pivot is the median of
-//    max(k1 log p, k2 n/p, k3) samples drawn by random sampling; JQuick
-//    draws that many such candidates, each a uniform draw with
-//    replacement.
+//    max(k1 log p, k2 n/p, k3) samples drawn by random sampling, with
+//    k1 = 2, k2 = 0 and k3 = 16 here (PivotSamples); JQuick draws that
+//    many such candidates, each a uniform draw with replacement.
 //
 // The sample sorts' splitter selection (SelectSplitters) draws from the
 // same sampler, weights every sample by its rank's element count, and
@@ -36,16 +36,13 @@ enum class PivotPolicy {
   kMedianOfSamples,
 };
 
-/// Sample-count parameters of Section VIII-A: the total number of samples
-/// is max(k1 * log2(p), k2 * (n/p), k3), split evenly across ranks.
-struct SampleParams {
-  double k1 = 2.0;
-  double k2 = 0.0;
-  double k3 = 16.0;
+/// Section VIII-A's sample count for a pivot over p ranks:
+/// max(2 log2 p, 16), truncated.
+int PivotSamples(int p);
 
-  /// Total samples for a task over p ranks with per-rank load n_over_p.
-  int TotalSamples(int p, std::int64_t n_over_p) const;
-};
+/// Samples per rank of SelectSplitters' first round in the sample sorts:
+/// round 1 picks the k-1 splitters from p * kFirstRoundSamples samples.
+inline constexpr int kFirstRoundSamples = 8;
 
 /// SelectSplitters' price of a second round, for k buckets over p ranks
 /// holding n_total elements after a first round of `first_round` samples
@@ -56,9 +53,10 @@ struct SampleParams {
 /// on the largest receive, and costs two more collectives plus the root's
 /// gather bytes, 2 ceil(log2 p) * alpha_max + beta_max * p * B. B ranges
 /// over the powers of two from 2 * first_round up to n_total/p (and p * B
-/// within an int); the best net saving wins if it is positive. On a two-level model alpha_max and
-/// beta_max are the inter-node values and beta_min the intra-node one, so
-/// the price errs towards one round. Pure: no communication.
+/// within an int); the best net saving wins if it is positive. On a
+/// two-level model alpha_max and beta_max are the inter-node values and
+/// beta_min the intra-node one, so the price errs towards one round.
+/// Pure: no communication.
 int SecondRoundSamples(int p, int k, std::int64_t n_total, int first_round,
                        const mpisim::CostModel& cost);
 

@@ -69,7 +69,7 @@ TEST(Hypercube, ReportsImbalance) {
     auto tr = RbcTransportOf(world);
     jsort::HypercubeStats stats;
     const auto out =
-        jsort::HypercubeQuicksort(tr, std::move(input), {}, &stats);
+        jsort::HypercubeQuicksort(tr, std::move(input), &stats);
     EXPECT_EQ(stats.levels, 3);
     const auto bal = jsort::GlobalBalance(out, rw);
     EXPECT_EQ(bal.max_count >= bal.min_count, true);

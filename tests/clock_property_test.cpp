@@ -77,7 +77,9 @@ TEST(ClockProperty, ScanCostsCeilLogPRounds) {
   for (int p : {2, 4, 8, 16}) {
     const double t = ModelTimeOf(p, opts, [](Comm& world) {
       std::int64_t v = 1, out = 0;
-      mpisim::Scan(&v, &out, 1, Datatype::kInt64, ReduceOp::kSum, world);
+      mpisim::Request r =
+          mpisim::Iscan(&v, &out, 1, Datatype::kInt64, ReduceOp::kSum, world);
+      mpisim::Wait(r);
     });
     const int rounds = static_cast<int>(std::ceil(std::log2(p)));
     // Interior ranks pay a send plus a receive per round; the last rank's

@@ -201,14 +201,6 @@ Op Mpi(F f) {
 }
 
 template <typename F>
-Op MpiNb(F f) {
-  return [f](mpisim::Comm& w, rbc::Comm&, int c) {
-    mpisim::Request r = f(w, c);
-    mpisim::Wait(r);
-  };
-}
-
-template <typename F>
 Op Rbc(F f) {
   return [f](mpisim::Comm&, rbc::Comm& rw, int c) { f(rw, c); };
 }
@@ -259,12 +251,6 @@ std::vector<Collective> Collectives() {
     Collective c;
     c.name = "Reduce";
     c.rooted = true;
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int root) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      mpisim::Reduce(in.data(), out.data(), kCount, Datatype::kInt64,
-                     ReduceOp::kSum, root, w);
-    });
     c.mpi_nonblocking = [](mpisim::Comm& w, rbc::Comm&, int root) {
       auto in = Block(w.Rank(), kCount);
       std::vector<std::int64_t> out(kCount);
@@ -293,13 +279,6 @@ std::vector<Collective> Collectives() {
     Collective c;
     c.name = "Gather";
     c.rooted = true;
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int root) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(
-          static_cast<std::size_t>(kCount * w.Size()));
-      mpisim::Gather(in.data(), kCount, Datatype::kInt64, out.data(), root,
-                     w);
-    });
     c.mpi_nonblocking = [](mpisim::Comm& w, rbc::Comm&, int root) {
       auto in = Block(w.Rank(), kCount);
       std::vector<std::int64_t> out(
@@ -329,22 +308,6 @@ std::vector<Collective> Collectives() {
     Collective c;
     c.name = "Gatherv";
     c.rooted = true;
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int root) {
-      const VCounts v(w.Size());
-      auto in = Block(w.Rank(), w.Rank() % 3);
-      std::vector<std::int64_t> out(static_cast<std::size_t>(v.total) + 1);
-      mpisim::Gatherv(in.data(), w.Rank() % 3, Datatype::kInt64, out.data(),
-                      v.counts, v.displs, root, w);
-    });
-    c.mpi_nonblocking = [](mpisim::Comm& w, rbc::Comm&, int root) {
-      const VCounts v(w.Size());
-      auto in = Block(w.Rank(), w.Rank() % 3);
-      std::vector<std::int64_t> out(static_cast<std::size_t>(v.total) + 1);
-      mpisim::Request r =
-          mpisim::Igatherv(in.data(), w.Rank() % 3, Datatype::kInt64,
-                           out.data(), v.counts, v.displs, root, w);
-      mpisim::Wait(r);
-    };
     c.rbc_blocking = Rbc([](rbc::Comm& w, int root) {
       const VCounts v(w.Size());
       auto in = Block(w.Rank(), w.Rank() % 3);
@@ -365,31 +328,6 @@ std::vector<Collective> Collectives() {
   }
   {
     Collective c;
-    c.name = "Scatter";
-    c.rooted = true;
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int root) {
-      auto in = Block(root, kCount * w.Size());
-      std::vector<std::int64_t> out(kCount);
-      mpisim::Scatter(in.data(), kCount, Datatype::kInt64, out.data(), root,
-                      w);
-    });
-    c.rbc_blocking = Rbc([](rbc::Comm& w, int root) {
-      auto in = Block(root, kCount * w.Size());
-      std::vector<std::int64_t> out(kCount);
-      rbc::Scatter(in.data(), kCount, Datatype::kInt64, out.data(), root, w);
-    });
-    c.rbc_nonblocking = [](mpisim::Comm&, rbc::Comm& w, int root) {
-      auto in = Block(root, kCount * w.Size());
-      std::vector<std::int64_t> out(kCount);
-      rbc::Request r;
-      rbc::Iscatter(in.data(), kCount, Datatype::kInt64, out.data(), root, w,
-                    &r);
-      rbc::Wait(&r);
-    };
-    cs.push_back(c);
-  }
-  {
-    Collective c;
     c.name = "BcastLarge";
     c.rooted = true;
     constexpr int kLarge = 37;
@@ -402,12 +340,6 @@ std::vector<Collective> Collectives() {
   {
     Collective c;
     c.name = "Scan";
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      mpisim::Scan(in.data(), out.data(), kCount, Datatype::kInt64,
-                   ReduceOp::kSum, w);
-    });
     c.mpi_nonblocking = [](mpisim::Comm& w, rbc::Comm&, int) {
       auto in = Block(w.Rank(), kCount);
       std::vector<std::int64_t> out(kCount);
@@ -427,31 +359,6 @@ std::vector<Collective> Collectives() {
       rbc::Request r;
       rbc::Iscan(in.data(), out.data(), kCount, Datatype::kInt64,
                  ReduceOp::kSum, w, &r);
-      rbc::Wait(&r);
-    };
-    cs.push_back(c);
-  }
-  {
-    Collective c;
-    c.name = "Exscan";
-    c.mpi_blocking = Mpi([](mpisim::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      mpisim::Exscan(in.data(), out.data(), kCount, Datatype::kInt64,
-                     ReduceOp::kSum, w);
-    });
-    c.rbc_blocking = Rbc([](rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      rbc::Exscan(in.data(), out.data(), kCount, Datatype::kInt64,
-                  ReduceOp::kSum, w);
-    });
-    c.rbc_nonblocking = [](mpisim::Comm&, rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      rbc::Request r;
-      rbc::Iexscan(in.data(), out.data(), kCount, Datatype::kInt64,
-                   ReduceOp::kSum, w, &r);
       rbc::Wait(&r);
     };
     cs.push_back(c);
@@ -478,28 +385,6 @@ std::vector<Collective> Collectives() {
       mpisim::Allreduce(in.data(), out.data(), kCount, Datatype::kInt64,
                         ReduceOp::kMax, w);
     });
-    c.mpi_nonblocking = [](mpisim::Comm& w, rbc::Comm&, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      mpisim::Request r =
-          mpisim::Iallreduce(in.data(), out.data(), kCount, Datatype::kInt64,
-                             ReduceOp::kMax, w);
-      mpisim::Wait(r);
-    };
-    c.rbc_blocking = Rbc([](rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      rbc::Allreduce(in.data(), out.data(), kCount, Datatype::kInt64,
-                     ReduceOp::kMax, w);
-    });
-    c.rbc_nonblocking = [](mpisim::Comm&, rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(kCount);
-      rbc::Request r;
-      rbc::Iallreduce(in.data(), out.data(), kCount, Datatype::kInt64,
-                      ReduceOp::kMax, w, &r);
-      rbc::Wait(&r);
-    };
     cs.push_back(c);
   }
   {
@@ -511,67 +396,16 @@ std::vector<Collective> Collectives() {
           static_cast<std::size_t>(kCount * w.Size()));
       mpisim::Allgather(in.data(), kCount, Datatype::kInt64, out.data(), w);
     });
-    c.rbc_blocking = Rbc([](rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(
-          static_cast<std::size_t>(kCount * w.Size()));
-      rbc::Allgather(in.data(), kCount, Datatype::kInt64, out.data(), w);
-    });
-    c.rbc_nonblocking = [](mpisim::Comm&, rbc::Comm& w, int) {
-      auto in = Block(w.Rank(), kCount);
-      std::vector<std::int64_t> out(
-          static_cast<std::size_t>(kCount * w.Size()));
-      rbc::Request r;
-      rbc::Iallgather(in.data(), kCount, Datatype::kInt64, out.data(), w,
-                      &r);
-      rbc::Wait(&r);
-    };
     cs.push_back(c);
   }
   {
     Collective c;
     c.name = "Barrier";
     c.mpi_blocking = Mpi([](mpisim::Comm& w, int) { mpisim::Barrier(w); });
-    c.mpi_nonblocking = MpiNb(
-        [](mpisim::Comm& w, int) { return mpisim::Ibarrier(w); });
     c.rbc_blocking = Rbc([](rbc::Comm& w, int) { rbc::Barrier(w); });
     c.rbc_nonblocking = RbcNb([](rbc::Comm& w, int, rbc::Request* r) {
       rbc::Ibarrier(w, r);
     });
-    cs.push_back(c);
-  }
-  {
-    // mpisim's spread-out schedule stands for MPI; rbc runs pairwise
-    // rounds: two schedules, never compared with each other.
-    Collective c;
-    c.name = "Alltoall";
-    c.same_schedule = false;
-    c.mpi_nonblocking_counters_only = true;
-    auto bufs = [](int rank, int p) {
-      return std::make_pair(Block(rank, kCount * p),
-                            std::vector<std::int64_t>(
-                                static_cast<std::size_t>(kCount * p)));
-    };
-    c.mpi_blocking = Mpi([bufs](mpisim::Comm& w, int) {
-      auto [in, out] = bufs(w.Rank(), w.Size());
-      mpisim::Alltoall(in.data(), kCount, Datatype::kInt64, out.data(), w);
-    });
-    c.mpi_nonblocking = [bufs](mpisim::Comm& w, rbc::Comm&, int) {
-      auto [in, out] = bufs(w.Rank(), w.Size());
-      mpisim::Request r = mpisim::Ialltoall(in.data(), kCount,
-                                            Datatype::kInt64, out.data(), w);
-      mpisim::Wait(r);
-    };
-    c.rbc_blocking = Rbc([bufs](rbc::Comm& w, int) {
-      auto [in, out] = bufs(w.Rank(), w.Size());
-      rbc::Alltoall(in.data(), kCount, Datatype::kInt64, out.data(), w);
-    });
-    c.rbc_nonblocking = [bufs](mpisim::Comm&, rbc::Comm& w, int) {
-      auto [in, out] = bufs(w.Rank(), w.Size());
-      rbc::Request r;
-      rbc::Ialltoall(in.data(), kCount, Datatype::kInt64, out.data(), w, &r);
-      rbc::Wait(&r);
-    };
     cs.push_back(c);
   }
   {
@@ -658,7 +492,11 @@ std::vector<Collective> Collectives() {
 /// layer's (0 where the layer has no entry point). ScanWithTotal's was
 /// re-recorded when its sweep moved from the binomial tree rooted at rank
 /// 0 to the in-order binomial tree: the same shape relabelled, so every
-/// rank's end clock and counters moved to another rank.
+/// rank's end clock and counters moved to another rank. A layer whose
+/// every entry point of a collective was deleted reads 0 since: mpisim's
+/// Gatherv, rbc's Allreduce and Allgather. Where one of a layer's two
+/// forms was deleted, the other had been held equal to it, so the hash
+/// stands.
 struct Golden {
   const char* name;
   std::uint64_t mpi;
@@ -669,16 +507,13 @@ constexpr Golden kGolden[] = {
     {"Bcast", 0x6150f8fc04e95043, 0x57ea4883ccf4432b},
     {"Reduce", 0x06c4ad40c0298a31, 0x9308ec840cec210b},
     {"Gather", 0x687d964f8044b096, 0x4b7ad3ac3a47bc8b},
-    {"Gatherv", 0x2ef2efe551cad143, 0xdc7c4f81e98f923c},
-    {"Scatter", 0xa867a96a88e446f6, 0xfb6d35056a5a2491},
+    {"Gatherv", 0, 0xdc7c4f81e98f923c},
     {"BcastLarge", 0, 0x596ada1ac7a97151},
     {"Scan", 0xa10db873f40a8db5, 0xa10db873f40a8db5},
-    {"Exscan", 0xd665771d5f279ac3, 0xd665771d5f279ac3},
     {"ScanWithTotal", 0, 0x01d9c9000fbdc030},
-    {"Allreduce", 0x9cc53c468c87a0da, 0x2a94ec917919786e},
-    {"Allgather", 0x9b43d23ba4128b06, 0xe3858437e39c5acf},
+    {"Allreduce", 0x9cc53c468c87a0da, 0},
+    {"Allgather", 0x9b43d23ba4128b06, 0},
     {"Barrier", 0xd1dec8f938d10234, 0xc0a4de79c7a1dd3b},
-    {"Alltoall", 0xd1a74c195a500694, 0x591b54f67607f3ab},
     {"Alltoallv", 0xd4309b83fe53f69e, 0x83264fe1047c4662},
     {"SparseAlltoallv", 0x40acc2fbabd0dddb, 0xbe0aa280cab4af47},
 };
@@ -746,10 +581,9 @@ TEST_P(CollectiveGolden, EveryEntryPointLeavesTheRecordedFootprint) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, CollectiveGolden,
-    ::testing::Values("Bcast", "Reduce", "Gather", "Gatherv", "Scatter",
-                      "BcastLarge", "Scan", "Exscan", "ScanWithTotal",
-                      "Allreduce", "Allgather", "Barrier", "Alltoall",
-                      "Alltoallv", "SparseAlltoallv"),
+    ::testing::Values("Bcast", "Reduce", "Gather", "Gatherv", "BcastLarge",
+                      "Scan", "ScanWithTotal", "Allreduce", "Allgather",
+                      "Barrier", "Alltoallv", "SparseAlltoallv"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

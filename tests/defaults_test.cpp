@@ -1,8 +1,9 @@
 // Pins the measured default large-message segment limit (ROADMAP item:
 // tune a default segment_bytes). The value comes from bench_sensitivity's
 // segment_crossover sweep on the virtual cost model -- see the comment at
-// jsort::exchange::kDefaultSegmentBytes -- and every sorter config must
-// default to it, so a change to the constant is a deliberate, test-visible
+// jsort::exchange::kDefaultSegmentBytes -- and every sorter config with a
+// segment limit must default to it (MultilevelSampleSort passes it
+// directly), so a change to the constant is a deliberate, test-visible
 // decision. The end-to-end case proves the default actually engages: a
 // sort whose per-destination payloads exceed the limit must ship more
 // wire segments than logical messages and still sort correctly.
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "sort/jquick.hpp"
-#include "sort/multilevel_sort.hpp"
 #include "sort/sample_sort.hpp"
 #include "sort/workload.hpp"
 #include "testutil.hpp"
@@ -27,8 +27,6 @@ TEST(SegmentBytesDefault, AllSorterConfigsUseIt) {
   EXPECT_EQ(jsort::JQuickConfig{}.segment_bytes,
             jsort::exchange::kDefaultSegmentBytes);
   EXPECT_EQ(jsort::SampleSortConfig{}.segment_bytes,
-            jsort::exchange::kDefaultSegmentBytes);
-  EXPECT_EQ(jsort::MultilevelConfig{}.segment_bytes,
             jsort::exchange::kDefaultSegmentBytes);
 }
 

@@ -9,6 +9,7 @@
 #include <random>
 #include <vector>
 
+#include "forwarding_transport.hpp"
 #include "sort/exchange.hpp"
 #include "sort/jquick.hpp"
 #include "sort/workload.hpp"
@@ -523,20 +524,33 @@ TEST_P(ExchangeSweep, SegmentExchangeAllElementsOnOneRank) {
   });
 }
 
-/// JQuick routed through each forced exchange mode still sorts correctly
-/// on every backend (the kAuto path is covered by the existing jquick
-/// tests).
-void SortWithMode(Backend b, Mode mode) {
+/// JQuick sorts correctly on every backend through both routes its kAuto
+/// exchange takes: coalesced at the default segment limit, and sparse
+/// (`below_flip`) under a limit below one interior destination's message,
+/// (2 + n/p) * 8 bytes. The route shows in the sparse collectives a rank
+/// starts: none when coalesced, and one per distributed task it is in --
+/// at least one per level of its deepest chain of tasks -- when sparse.
+void SortWithAutoExchange(Backend b, bool below_flip) {
   constexpr int kP = 9;
   constexpr std::int64_t kQuota = 40;
   testutil::PerRank<std::vector<double>> outs(kP);
   RunRanks(kP, [&](mpisim::Comm& world) {
-    auto tr = Make(b, world);
+    auto tr = std::make_shared<testutil::RecordingTransport>(Make(b, world));
     auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
                                       world.Rank(), kP, kQuota, 21);
     jsort::JQuickConfig cfg;
-    cfg.exchange_mode = mode;
-    auto out = jsort::JQuickSort(tr, std::move(input), cfg);
+    cfg.segment_bytes = below_flip ? (1 + kQuota) * 8
+                                   : jsort::exchange::kDefaultSegmentBytes;
+    jsort::JQuickStats stats;
+    auto out = jsort::JQuickSort(tr, std::move(input), cfg, &stats);
+    const int sparse =
+        tr->CountInTree(testutil::CollectiveCall::kIsparseAlltoallv);
+    EXPECT_GE(stats.distributed_levels, 1);
+    if (below_flip) {
+      EXPECT_GE(sparse, stats.distributed_levels) << "rank " << world.Rank();
+    } else {
+      EXPECT_EQ(sparse, 0) << "rank " << world.Rank();
+    }
     outs.Set(world.Rank(), std::move(out));
   });
   std::vector<double> all;
@@ -552,18 +566,17 @@ void SortWithMode(Backend b, Mode mode) {
 }
 
 class JQuickModeSweep
-    : public ::testing::TestWithParam<std::tuple<Backend, Mode>> {};
+    : public ::testing::TestWithParam<std::tuple<Backend, bool>> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    BackendsByMode, JQuickModeSweep,
+    BackendsByRoute, JQuickModeSweep,
     ::testing::Combine(::testing::Values(Backend::kRbc, Backend::kMpi,
                                          Backend::kIcomm),
-                       ::testing::Values(Mode::kAlltoallv, Mode::kCoalesced,
-                                         Mode::kSparse)));
+                       ::testing::Bool()));
 
 TEST_P(JQuickModeSweep, SortsCorrectly) {
-  const auto [b, mode] = GetParam();
-  SortWithMode(b, mode);
+  const auto [b, below_flip] = GetParam();
+  SortWithAutoExchange(b, below_flip);
 }
 
 }  // namespace

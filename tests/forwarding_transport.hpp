@@ -102,45 +102,53 @@ struct CollectiveCall {
 };
 
 /// Records, in order, every collective started on this transport (its
-/// Split children record their own).
+/// Split children record their own), and counts those of the whole tree
+/// of Split descendants it heads.
 class RecordingTransport final : public ForwardingTransport {
  public:
-  using ForwardingTransport::ForwardingTransport;
+  explicit RecordingTransport(std::shared_ptr<jsort::Transport> inner)
+      : RecordingTransport(std::move(inner),
+                           std::make_shared<std::vector<CollectiveCall>>()) {}
+  /// A Split child: its calls also count towards `tree`.
+  RecordingTransport(std::shared_ptr<jsort::Transport> inner,
+                     std::shared_ptr<std::vector<CollectiveCall>> tree)
+      : ForwardingTransport(std::move(inner)), tree_(std::move(tree)) {}
 
   const std::vector<CollectiveCall>& calls() const { return calls_; }
-  int Count(CollectiveCall::Kind kind) const {
-    int n = 0;
-    for (const CollectiveCall& c : calls_) n += c.kind == kind ? 1 : 0;
-    return n;
+  int Count(CollectiveCall::Kind kind) const { return CountOf(calls_, kind); }
+  /// Collectives of `kind` started on this transport and on every Split
+  /// descendant, its children's children included.
+  int CountInTree(CollectiveCall::Kind kind) const {
+    return CountOf(*tree_, kind);
   }
 
   jsort::Poll Ibcast(void* buf, int count, jsort::Datatype dt, int root,
                      int tag) override {
-    calls_.push_back({CollectiveCall::kIbcast});
+    Record({CollectiveCall::kIbcast});
     return ForwardingTransport::Ibcast(buf, count, dt, root, tag);
   }
   jsort::Poll Iscan(const void* send, void* recv, int count,
                     jsort::Datatype dt, jsort::ReduceOp op,
                     int tag) override {
-    calls_.push_back({CollectiveCall::kIscan});
+    Record({CollectiveCall::kIscan});
     return ForwardingTransport::Iscan(send, recv, count, dt, op, tag);
   }
   jsort::Poll Ireduce(const void* send, void* recv, int count,
                       jsort::Datatype dt, jsort::ReduceOp op, int root,
                       int tag) override {
-    calls_.push_back({CollectiveCall::kIreduce});
+    Record({CollectiveCall::kIreduce});
     return ForwardingTransport::Ireduce(send, recv, count, dt, op, root, tag);
   }
   jsort::Poll Igather(const void* send, int count, jsort::Datatype dt,
                       void* recv, int root, int tag) override {
-    calls_.push_back({CollectiveCall::kIgather});
+    Record({CollectiveCall::kIgather});
     return ForwardingTransport::Igather(send, count, dt, recv, root, tag);
   }
   jsort::Poll IscanWithTotal(const void* send, void* incl, void* total,
                              int count, jsort::Datatype dt,
                              jsort::ReduceOp op, int tag,
                              const jsort::ScanRider& rider = {}) override {
-    calls_.push_back({CollectiveCall::kIscanWithTotal, rider});
+    Record({CollectiveCall::kIscanWithTotal, rider});
     return ForwardingTransport::IscanWithTotal(send, incl, total, count, dt,
                                                op, tag, rider);
   }
@@ -149,7 +157,7 @@ class RecordingTransport final : public ForwardingTransport {
                          void* recv, std::span<const int> recvcounts,
                          std::span<const int> rdispls, int tag,
                          std::int64_t segment_bytes) override {
-    calls_.push_back({CollectiveCall::kIalltoallv});
+    Record({CollectiveCall::kIalltoallv});
     return ForwardingTransport::Ialltoallv(send, sendcounts, sdispls, dt,
                                            recv, recvcounts, rdispls, tag,
                                            segment_bytes);
@@ -158,7 +166,7 @@ class RecordingTransport final : public ForwardingTransport {
                                jsort::Datatype dt,
                                std::vector<jsort::SparseDelivery>* received,
                                int tag, std::int64_t segment_bytes) override {
-    calls_.push_back({CollectiveCall::kIsparseAlltoallv});
+    Record({CollectiveCall::kIsparseAlltoallv});
     return ForwardingTransport::IsparseAlltoallv(sends, dt, received, tag,
                                                  segment_bytes);
   }
@@ -166,11 +174,23 @@ class RecordingTransport final : public ForwardingTransport {
  protected:
   std::shared_ptr<jsort::Transport> Wrap(
       std::shared_ptr<jsort::Transport> child) override {
-    return std::make_shared<RecordingTransport>(std::move(child));
+    return std::make_shared<RecordingTransport>(std::move(child), tree_);
   }
 
  private:
+  static int CountOf(const std::vector<CollectiveCall>& calls,
+                     CollectiveCall::Kind kind) {
+    int n = 0;
+    for (const CollectiveCall& c : calls) n += c.kind == kind ? 1 : 0;
+    return n;
+  }
+  void Record(const CollectiveCall& call) {
+    calls_.push_back(call);
+    tree_->push_back(call);
+  }
+
   std::vector<CollectiveCall> calls_;
+  std::shared_ptr<std::vector<CollectiveCall>> tree_;
 };
 
 }  // namespace testutil

@@ -42,17 +42,27 @@ std::shared_ptr<jsort::Transport> MakeTransport(Backend b,
   return nullptr;
 }
 
-/// Runs JQuick and verifies the three output invariants.
+/// Runs JQuick and verifies the three output invariants. With
+/// `all_sparse`, also that every distributed level took the sparse route:
+/// each distributed task starts one sparse collective on each member, so
+/// a rank starts at least one per level of its deepest chain of tasks.
 void CheckJQuick(int p, std::int64_t quota, InputKind kind, Backend backend,
-                 const JQuickConfig& cfg) {
+                 const JQuickConfig& cfg, bool all_sparse = false) {
   RunRanks(p, [&](mpisim::Comm& world) {
     rbc::Comm rw;
     rbc::Create_RBC_Comm(world, &rw);
     auto input =
         jsort::GenerateInput(kind, world.Rank(), p, quota, cfg.seed + 7);
     const auto before = jsort::GlobalFingerprint(input, rw);
-    auto tr = MakeTransport(backend, world);
-    const auto out = JQuickSort(tr, std::move(input), cfg);
+    auto tr = std::make_shared<testutil::RecordingTransport>(
+        MakeTransport(backend, world));
+    jsort::JQuickStats stats;
+    const auto out = JQuickSort(tr, std::move(input), cfg, &stats);
+    if (all_sparse) {
+      EXPECT_GE(stats.distributed_levels, 1);
+      EXPECT_GE(tr->CountInTree(testutil::CollectiveCall::kIsparseAlltoallv),
+                stats.distributed_levels);
+    }
     // Perfect balance: exactly quota elements on every rank.
     EXPECT_EQ(static_cast<std::int64_t>(out.size()), quota);
     // Permutation: same global multiset.
@@ -133,10 +143,13 @@ TEST(JQuick, LargerRun) {
   CheckJQuick(16, 512, InputKind::kUniform, Backend::kRbc, JQuickConfig{});
 }
 
-/// Forced sparse exchange on RBC at every level. A janus rank runs the
-/// sparse collectives of both its groups on one level tag, so each
-/// collective's final drain must find its own members' blocks behind the
-/// other group's.
+/// The sparse exchange on RBC at every level: a segment limit below one
+/// interior destination's message, (2 + n/p) * 8 bytes, makes kAuto take
+/// the chunk-capable sparse route on every distributed level, and the
+/// check counts the sparse collectives each rank starts. A janus rank
+/// runs the sparse collectives of both its groups on one level tag, so
+/// each collective's final drain must find its own members' blocks behind
+/// the other group's.
 class JQuickSparseRbc
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -149,9 +162,10 @@ TEST_P(JQuickSparseRbc, SortsAcrossSeeds) {
   const auto [p, quota] = GetParam();
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     JQuickConfig cfg;
-    cfg.exchange_mode = jsort::exchange::Mode::kSparse;
+    cfg.segment_bytes = (1 + quota) * 8;
     cfg.seed = seed;
-    CheckJQuick(p, quota, InputKind::kUniform, Backend::kRbc, cfg);
+    CheckJQuick(p, quota, InputKind::kUniform, Backend::kRbc, cfg,
+                /*all_sparse=*/true);
   }
 }
 
@@ -162,7 +176,8 @@ TEST(JQuick, DefaultConfigAboveSegmentFlip) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     JQuickConfig cfg;
     cfg.seed = seed;
-    CheckJQuick(32, 8192, InputKind::kUniform, Backend::kRbc, cfg);
+    CheckJQuick(32, 8192, InputKind::kUniform, Backend::kRbc, cfg,
+                /*all_sparse=*/true);
   }
 }
 
@@ -319,7 +334,7 @@ TEST(JQuick, EveryPivotRidesASweep) {
       cfg.pivot = policy;
       const int k = policy == PivotPolicy::kRandomElement
                         ? 1
-                        : cfg.samples.TotalSamples(kP, kQuota);
+                        : jsort::PivotSamples(kP);
       std::vector<std::vector<std::shared_ptr<GroupCalls>>> groups(kP);
       testutil::PerRank<std::vector<double>> inputs(kP), outputs(kP);
       RunRanks(kP, [&](mpisim::Comm& world) {

@@ -1,5 +1,5 @@
-// Communicator construction: split, create_group, create, dup -- context
-// isolation, group correctness, vendor profiles, and id recycling.
+// Communicator construction: split and create_group -- context isolation,
+// group correctness, vendor profiles, and id recycling.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -136,33 +136,20 @@ TEST(CommCreateGroup, OverlappingGroupsDoNotInterfere) {
   });
 }
 
-TEST(CommCreate, NonMembersGetNull) {
-  RunRanks(4, [](Comm& world) {
-    const std::array<RankRange, 1> r{RankRange{0, 1, 1}};
-    Group g = mpisim::GroupRangeIncl(world, r);
-    Comm sub = mpisim::CommCreate(world, g);  // collective on whole world
-    if (world.Rank() < 2) {
-      ASSERT_FALSE(sub.IsNull());
-      EXPECT_EQ(sub.Size(), 2);
-    } else {
-      EXPECT_TRUE(sub.IsNull());
-    }
-  });
-}
-
-TEST(CommDup, IsolatesTrafficFromParent) {
+TEST(CommSplit, WholeWorldSplitIsolatesTrafficFromParent) {
   RunRanks(2, [](Comm& world) {
-    Comm dup = mpisim::CommDup(world);
-    ASSERT_FALSE(dup.IsNull());
-    EXPECT_EQ(dup.Size(), world.Size());
+    // One color, keyed by rank: the world's group under a new context id.
+    Comm copy = mpisim::CommSplit(world, 0, world.Rank());
+    ASSERT_FALSE(copy.IsNull());
+    EXPECT_EQ(copy.Size(), world.Size());
     if (world.Rank() == 0) {
       const int a = 1, b = 2;
       mpisim::Send(&a, 1, Datatype::kInt32, 1, 0, world);
-      mpisim::Send(&b, 1, Datatype::kInt32, 1, 0, dup);
+      mpisim::Send(&b, 1, Datatype::kInt32, 1, 0, copy);
     } else {
-      // Receive from the dup first: the world message must not match.
+      // Receive from the copy first: the world message must not match.
       int got = 0;
-      mpisim::Recv(&got, 1, Datatype::kInt32, 0, 0, dup);
+      mpisim::Recv(&got, 1, Datatype::kInt32, 0, 0, copy);
       EXPECT_EQ(got, 2);
       mpisim::Recv(&got, 1, Datatype::kInt32, 0, 0, world);
       EXPECT_EQ(got, 1);
@@ -174,19 +161,19 @@ TEST(ContextIds, ReleasedOnDestructionAndRecycled) {
   RunRanks(2, [](Comm& world) {
     std::uint64_t first_base = 0;
     {
-      Comm dup = mpisim::CommDup(world);
-      first_base = dup.Base();
+      Comm first = mpisim::CommSplit(world, 0, world.Rank());
+      first_base = first.Base();
     }
     mpisim::Barrier(world);  // both ranks dropped the handle
-    Comm dup2 = mpisim::CommDup(world);
-    EXPECT_EQ(dup2.Base(), first_base);  // the id was recycled
+    Comm second = mpisim::CommSplit(world, 0, world.Rank());
+    EXPECT_EQ(second.Base(), first_base);  // the id was recycled
   });
 }
 
 TEST(ContextIds, DistinctForLiveCommunicators) {
   RunRanks(3, [](Comm& world) {
-    Comm a = mpisim::CommDup(world);
-    Comm b = mpisim::CommDup(world);
+    Comm a = mpisim::CommSplit(world, 0, world.Rank());
+    Comm b = mpisim::CommSplit(world, 0, world.Rank());
     EXPECT_NE(a.Base(), b.Base());
     EXPECT_NE(a.Base(), world.Base());
   });

@@ -1,7 +1,7 @@
-// QuickselectKth: the local three-way selection kernel underneath the
-// query subsystem. Property-swept against std::nth_element across edge
-// ranks (k in {0, 1, n-1}), duplicate-heavy/Zipf and all-equal inputs,
-// plus the split-boundary invariant the distributed kernels rely on.
+// QuickselectKth: the local three-way selection kernel underneath
+// QuickselectSmallest. Property-swept against std::nth_element across
+// edge ranks (k in {0, 1, n-1}), duplicate-heavy/Zipf and all-equal
+// inputs, plus its split-boundary invariant.
 #include <gtest/gtest.h>
 
 #include <algorithm>

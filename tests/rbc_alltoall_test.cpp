@@ -1,7 +1,7 @@
-// rbc::Alltoall / Alltoallv / Ialltoall / Ialltoallv: uniform and uneven
-// counts (including zero-count ranks), randomized equivalence against
-// mpisim::Alltoallv, sub-ranges, overlapping sub-ranges, strided ranges,
-// and nonblocking completion via rbc::Test / rbc::Wait.
+// rbc::Alltoallv / Ialltoallv: uniform and uneven counts (including
+// zero-count ranks), randomized equivalence against mpisim::Alltoallv,
+// sub-ranges, overlapping sub-ranges, strided ranges, and nonblocking
+// completion via rbc::Test / rbc::Wait.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -79,16 +79,20 @@ INSTANTIATE_TEST_SUITE_P(ProcessCounts, AlltoallSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 13, 16));
 
 TEST_P(AlltoallSweep, UniformBlocksLandByRank) {
+  // The uniform all-to-all: Alltoallv with two elements to every rank.
   const int p = GetParam();
   RunRbc(p, [p](rbc::Comm& rw) {
     const int me = rw.Rank();
     std::vector<double> send(static_cast<std::size_t>(2 * p));
+    std::vector<int> counts(static_cast<std::size_t>(p), 2), displs;
     for (int j = 0; j < p; ++j) {
       send[static_cast<std::size_t>(2 * j)] = ElemOf(me, j, 0);
       send[static_cast<std::size_t>(2 * j + 1)] = ElemOf(me, j, 1);
+      displs.push_back(2 * j);
     }
     std::vector<double> recv(static_cast<std::size_t>(2 * p), -1.0);
-    rbc::Alltoall(send.data(), 2, Datatype::kFloat64, recv.data(), rw);
+    rbc::Alltoallv(send.data(), counts, displs, Datatype::kFloat64,
+                   recv.data(), counts, displs, rw);
     for (int j = 0; j < p; ++j) {
       EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(2 * j)],
                        ElemOf(j, me, 0));
@@ -188,15 +192,12 @@ TEST(Alltoallv, StridedRangeUsesEveryOtherRank) {
     if (even.Rank() < 0) return;
     const int p = even.Size();
     const int me = even.Rank();
-    std::vector<double> send(static_cast<std::size_t>(p)),
-        recv(static_cast<std::size_t>(p), -1.0);
-    for (int j = 0; j < p; ++j) {
-      send[static_cast<std::size_t>(j)] = ElemOf(me, j, 0);
-    }
-    rbc::Alltoall(send.data(), 1, Datatype::kFloat64, recv.data(), even);
-    for (int j = 0; j < p; ++j) {
-      EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(j)], ElemOf(j, me, 0));
-    }
+    const VectorPattern pat = BuildPattern(0x57D1, me, p);
+    std::vector<double> recv(static_cast<std::size_t>(pat.recv_total), -1.0);
+    rbc::Alltoallv(pat.send.data(), pat.sendcounts, pat.sdispls,
+                   Datatype::kFloat64, recv.data(), pat.recvcounts,
+                   pat.rdispls, even);
+    ExpectReceived(pat, recv, me, p);
   });
 }
 
@@ -245,18 +246,16 @@ TEST(Ialltoallv, OverlappingSubRangesRunSimultaneously) {
   });
 }
 
-TEST(Ialltoall, CompletesViaTestPolling) {
+TEST(Ialltoallv, CompletesViaTestPolling) {
   RunRbc(5, [](rbc::Comm& rw) {
     const int p = rw.Size();
     const int me = rw.Rank();
-    std::vector<double> send(static_cast<std::size_t>(p)),
-        recv(static_cast<std::size_t>(p), -1.0);
-    for (int j = 0; j < p; ++j) {
-      send[static_cast<std::size_t>(j)] = ElemOf(me, j, 0);
-    }
+    const VectorPattern pat = BuildPattern(0x7E57, me, p);
+    std::vector<double> recv(static_cast<std::size_t>(pat.recv_total), -1.0);
     rbc::Request req;
-    rbc::Ialltoall(send.data(), 1, Datatype::kFloat64, recv.data(), rw,
-                   &req);
+    rbc::Ialltoallv(pat.send.data(), pat.sendcounts, pat.sdispls,
+                    Datatype::kFloat64, recv.data(), pat.recvcounts,
+                    pat.rdispls, rw, &req);
     int flag = 0;
     while (flag == 0) {
       rbc::Test(&req, &flag);
@@ -264,9 +263,7 @@ TEST(Ialltoall, CompletesViaTestPolling) {
     // Completion is sticky.
     rbc::Test(&req, &flag);
     EXPECT_EQ(flag, 1);
-    for (int j = 0; j < p; ++j) {
-      EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(j)], ElemOf(j, me, 0));
-    }
+    ExpectReceived(pat, recv, me, p);
   });
 }
 

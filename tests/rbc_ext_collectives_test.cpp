@@ -1,9 +1,9 @@
-// Extension collectives (beyond Table I): Allreduce, Allgather, Exscan,
-// Scatter and the large-input broadcast, blocking and nonblocking, over
-// full ranges and sub-ranges.
+// The large-input broadcast (an extension beyond Table I): the binomial
+// broadcast's result from every size and end root, at lower model time
+// for large payloads.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "testutil.hpp"
@@ -11,95 +11,7 @@
 namespace {
 
 using rbc::Datatype;
-using rbc::ReduceOp;
-using testutil::RunRanks;
 using testutil::RunRbc;
-
-class ExtCollSweep : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(ProcessCounts, ExtCollSweep,
-                         ::testing::Values(1, 2, 3, 5, 8, 13));
-
-TEST_P(ExtCollSweep, AllreduceDistributesSum) {
-  const int p = GetParam();
-  RunRbc(p, [p](rbc::Comm& rw) {
-    const std::int64_t mine = rw.Rank() + 1;
-    std::int64_t out = 0;
-    rbc::Allreduce(&mine, &out, 1, Datatype::kInt64, ReduceOp::kSum, rw);
-    EXPECT_EQ(out, static_cast<std::int64_t>(p) * (p + 1) / 2);
-  });
-}
-
-TEST_P(ExtCollSweep, IallreduceNonblocking) {
-  const int p = GetParam();
-  RunRbc(p, [p](rbc::Comm& rw) {
-    const std::int64_t mine = rw.Rank();
-    std::int64_t out = -1;
-    rbc::Request req;
-    rbc::Iallreduce(&mine, &out, 1, Datatype::kInt64, ReduceOp::kMax, rw,
-                    &req);
-    rbc::Wait(&req);
-    EXPECT_EQ(out, p - 1);
-  });
-}
-
-TEST_P(ExtCollSweep, AllgatherAssemblesEverywhere) {
-  const int p = GetParam();
-  RunRbc(p, [p](rbc::Comm& rw) {
-    const std::int64_t mine[2] = {rw.Rank(), rw.Rank() * 7};
-    std::vector<std::int64_t> all(static_cast<std::size_t>(2 * p), -1);
-    rbc::Allgather(mine, 2, Datatype::kInt64, all.data(), rw);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(all[static_cast<std::size_t>(2 * r)], r);
-      EXPECT_EQ(all[static_cast<std::size_t>(2 * r + 1)], r * 7);
-    }
-  });
-}
-
-TEST_P(ExtCollSweep, ExscanMatchesExclusivePrefix) {
-  const int p = GetParam();
-  RunRbc(p, [](rbc::Comm& rw) {
-    const std::int64_t mine = rw.Rank() + 1;
-    std::int64_t out = -1;
-    rbc::Exscan(&mine, &out, 1, Datatype::kInt64, ReduceOp::kSum, rw);
-    const std::int64_t r = rw.Rank();
-    EXPECT_EQ(out, r * (r + 1) / 2);  // 0 on rank 0
-  });
-}
-
-TEST_P(ExtCollSweep, ScatterDistributesBlocks) {
-  const int p = GetParam();
-  RunRbc(p, [p](rbc::Comm& rw) {
-    for (int root = 0; root < std::min(p, 3); ++root) {
-      std::vector<std::int64_t> send;
-      if (rw.Rank() == root) {
-        for (int r = 0; r < p; ++r) {
-          send.push_back(100 + r);
-          send.push_back(200 + r);
-        }
-      }
-      std::int64_t recv[2] = {-1, -1};
-      rbc::Scatter(send.data(), 2, Datatype::kInt64, recv, root, rw);
-      EXPECT_EQ(recv[0], 100 + rw.Rank());
-      EXPECT_EQ(recv[1], 200 + rw.Rank());
-    }
-  });
-}
-
-TEST_P(ExtCollSweep, IscatterNonblocking) {
-  const int p = GetParam();
-  RunRbc(p, [p](rbc::Comm& rw) {
-    std::vector<double> send;
-    if (rw.Rank() == 0) {
-      for (int r = 0; r < p; ++r) send.push_back(r * 0.5);
-    }
-    double recv = -1;
-    rbc::Request req;
-    rbc::Iscatter(send.data(), 1, Datatype::kFloat64, &recv, 0, rw, &req);
-    rbc::Wait(&req);
-    EXPECT_DOUBLE_EQ(recv, rw.Rank() * 0.5);
-  });
-}
 
 class BcastLargeSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -152,30 +64,6 @@ TEST(BcastLarge, CheaperThanTreeForLargePayloadInModelTime) {
     }
   });
   EXPECT_LT(pipeline_time, tree_time);
-}
-
-TEST(ExtColl, AllreduceOnSubRange) {
-  RunRanks(8, [](mpisim::Comm& world) {
-    rbc::Comm rw, mid;
-    rbc::Create_RBC_Comm(world, &rw);
-    rbc::Split_RBC_Comm(rw, 2, 6, &mid);
-    if (mid.Rank() < 0) return;
-    const std::int64_t mine = world.Rank();
-    std::int64_t sum = 0;
-    rbc::Allreduce(&mine, &sum, 1, Datatype::kInt64, ReduceOp::kSum, mid);
-    EXPECT_EQ(sum, 2 + 3 + 4 + 5 + 6);
-  });
-}
-
-TEST(ExtColl, IexscanNonblocking) {
-  RunRbc(6, [](rbc::Comm& rw) {
-    const std::int64_t mine = 2;
-    std::int64_t out = -1;
-    rbc::Request req;
-    rbc::Iexscan(&mine, &out, 1, Datatype::kInt64, ReduceOp::kSum, rw, &req);
-    rbc::Wait(&req);
-    EXPECT_EQ(out, 2 * rw.Rank());
-  });
 }
 
 }  // namespace

@@ -241,12 +241,13 @@ TEST(Sampling, MedianOfOddSample) {
   EXPECT_DOUBLE_EQ(jsort::MedianOf(s), 5.0);
 }
 
-TEST(Sampling, TotalSamplesHonoursFloors) {
-  jsort::SampleParams sp{.k1 = 2.0, .k2 = 0.0, .k3 = 16.0};
-  EXPECT_EQ(sp.TotalSamples(2, 1), 16);        // k3 floor
-  EXPECT_GE(sp.TotalSamples(1 << 20, 1), 40);  // k1 * 20
-  jsort::SampleParams dense{.k1 = 0.0, .k2 = 1.0, .k3 = 1.0};
-  EXPECT_EQ(dense.TotalSamples(4, 100), 100);  // k2 * n/p
+TEST(Sampling, PivotSamplesHonoursFloors) {
+  EXPECT_EQ(jsort::PivotSamples(1), 16);        // the floor of 16
+  EXPECT_EQ(jsort::PivotSamples(2), 16);
+  EXPECT_EQ(jsort::PivotSamples(256), 16);      // 2 log2 p = 16
+  EXPECT_EQ(jsort::PivotSamples(300), 16);      // 16.46, truncated
+  EXPECT_EQ(jsort::PivotSamples(512), 18);
+  EXPECT_EQ(jsort::PivotSamples(1 << 20), 40);  // 2 * 20
 }
 
 TEST(Workload, DeterministicAndSized) {

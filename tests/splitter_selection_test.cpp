@@ -34,7 +34,7 @@ using testutil::PerRank;
 using testutil::RecordingTransport;
 using testutil::RunRanks;
 
-constexpr int kFirstRound = 8;  // SampleSortConfig{}.oversample
+constexpr int kFirstRound = jsort::kFirstRoundSamples;
 
 /// bench_topo's two-level model: network alpha 25x, beta 4x.
 mpisim::CostModel EightByEight() {

@@ -8,9 +8,8 @@
 //    inter-node depth 1 when the root's node has m - 1 members and at
 //    most ceil(log2 m) always. On a flat model it is the binomial tree,
 //    field for field.
-//  * Delivery: Bcast, Reduce, Allreduce, Gather, Gatherv, Scatter and
-//    Barrier give byte-identical results on node-spread trees and on a
-//    flat runtime.
+//  * Delivery: Bcast, Reduce, Gather, Gatherv and Barrier give
+//    byte-identical results on node-spread trees and on a flat runtime.
 //  * Determinism: the children of every tree node are received one at a
 //    time in list order -- on rbc and on the mpi backend -- so every
 //    rank's clock and traffic counters are bit-identical across fresh
@@ -290,8 +289,8 @@ TEST(CollectiveTree, NodeSpreadShapeOnTwoLevelMachines) {
   }
 }
 
-/// Every rank's results of Bcast, Reduce, Gather, Gatherv (ragged
-/// counts) and Scatter from every root, plus Allreduce and Barrier,
+/// Every rank's results of Bcast, Reduce, Gather and Gatherv (ragged
+/// counts) from every root, plus a Reduce + Bcast sum and a Barrier,
 /// concatenated as raw bytes.
 std::vector<std::vector<std::byte>> CollectiveResults(
     const mpisim::Runtime::Options& opts) {
@@ -341,19 +340,12 @@ std::vector<std::vector<std::byte>> CollectiveResults(
       rbc::Gatherv(send.data(), me % 4, rbc::Datatype::kFloat64, gv.data(),
                    counts, displs, root, comm);
       if (me == root) keep(gv.data(), gv.size() * sizeof(double));
-
-      std::vector<std::int32_t> blocks(static_cast<std::size_t>(2 * p));
-      for (int i = 0; i < 2 * p; ++i) {
-        blocks[static_cast<std::size_t>(i)] = root * 1000 + i;
-      }
-      std::int32_t piece[2] = {-1, -1};
-      rbc::Scatter(blocks.data(), 2, rbc::Datatype::kInt32, piece, root, comm);
-      keep(piece, sizeof piece);
     }
     const double v = me + 1.0;
     double s = 0.0;
-    rbc::Allreduce(&v, &s, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
-                   comm);
+    rbc::Reduce(&v, &s, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum, 0,
+                comm);
+    rbc::Bcast(&s, 1, rbc::Datatype::kFloat64, 0, comm);
     keep(&s, sizeof s);
     rbc::Barrier(comm);
     results.Set(me, std::move(out));
@@ -385,7 +377,8 @@ struct Footprint {
 };
 
 /// One Gather, Gatherv, Reduce and Bcast (8 doubles per rank, root 0) in
-/// a fresh runtime, on rbc and then on the mpi backend's binomial trees.
+/// a fresh runtime on rbc, then Gather, Reduce and Bcast on the mpi
+/// backend's binomial trees.
 std::vector<Footprint> FootprintsOf(const mpisim::Runtime::Options& opts) {
   const int p = opts.num_ranks;
   PerRank<Footprint> fp(p);
@@ -416,8 +409,6 @@ std::vector<Footprint> FootprintsOf(const mpisim::Runtime::Options& opts) {
       clock();
     };
     wait(mpisim::Igather(mine.data(), 8, dt, all.data(), 0, world));
-    wait(mpisim::Igatherv(mine.data(), 8, dt, all.data(), counts, displs, 0,
-                          world));
     wait(mpisim::Ireduce(mine.data(), sum.data(), 8, dt,
                          mpisim::ReduceOp::kSum, 0, world));
     wait(mpisim::Ibcast(sum.data(), 8, dt, 0, world));

@@ -183,11 +183,13 @@ TEST(HierCollectives, MatchFlatCounterpartsOnRaggedTopology) {
     rbc::Bcast(&b, 1, rbc::Datatype::kFloat64, /*root=*/5, comm);
     EXPECT_EQ(b, 17.5);
 
-    // Allreduce (sum) against the closed form.
+    // Reduce (sum) to a root inside a node, broadcast back, against the
+    // closed form.
     double x = static_cast<double>(me + 1);
     double sum = 0.0;
-    rbc::Allreduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
-                   comm);
+    rbc::Reduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
+                /*root=*/5, comm);
+    rbc::Bcast(&sum, 1, rbc::Datatype::kFloat64, /*root=*/5, comm);
     EXPECT_EQ(sum, 36.0);
 
     // Gatherv with ragged counts, root on the 1-rank node, against the
@@ -226,8 +228,9 @@ TEST(HierCollectives, SingleNodeDegenerateStillCorrect) {
     rbc::Create_RBC_Comm(world, &comm);
     double x = static_cast<double>(comm.Rank());
     double sum = -1.0;
-    rbc::Allreduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum,
-                   comm);
+    rbc::Reduce(&x, &sum, 1, rbc::Datatype::kFloat64, rbc::ReduceOp::kSum, 0,
+                comm);
+    rbc::Bcast(&sum, 1, rbc::Datatype::kFloat64, 0, comm);
     EXPECT_EQ(sum, 6.0);
   });
 }
