@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -19,10 +20,10 @@ namespace {
 // receives level-k data, so level-k and level-k+1 exchange messages must
 // never share an envelope. The (small, large) sides coalesce into one
 // redistribution per level (jsort::exchange), so one tag per level
-// suffices. The base-case pairwise exchange has a single tag: distinct
-// partners disambiguate.
+// suffices. The direct finish has a single tag: two tasks share at most
+// one rank, the janus, so a (source, receiver) pair names one task.
 constexpr int kTagExchangeBase = 256;
-constexpr int kTagBasePair = 128;
+constexpr int kTagDirect = 128;
 
 // Every pivot is the median of weighted-reservoir winners folded by a
 // sweep. The root task sweeps its candidates alone (a sweep of zero scan
@@ -101,16 +102,12 @@ class Driver {
         .cap_first = quota,
         .cap_last = quota,
     };
-    if (p <= 2) {
-      base_.push_back(std::move(root));
-    } else {
-      active_.push_back(std::move(root));
-    }
+    Enqueue(std::move(root));
   }
 
   std::vector<double> Run() {
     DistributedPhase();
-    BaseCasePhase();
+    DirectPhase();
     return Assemble();
   }
 
@@ -220,10 +217,9 @@ class Driver {
   }
 
   /// Pivot candidates per block (Section VIII-A): PivotSamples of the
-  /// task's group size, or 1 under kRandomElement.
-  int CandidatesPerBlock(const Task& t) const {
-    return cfg_.pivot == PivotPolicy::kRandomElement ? 1
-                                                     : PivotSamples(t.layout.p);
+  /// task's group size p, or 1 under kRandomElement.
+  int CandidatesPerBlock(int p) const {
+    return cfg_.pivot == PivotPolicy::kRandomElement ? 1 : PivotSamples(p);
   }
 
   /// Appends one block of candidates (Efraimidis & Spirakis, "Weighted
@@ -234,7 +230,7 @@ class Driver {
   /// side of its parent's partition on every rank, so the parent's sweep
   /// draws the child's candidates.
   void DrawCandidates(Task& t, std::span<const double> data) {
-    const int k = CandidatesPerBlock(t);
+    const int k = CandidatesPerBlock(t.layout.p);
     for (int j = 0; j < k; ++j) {
       t.cands.push_back(ReservoirCandidate(data, rng_));
     }
@@ -252,7 +248,7 @@ class Driver {
   /// MedianOf of no samples; a split that is not degenerate has both
   /// sides non-empty, so its children's winners are real elements.
   double WinnersMedian(const Task& t, std::size_t block) const {
-    const auto k = static_cast<std::size_t>(CandidatesPerBlock(t));
+    const auto k = static_cast<std::size_t>(CandidatesPerBlock(t.layout.p));
     std::vector<double> values(k);
     for (std::size_t j = 0; j < k; ++j) {
       values[j] = t.cands[block * k + j].second;
@@ -396,76 +392,113 @@ class Driver {
   }
 
   void Enqueue(std::unique_ptr<Task> task) {
-    if (task->layout.p <= 2) {
-      base_.push_back(std::move(task));
+    if (FinishesDirectly(task->layout)) {
+      direct_.push_back(std::move(task));
     } else {
       active_.push_back(std::move(task));
     }
   }
 
-  /// Second phase (Section VII): base cases, deferred so a janus never
-  /// delays a larger subtask. All sends go out first (eager), then the
-  /// receives are drained, so a process in two base cases cannot block its
-  /// partners.
-  void BaseCasePhase() {
-    for (auto& t : base_) {
-      if (t->layout.p == 2) {
-        // The pair exchange honours the segment limit like every other
-        // payload path: both sides know the counts (the capacities), so
-        // sender and receiver walk the same segment ranges, sequenced by
-        // per-envelope FIFO order on the pair tag.
-        const auto n = static_cast<std::int64_t>(t->data.size());
-        const std::int64_t segs = mpisim::AlltoallvSegmentsOf(
-            n, sizeof(double), cfg_.segment_bytes);
-        for (std::int64_t s = 0; s < segs; ++s) {
-          const auto [at, len] = mpisim::AlltoallvSegmentRange(
-              n, sizeof(double), cfg_.segment_bytes, s);
-          t->tr->Send(t->data.data() + at, static_cast<int>(len),
-                      Datatype::kFloat64, 1 - t->MyRank(), kTagBasePair);
-        }
-        if (stats_ != nullptr) {
-          stats_->messages_sent += 1;
-          stats_->elements_sent += n;
-          stats_->segments_sent += segs;
-        }
-      }
-    }
-    for (auto& t : base_) {
-      if (t->layout.p == 1) {
-        if (stats_ != nullptr) stats_->base_tasks_1p += 1;
-        std::sort(t->data.begin(), t->data.end());
-        EmitSlice(t->SliceKey(), std::move(t->data));
-        continue;
-      }
-      if (stats_ != nullptr) stats_->base_tasks_2p += 1;
-      const int partner = 1 - t->MyRank();
-      const std::int64_t partner_cap = t->layout.CapOf(partner);
-      std::vector<double> merged = std::move(t->data);
-      const std::size_t mine = merged.size();
-      merged.resize(mine + static_cast<std::size_t>(partner_cap));
+  /// Whether a task of s ranks is cheaper to finish with one all-to-all
+  /// than to split, in the runtime's alpha-beta model (alpha and beta the
+  /// larger of the two levels, as in SecondRoundSamples). A direct finish
+  /// costs a member s-1 sends and s-1 receives of up to m words, m the
+  /// quota, which bounds every capacity and is the same for every task of
+  /// one sort; one more split costs the sweep's 2 ceil(log2 s) hops of
+  /// 4k + 4 words (k candidates per side), an exchange of about two
+  /// messages out and two in carrying m words each way, and the children's
+  /// direct finishes, whose larger one has floor(s/2) + 1 ranks:
+  ///   2(s-1) msg <= 2 ceil(log2 s)(alpha + beta(4k+4)) + 4 alpha
+  ///                 + 2 beta m + 2 floor(s/2) msg,
+  /// msg = alpha + beta m, a segmented message paying alpha per segment.
+  /// It reads only the layout and the global cost model, so every member
+  /// decides alike; s <= 2 always passes.
+  bool FinishesDirectly(const CapacityLayout& layout) const {
+    const mpisim::CostModel& cost = mpisim::Ctx().runtime->options().cost;
+    const double alpha = std::max(cost.AlphaFor(true), cost.AlphaFor(false));
+    const double beta = std::max(cost.BetaFor(true), cost.BetaFor(false));
+    const int s = layout.p;
+    const std::int64_t m = layout.quota;
+    const double words = static_cast<double>(m);
+    const double msg =
+        alpha * static_cast<double>(mpisim::AlltoallvSegmentsOf(
+                    m, sizeof(double), cfg_.segment_bytes)) +
+        beta * words;
+    const double hops = std::ceil(std::log2(static_cast<double>(s)));
+    const double sweep_words = 4.0 * CandidatesPerBlock(s) + 4.0;
+    const double direct = 2.0 * (s - 1) * msg;
+    const double split = 2.0 * hops * (alpha + beta * sweep_words) +
+                         4.0 * alpha + 2.0 * beta * words +
+                         2.0 * (s / 2) * msg;
+    return direct <= split;
+  }
+
+  /// Second phase (Section VII): the tasks that finish directly, deferred
+  /// so a janus never delays a larger subtask. Every member sends its
+  /// slice to every other one -- to me+1, me+2, ... -- and all sends of
+  /// all such tasks go out first (eager), so a process in two of them
+  /// cannot block its partners. Then each task receives from me-1, me-2,
+  /// ... in that fixed order and keeps slots [PrefixBefore(me),
+  /// PrefixBefore(me) + cap) of the union, selected by quickselect. Every
+  /// message honours the segment limit like every other payload path:
+  /// both sides know the counts (the capacities), so sender and receiver
+  /// walk the same segment ranges, sequenced by per-envelope FIFO order.
+  /// A single-rank task sends nothing and sorts its own data; a two-rank
+  /// task is the paper's pair exchange.
+  void DirectPhase() {
+    for (auto& t : direct_) {
+      const int s = t->layout.p;
+      const auto n = static_cast<std::int64_t>(t->data.size());
       const std::int64_t segs = mpisim::AlltoallvSegmentsOf(
-          partner_cap, sizeof(double), cfg_.segment_bytes);
-      for (std::int64_t s = 0; s < segs; ++s) {
-        const auto [at, len] = mpisim::AlltoallvSegmentRange(
-            partner_cap, sizeof(double), cfg_.segment_bytes, s);
-        t->tr->Recv(merged.data() + mine + at, static_cast<int>(len),
-                    Datatype::kFloat64, partner, kTagBasePair);
+          n, sizeof(double), cfg_.segment_bytes);
+      for (int j = 1; j < s; ++j) {
+        const int dest = (t->MyRank() + j) % s;
+        for (std::int64_t g = 0; g < segs; ++g) {
+          const auto [at, len] = mpisim::AlltoallvSegmentRange(
+              n, sizeof(double), cfg_.segment_bytes, g);
+          t->tr->Send(t->data.data() + at, static_cast<int>(len),
+                      Datatype::kFloat64, dest, kTagDirect);
+        }
       }
-      // Quickselect my share: rank 0 keeps the smallest cap_first
-      // elements, rank 1 keeps the rest (Section VII).
-      const std::int64_t k = t->layout.cap_first;
-      QuickselectSmallest(merged, static_cast<std::size_t>(k),
-                          cfg_.seed ^ 0xB5297A4Du);
-      std::vector<double> kept;
-      if (t->MyRank() == 0) {
-        kept.assign(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(k));
-      } else {
-        kept.assign(merged.begin() + static_cast<std::ptrdiff_t>(k), merged.end());
+      if (stats_ != nullptr) {
+        stats_->messages_sent += s - 1;
+        stats_->elements_sent += (s - 1) * n;
+        stats_->segments_sent += (s - 1) * segs;
       }
-      std::sort(kept.begin(), kept.end());
-      EmitSlice(t->SliceKey(), std::move(kept));
     }
-    base_.clear();
+    for (auto& t : direct_) {
+      const int s = t->layout.p;
+      const int me = t->MyRank();
+      if (stats_ != nullptr) {
+        (s == 1 ? stats_->base_tasks_1p : stats_->direct_tasks) += 1;
+      }
+      std::vector<double> all = std::move(t->data);
+      all.reserve(static_cast<std::size_t>(t->layout.Total()));
+      for (int j = 1; j < s; ++j) {
+        const int src = (me - j + s) % s;
+        const std::int64_t cap = t->layout.CapOf(src);
+        const std::size_t at = all.size();
+        all.resize(at + static_cast<std::size_t>(cap));
+        const std::int64_t segs = mpisim::AlltoallvSegmentsOf(
+            cap, sizeof(double), cfg_.segment_bytes);
+        for (std::int64_t g = 0; g < segs; ++g) {
+          const auto [off, len] = mpisim::AlltoallvSegmentRange(
+              cap, sizeof(double), cfg_.segment_bytes, g);
+          t->tr->Recv(all.data() + at + off, static_cast<int>(len),
+                      Datatype::kFloat64, src, kTagDirect);
+        }
+      }
+      const auto lo = static_cast<std::size_t>(t->layout.PrefixBefore(me));
+      const auto hi = lo + static_cast<std::size_t>(t->MyCap());
+      QuickselectSmallest(all, hi, cfg_.seed ^ 0xB5297A4Du);
+      QuickselectSmallest(std::span<double>(all).first(hi), lo,
+                          cfg_.seed ^ 0xB5297A4Du);
+      all.resize(hi);
+      all.erase(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(lo));
+      std::sort(all.begin(), all.end());
+      EmitSlice(t->SliceKey(), std::move(all));
+    }
+    direct_.clear();
   }
 
   void EmitSlice(std::int64_t key, std::vector<double> data) {
@@ -486,7 +519,7 @@ class Driver {
   JQuickStats* stats_;
   std::mt19937_64 rng_;
   std::vector<std::unique_ptr<Task>> active_;
-  std::vector<std::unique_ptr<Task>> base_;
+  std::vector<std::unique_ptr<Task>> direct_;
   std::vector<Slice> slices_;
 };
 

@@ -24,10 +24,21 @@
 // root task, which has no parent, draws k candidates from its data and
 // sweeps them alone (zero scan elements) before its first partition. A
 // degenerate split retries its partition and sweep once, with fresh
-// candidates. Tasks covering <= 2 processes become base cases, deferred
-// to a second phase so a janus never delays a larger subtask (Section
-// VII); the two-process base case exchanges data and quickselects each
-// partner's share.
+// candidates.
+//
+// The paper's base case finishes a two-process task with one exchange and
+// a local selection (Section VII). Here every task that the runtime's
+// alpha-beta model prices cheaper to finish than to split does so: each
+// member sends its slice to every other member and quickselects its own
+// slots of the union -- the all-gather-then-rank shortcut of fast
+// work-inefficient sorting (Axtmann, Bingmann, Sanders, Schulz, "Practical
+// Massively Parallel Sorting", SPAA 2015). A member of an s-rank task pays
+// 2(s-1) messages of up to n/p words against one more level's sweep,
+// exchange and its children's finishes (the rule in jquick.cpp,
+// FinishesDirectly); tasks of <= 2 ranks always qualify, and under the
+// default model tasks of up to 14 ranks do at n/p <= 32, 10 at n/p = 256,
+// 6 at 1,024 and 4 from 2,048 up. Such tasks are deferred to a second
+// phase so a janus never delays a larger subtask.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +71,9 @@ struct JQuickConfig {
   /// Either way a level costs a rank one payload startup per destination
   /// it reaches (O(1) under the greedy assignment; the sparse route adds
   /// O(log p) barrier tokens) instead of the dense Alltoallv's 2(p-1).
-  /// Defaults to the measured crossover (see exchange::kDefaultSegmentBytes).
+  /// The direct finish sends every slice in segments of this limit too,
+  /// and its rule prices each segment's startup. Defaults to the measured
+  /// crossover (see exchange::kDefaultSegmentBytes).
   std::int64_t segment_bytes = exchange::kDefaultSegmentBytes;
   std::uint64_t seed = 1;
 };
@@ -69,8 +82,10 @@ struct JQuickConfig {
 struct JQuickStats {
   int distributed_levels = 0;   // deepest level observed locally
   int janus_episodes = 0;       // times this rank was a janus process
-  int base_tasks_1p = 0;
-  int base_tasks_2p = 0;
+  int base_tasks_1p = 0;        // single-rank tasks, sorted locally
+  /// Tasks of >= 2 ranks finished directly: one all-to-all of the
+  /// members' slices and a local selection, no split.
+  int direct_tasks = 0;
   std::int64_t elements_sent = 0;
   std::int64_t messages_sent = 0;
   /// Wire-level payload messages after segmentation (== messages_sent of

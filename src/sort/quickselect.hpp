@@ -1,9 +1,12 @@
 // Quickselect kernels.
 //
-// QuickselectSmallest is used by the two-process base case of JQuick
-// (Section VII): after the pairwise data exchange, each partner selects
-// the k elements that belong to its side of the boundary. The distributed
-// top-k's heap route (src/query) selects each rank's k smallest with it.
+// QuickselectSmallest is used by JQuick's direct finish, the paper's
+// two-process base case (Section VII) widened to every task the cost
+// model prices cheaper to finish than to split: after the all-to-all of
+// the members' slices, each member selects its own slots of the union --
+// the smallest PrefixBefore(r) + cap elements, then the largest cap of
+// those. The distributed top-k's heap route (src/query) selects each
+// rank's k smallest with it.
 //
 // QuickselectKth is the three-way selection underneath: it reports the
 // k-th order statistic together with the three-way split boundary around

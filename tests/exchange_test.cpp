@@ -530,10 +530,15 @@ TEST_P(ExchangeSweep, SegmentExchangeAllElementsOnOneRank) {
 /// (2 + n/p) * 8 bytes. The route shows in the sparse collectives a rank
 /// starts: none when coalesced, and one per distributed task it is in --
 /// at least one per level of its deepest chain of tasks -- when sparse.
+/// At n/p = 40 JQuick finishes tasks of up to 14 ranks directly, with no
+/// exchange, so 32 ranks split on two levels: the halves of about 16
+/// ranks split again, and a janus of the first split runs both halves'
+/// exchanges at once.
 void SortWithAutoExchange(Backend b, bool below_flip) {
-  constexpr int kP = 9;
+  constexpr int kP = 32;
   constexpr std::int64_t kQuota = 40;
   testutil::PerRank<std::vector<double>> outs(kP);
+  testutil::PerRank<jsort::JQuickStats> all_stats(kP);
   RunRanks(kP, [&](mpisim::Comm& world) {
     auto tr = std::make_shared<testutil::RecordingTransport>(Make(b, world));
     auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
@@ -552,7 +557,15 @@ void SortWithAutoExchange(Backend b, bool below_flip) {
       EXPECT_EQ(sparse, 0) << "rank " << world.Rank();
     }
     outs.Set(world.Rank(), std::move(out));
+    all_stats.Set(world.Rank(), stats);
   });
+  // Some janus of the root's split is in two distributed tasks on level 2.
+  bool janus_on_two_levels = false;
+  for (int r = 0; r < kP; ++r) {
+    janus_on_two_levels |= all_stats[r].janus_episodes >= 1 &&
+                           all_stats[r].distributed_levels >= 2;
+  }
+  EXPECT_TRUE(janus_on_two_levels);
   std::vector<double> all;
   for (int r = 0; r < kP; ++r) {
     EXPECT_EQ(outs[r].size(), static_cast<std::size_t>(kQuota));

@@ -41,12 +41,14 @@ int MaxLevels(int p, std::int64_t quota, const JQuickConfig& cfg) {
 TEST(JQuickAnalysis, MedianPivotDepthIsLogarithmic) {
   // Lemma 2: O(log p) levels w.h.p. With median-of-samples pivots the
   // constant is small; assert depth <= 2*log2(p) + 3 over several seeds.
+  // At n/p = 2,048 the rule finishes only tasks of up to 4 ranks
+  // directly, so the recursion runs down to them.
   for (int p : {8, 16, 32}) {
     const int bound = static_cast<int>(2.0 * std::log2(p)) + 3;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
       JQuickConfig cfg;
       cfg.seed = seed;
-      const int levels = MaxLevels(p, 32, cfg);
+      const int levels = MaxLevels(p, 2048, cfg);
       EXPECT_LE(levels, bound) << "p=" << p << " seed=" << seed;
       EXPECT_GE(levels, static_cast<int>(std::log2(p)) - 1);
     }
@@ -55,7 +57,8 @@ TEST(JQuickAnalysis, MedianPivotDepthIsLogarithmic) {
 
 TEST(JQuickAnalysis, RandomPivotDepthWithinWhpBound) {
   // The analysed bound is 20*log_{8/7}(p); in practice random pivots land
-  // well under it. Use the hard bound as the assertion.
+  // well under it. Use the hard bound as the assertion. At n/p = 2,048
+  // the rule finishes only tasks of up to 4 ranks directly.
   for (int p : {8, 16}) {
     const int bound =
         static_cast<int>(20.0 * std::log(p) / std::log(8.0 / 7.0));
@@ -63,7 +66,9 @@ TEST(JQuickAnalysis, RandomPivotDepthWithinWhpBound) {
       JQuickConfig cfg;
       cfg.pivot = jsort::PivotPolicy::kRandomElement;
       cfg.seed = seed;
-      EXPECT_LE(MaxLevels(p, 32, cfg), bound);
+      const int levels = MaxLevels(p, 2048, cfg);
+      EXPECT_LE(levels, bound) << "p=" << p << " seed=" << seed;
+      EXPECT_GE(levels, 1) << "p=" << p << " seed=" << seed;
     }
   }
 }
@@ -71,16 +76,21 @@ TEST(JQuickAnalysis, RandomPivotDepthWithinWhpBound) {
 TEST(JQuickAnalysis, BalanceHoldsOnEveryLevelByConstruction) {
   // The driver throws if any task's local data differs from its capacity
   // (MakeChild check) -- a run across duplicate-heavy and skewed inputs
-  // exercises that internal invariant at every level.
+  // exercises that internal invariant at every level. At n/p = 40 the
+  // rule finishes tasks of up to 14 ranks directly, so 30 ranks split.
+  constexpr int kP = 30;
   for (auto kind : {InputKind::kFewDistinct, InputKind::kZipf,
                     InputKind::kBucketKiller, InputKind::kSortedDesc}) {
-    RunRanks(12, [&](mpisim::Comm& world) {
+    RunRanks(kP, [&](mpisim::Comm& world) {
       rbc::Comm rw;
       rbc::Create_RBC_Comm(world, &rw);
       auto input =
-          jsort::GenerateInput(kind, world.Rank(), 12, 40, 77);
+          jsort::GenerateInput(kind, world.Rank(), kP, 40, 77);
       auto tr = jsort::MakeRbcTransport(rw);
-      const auto out = jsort::JQuickSort(tr, std::move(input));
+      JQuickStats stats;
+      const auto out =
+          jsort::JQuickSort(tr, std::move(input), JQuickConfig{}, &stats);
+      EXPECT_GE(stats.distributed_levels, 1);
       const auto bal = jsort::GlobalBalance(out, rw);
       EXPECT_EQ(bal.min_count, 40);
       EXPECT_EQ(bal.max_count, 40);
@@ -90,12 +100,14 @@ TEST(JQuickAnalysis, BalanceHoldsOnEveryLevelByConstruction) {
 
 TEST(JQuickAnalysis, JanusProcessesAppearOffPowerOfTwoSplits) {
   // With p=9 and uniform data, split points almost never align with
-  // process boundaries, so some rank must have served as a janus.
+  // process boundaries, so some rank must have served as a janus. At
+  // n/p = 1,024 the rule finishes only tasks of up to 6 ranks directly,
+  // so the 9 ranks split.
   RunRanks(9, [](mpisim::Comm& world) {
     rbc::Comm rw;
     rbc::Create_RBC_Comm(world, &rw);
     auto input = jsort::GenerateInput(InputKind::kUniform, world.Rank(), 9,
-                                      50, 3);
+                                      1024, 3);
     auto tr = jsort::MakeRbcTransport(rw);
     JQuickStats stats;
     jsort::JQuickSort(tr, std::move(input), JQuickConfig{}, &stats);
@@ -111,9 +123,14 @@ TEST(JQuickAnalysis, JanusProcessesAppearOffPowerOfTwoSplits) {
 
 TEST(JQuickAnalysis, ExchangeVolumeIsBoundedByQuotaPerLevel) {
   // Theorem 1: each process sends at most n/p elements per level (minus
-  // what it keeps). Check total sent <= levels * quota.
+  // what it keeps). Check total sent <= levels * quota plus the direct
+  // finish, which sends each of its slices to the s-1 other members of
+  // its task: at most (kDirectMax - 1) * quota over a rank's direct tasks,
+  // whose capacities sum to at most the quota. At n/p = 1,024 the rule
+  // finishes tasks of up to kDirectMax ranks directly, so 8 ranks split.
   constexpr int kP = 8;
-  constexpr std::int64_t kQuota = 64;
+  constexpr std::int64_t kQuota = 1024;
+  constexpr int kDirectMax = 6;
   RunRanks(kP, [](mpisim::Comm& world) {
     rbc::Comm rw;
     rbc::Create_RBC_Comm(world, &rw);
@@ -122,10 +139,10 @@ TEST(JQuickAnalysis, ExchangeVolumeIsBoundedByQuotaPerLevel) {
     auto tr = jsort::MakeRbcTransport(rw);
     JQuickStats stats;
     jsort::JQuickSort(tr, std::move(input), JQuickConfig{}, &stats);
-    // +1: the 2-process base case resends the local slice once.
+    EXPECT_GE(stats.distributed_levels, 1);
     EXPECT_LE(stats.elements_sent,
-              static_cast<std::int64_t>(stats.distributed_levels + 1) *
-                  kQuota);
+              static_cast<std::int64_t>(stats.distributed_levels) * kQuota +
+                  (kDirectMax - 1) * kQuota);
   });
 }
 

@@ -41,7 +41,7 @@ class PaddedSweep
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PaddedSweep,
-    ::testing::Combine(::testing::Values(2, 3, 5, 8, 11),
+    ::testing::Combine(::testing::Values(2, 3, 5, 8, 11, 19),
                        ::testing::Values(SizePattern::kRampUp,
                                          SizePattern::kOneHot,
                                          SizePattern::kRandomish,
@@ -58,9 +58,16 @@ TEST_P(PaddedSweep, SortsIrregularDistributions) {
     auto input = jsort::GenerateInput(kind, world.Rank(), p, mine, 19);
     const auto before = jsort::GlobalFingerprint(input, rw);
     auto tr = jsort::MakeRbcTransport(rw);
-    const auto out = jsort::JQuickSortPadded(tr, std::move(input));
+    jsort::JQuickStats stats;
+    const auto out =
+        jsort::JQuickSortPadded(tr, std::move(input), {}, &stats);
     EXPECT_EQ(before, jsort::GlobalFingerprint(out, rw));
     EXPECT_TRUE(jsort::IsGloballySorted(out, rw));
+    // Every pattern pads to a quota of at most 37, where JQuick finishes
+    // tasks of up to 14 ranks directly: 19 ranks split, padding included.
+    if (p == 19) {
+      EXPECT_GE(stats.distributed_levels, 1);
+    }
   });
 }
 

@@ -153,9 +153,12 @@ TEST(Stress, CollectiveStormOnNestedRbcRanges) {
 }
 
 TEST(Stress, JQuickRandomizedConfigurations) {
+  // The pivot policy and split schedule act on distributed levels only:
+  // at n/p <= 50 JQuick finishes tasks of up to 14 ranks directly, so
+  // every p here splits.
   std::mt19937_64 rng(20260612);
   for (int trial = 0; trial < 12; ++trial) {
-    const int p = 2 + static_cast<int>(rng() % 11);        // 2..12
+    const int p = 15 + static_cast<int>(rng() % 18);       // 15..32
     const int quota = 1 + static_cast<int>(rng() % 50);    // 1..50
     const auto kind = static_cast<jsort::InputKind>(rng() % 8);
     jsort::JQuickConfig cfg;
@@ -171,7 +174,9 @@ TEST(Stress, JQuickRandomizedConfigurations) {
                                         cfg.seed + 1);
       const auto before = jsort::GlobalFingerprint(input, rw);
       auto tr = jsort::MakeRbcTransport(rw);
-      const auto out = jsort::JQuickSort(tr, std::move(input), cfg);
+      jsort::JQuickStats stats;
+      const auto out = jsort::JQuickSort(tr, std::move(input), cfg, &stats);
+      EXPECT_GE(stats.distributed_levels, 1);
       EXPECT_EQ(static_cast<int>(out.size()), quota);
       EXPECT_EQ(before, jsort::GlobalFingerprint(out, rw));
       EXPECT_TRUE(jsort::IsGloballySorted(out, rw));
@@ -180,17 +185,29 @@ TEST(Stress, JQuickRandomizedConfigurations) {
 }
 
 TEST(Stress, NoLeftoverMessagesAfterJQuick) {
-  RunRanks(10, [](Comm& world) {
-    rbc::Comm rw;
-    rbc::Create_RBC_Comm(world, &rw);
-    auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
-                                      world.Rank(), 10, 37, 2);
-    auto tr = jsort::MakeRbcTransport(rw);
-    jsort::JQuickSort(tr, std::move(input));
-    mpisim::Barrier(world);
-    EXPECT_EQ(mpisim::Ctx().runtime->MailboxOf(world.Rank()).QueuedMessages(),
-              0u);
-  });
+  // At n/p = 37, 10 ranks finish directly and 24 split first; neither
+  // path may leave a message queued.
+  for (const int p : {10, 24}) {
+    RunRanks(p, [p](Comm& world) {
+      rbc::Comm rw;
+      rbc::Create_RBC_Comm(world, &rw);
+      auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
+                                        world.Rank(), p, 37, 2);
+      auto tr = jsort::MakeRbcTransport(rw);
+      jsort::JQuickStats stats;
+      jsort::JQuickSort(tr, std::move(input), {}, &stats);
+      if (p == 10) {
+        EXPECT_EQ(stats.distributed_levels, 0);
+      } else {
+        EXPECT_GE(stats.distributed_levels, 1);
+      }
+      mpisim::Barrier(world);
+      EXPECT_EQ(
+          mpisim::Ctx().runtime->MailboxOf(world.Rank()).QueuedMessages(),
+          0u)
+          << "p=" << p;
+    });
+  }
 }
 
 TEST(Stress, MixedBackendsSortTheSameData) {
