@@ -28,6 +28,21 @@ void CopyWords(void* to, const void* from, std::int64_t n) {
   if (n > 0) std::memcpy(to, from, static_cast<std::size_t>(n) * kWord);
 }
 
+/// Appends `n` payload words at `from` to `to`.
+void AppendWords(std::vector<double>& to, const std::byte* from,
+                 std::int64_t n) {
+  const std::size_t old = to.size();
+  to.resize(old + static_cast<std::size_t>(n));
+  CopyWords(to.data() + old, from, n);
+}
+
+/// Header word `j` of the message header at `header`.
+std::int64_t HeaderWord(const std::byte* header, std::size_t j) {
+  std::int64_t word = 0;
+  std::memcpy(&word, header + j * kWord, kWord);
+  return word;
+}
+
 /// The one mode rule. kAuto reads only what every rank of the group
 /// shares, so every rank resolves alike. On a two-level cost model a group
 /// that spans more than one vnode goes hierarchical. Otherwise a plan with
@@ -88,6 +103,8 @@ struct Plan {
   std::vector<int> rc, rd;          // dense: payload per source
   std::vector<double> staging;      // dense: segment payload
   std::vector<SparseDelivery> got;  // sparse
+  // Coalesced: the messages drained so far, with their sources.
+  std::vector<std::pair<int, std::vector<std::byte>>> held;
 
   const void* Message(int d) const { return words + at[d]; }
   std::int64_t Words(int d) const {
@@ -101,6 +118,8 @@ struct Plan {
   void Start(Mode m, ExchangeStats* stats);
   void StartPayload();
   bool Step();
+  std::size_t Pay(const std::byte* header, std::size_t bytes);
+  void Route(const std::byte* header, const std::byte* payload);
   std::size_t Unpack(const std::byte* header, const std::byte* payload,
                      std::size_t bytes);
   void UnpackRun(std::span<const std::byte> run);
@@ -501,14 +520,29 @@ void Plan::StartPayload() {
 bool Plan::Step() {
   if (done) return true;
   if (mode == Mode::kCoalesced) {
+    // Each arrival pays its header off the expectations; the messages
+    // unpack once those are met, in source order, so what lands in a sink
+    // does not depend on the order in which the messages arrived.
+    const std::size_t head = k * kWord;
     while (!Met()) {
       Status st;
       if (!tr->IprobeAny(tag, &st)) return false;
       std::vector<std::byte> msg(st.bytes);
       tr->Recv(msg.data(), static_cast<int>(st.bytes), Datatype::kByte,
                st.source, tag);
-      UnpackRun(msg);
+      if (msg.size() < head ||
+          Pay(msg.data(), msg.size() - head) != msg.size() - head) {
+        throw mpisim::Error("jsort::exchange: malformed exchange message");
+      }
+      held.emplace_back(st.source, std::move(msg));
     }
+    std::sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    for (const auto& [source, msg] : held) {
+      Route(msg.data(), msg.data() + head);
+    }
+    held.clear();
   } else if (mode != Mode::kHierarchical) {
     if (!pending()) return false;
     if (mode == Mode::kAlltoallv && !counted) {
@@ -537,32 +571,19 @@ bool Plan::Step() {
   return true;
 }
 
-/// Routes one message's payload by its k header words into the sinks and
-/// returns the payload bytes it took; raw payload (k = 0) goes to `out`
-/// whole.
-std::size_t Plan::Unpack(const std::byte* header, const std::byte* payload,
-                         std::size_t bytes) {
-  const auto append = [](std::vector<double>& to, const std::byte* from,
-                         std::int64_t count) {
-    const std::size_t old = to.size();
-    to.resize(old + static_cast<std::size_t>(count));
-    CopyWords(to.data() + old, from, count);
-  };
-  if (k == 0) {
-    append(out, payload, static_cast<std::int64_t>(bytes / kWord));
-    return bytes;
-  }
+/// Checks one message's k header words against the `bytes` of payload
+/// that follow them and pays them off the sinks' expectations; returns
+/// the payload bytes they claim.
+std::size_t Plan::Pay(const std::byte* header, std::size_t bytes) {
   std::size_t took = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    std::int64_t count = 0;
-    std::memcpy(&count, header + j * kWord, kWord);
+    const std::int64_t count = HeaderWord(header, j);
     if (count < 0 ||
         static_cast<std::uint64_t>(count) > (bytes - took) / kWord) {
       throw mpisim::Error(
           "jsort::exchange: exchange message payload disagrees with its "
           "header");
     }
-    append(*sinks[j], payload + took, count);
     took += static_cast<std::size_t>(count) * kWord;
     owed[j] -= count;
     if (owed[j] < 0) {
@@ -574,8 +595,30 @@ std::size_t Plan::Unpack(const std::byte* header, const std::byte* payload,
   return took;
 }
 
-/// Unpacks a run of whole messages: one from the drain or the sparse
-/// collective, a source's messages in a hierarchical part.
+/// Appends a paid message's payload to the sinks its k header words name.
+void Plan::Route(const std::byte* header, const std::byte* payload) {
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::int64_t count = HeaderWord(header, j);
+    AppendWords(*sinks[j], payload, count);
+    payload += static_cast<std::size_t>(count) * kWord;
+  }
+}
+
+/// Pays and routes one message and returns the payload bytes it took; raw
+/// payload (k = 0) goes to `out` whole.
+std::size_t Plan::Unpack(const std::byte* header, const std::byte* payload,
+                         std::size_t bytes) {
+  if (k == 0) {
+    AppendWords(out, payload, static_cast<std::int64_t>(bytes / kWord));
+    return bytes;
+  }
+  const std::size_t took = Pay(header, bytes);
+  Route(header, payload);
+  return took;
+}
+
+/// Unpacks a run of whole messages: one from the sparse collective, a
+/// source's messages in a hierarchical part.
 void Plan::UnpackRun(std::span<const std::byte> run) {
   const std::size_t head = k * kWord;
   for (std::size_t pos = 0; pos < run.size();) {

@@ -1,6 +1,7 @@
 #include "sort/jquick.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -20,8 +21,10 @@ namespace {
 // receives level-k data, so level-k and level-k+1 exchange messages must
 // never share an envelope. The (small, large) sides coalesce into one
 // redistribution per level (jsort::exchange), so one tag per level
-// suffices. The direct finish has a single tag: two tasks share at most
-// one rank, the janus, so a (source, receiver) pair names one task.
+// suffices. The direct finish tags its all-gather's round r kTagDirect + r
+// (r < 32, below the exchange tags): two tasks share at most one rank, the
+// janus, so a (source, receiver) pair names one task, and in one round of
+// one task a member hears from a single member.
 constexpr int kTagExchangeBase = 256;
 constexpr int kTagDirect = 128;
 
@@ -55,6 +58,7 @@ struct Task {
 
   Phase phase = Phase::kPivotBegin;
   Poll poll;                     // pending nonblocking operation
+  std::mt19937_64 rng;           // candidate draws, seeded by Driver::Enqueue
   bool cmp_le = false;           // comparator of the current partition
   bool retried = false;          // degenerate-split retry performed
   double pivot = 0.0;
@@ -73,6 +77,11 @@ struct Task {
   // these sinks; `poll` reports its completion during Phase::kExchange.
   std::vector<double> recv_small, recv_large;
 
+  // Direct-finish state: the all-gather's pending round, whose send has
+  // gone out. `data` grows into the union of the members' slices in
+  // rotated order: block b is member (me + b) mod s's slice.
+  int round = 0;
+
   int MyRank() const { return tr->Rank(); }
   std::int64_t MyCap() const { return layout.CapOf(MyRank()); }
   std::int64_t SliceKey() const {
@@ -86,11 +95,7 @@ class Driver {
  public:
   Driver(std::shared_ptr<Transport> world, std::vector<double> local,
          const JQuickConfig& cfg, JQuickStats* stats)
-      : cfg_(cfg), stats_(stats),
-        rng_(cfg.seed ^ (0x9E3779B97F4A7C15ull *
-                         (static_cast<std::uint64_t>(
-                              mpisim::Ctx().world_rank) +
-                          1))) {
+      : cfg_(cfg), stats_(stats) {
     const std::int64_t quota = static_cast<std::int64_t>(local.size());
     auto root = std::make_unique<Task>();
     root->tr = std::move(world);
@@ -232,7 +237,7 @@ class Driver {
   void DrawCandidates(Task& t, std::span<const double> data) {
     const int k = CandidatesPerBlock(t.layout.p);
     for (int j = 0; j < k; ++j) {
-      t.cands.push_back(ReservoirCandidate(data, rng_));
+      t.cands.push_back(ReservoirCandidate(data, t.rng));
     }
   }
 
@@ -391,27 +396,44 @@ class Driver {
     return child;
   }
 
+  /// A task that splits draws its candidates from a generator seeded by
+  /// its identity -- the sort's seed, this world rank, the task's global
+  /// offset, level and size -- so the split tree does not depend on the
+  /// order in which a janus steps its two tasks.
   void Enqueue(std::unique_ptr<Task> task) {
     if (FinishesDirectly(task->layout)) {
       direct_.push_back(std::move(task));
-    } else {
-      active_.push_back(std::move(task));
+      return;
     }
+    // seed_seq keeps the low 32 bits of each value.
+    const auto off = static_cast<std::uint64_t>(task->global_off);
+    std::seed_seq identity{
+        cfg_.seed, cfg_.seed >> 32,
+        static_cast<std::uint64_t>(mpisim::Ctx().world_rank), off, off >> 32,
+        static_cast<std::uint64_t>(task->level),
+        static_cast<std::uint64_t>(task->layout.p)};
+    task->rng.seed(identity);
+    active_.push_back(std::move(task));
   }
 
-  /// Whether a task of s ranks is cheaper to finish with one all-to-all
-  /// than to split, in the runtime's alpha-beta model (alpha and beta the
-  /// larger of the two levels, as in SecondRoundSamples). A direct finish
-  /// costs a member s-1 sends and s-1 receives of up to m words, m the
-  /// quota, which bounds every capacity and is the same for every task of
-  /// one sort; one more split costs the sweep's 2 ceil(log2 s) hops of
+  /// Whether a task of s ranks is cheaper to finish directly than to
+  /// split, in the runtime's alpha-beta model (alpha and beta the larger of
+  /// the two levels, as in SecondRoundSamples). The price is the linear
+  /// exchange's: a member's s-1 sends and s-1 receives of up to m words, m
+  /// the quota, which bounds every capacity and is the same for every task
+  /// of one sort. It bounds the all-gather's ceil(log2 s) rounds from above,
+  /// since they carry the same s-1 slices and a round of b slices needs at
+  /// most b segments. One more split costs the sweep's 2 ceil(log2 s) hops of
   /// 4k + 4 words (k candidates per side), an exchange of about two
   /// messages out and two in carrying m words each way, and the children's
   /// direct finishes, whose larger one has floor(s/2) + 1 ranks:
   ///   2(s-1) msg <= 2 ceil(log2 s)(alpha + beta(4k+4)) + 4 alpha
   ///                 + 2 beta m + 2 floor(s/2) msg,
   /// msg = alpha + beta m, a segmented message paying alpha per segment.
-  /// It reads only the layout and the global cost model, so every member
+  /// Re-pricing it at the log-round cost waits until local work is charged:
+  /// on messages alone that price finishes whole 64-rank sorts at n/p <= 64
+  /// without a split and leaves the quickselect over their union free. The
+  /// rule reads only the layout and the global cost model, so every member
   /// decides alike; s <= 2 always passes.
   bool FinishesDirectly(const CapacityLayout& layout) const {
     const mpisim::CostModel& cost = mpisim::Ctx().runtime->options().cost;
@@ -434,71 +456,117 @@ class Driver {
   }
 
   /// Second phase (Section VII): the tasks that finish directly, deferred
-  /// so a janus never delays a larger subtask. Every member sends its
-  /// slice to every other one -- to me+1, me+2, ... -- and all sends of
-  /// all such tasks go out first (eager), so a process in two of them
-  /// cannot block its partners. Then each task receives from me-1, me-2,
-  /// ... in that fixed order and keeps slots [PrefixBefore(me),
-  /// PrefixBefore(me) + cap) of the union, selected by quickselect. Every
-  /// message honours the segment limit like every other payload path:
-  /// both sides know the counts (the capacities), so sender and receiver
-  /// walk the same segment ranges, sequenced by per-envelope FIFO order.
-  /// A single-rank task sends nothing and sorts its own data; a two-rank
-  /// task is the paper's pair exchange.
+  /// so a janus never delays a larger subtask. Each one all-gathers its
+  /// members' slices in ceil(log2 s) rounds (Bruck et al., see jquick.hpp)
+  /// and keeps slots [PrefixBefore(me), PrefixBefore(me) + cap) of the
+  /// union, selected by quickselect. Every task sends its first round up
+  /// front and each next round as soon as it holds the round's blocks, and
+  /// a receive is taken only once its message is there, so a janus runs
+  /// both its tasks' rounds at once and never holds one task's partner
+  /// behind the other task's receive. A single-rank task sends nothing and
+  /// sorts its own data; a two-rank task is the paper's pair exchange.
   void DirectPhase() {
-    for (auto& t : direct_) {
-      const int s = t->layout.p;
-      const auto n = static_cast<std::int64_t>(t->data.size());
-      const std::int64_t segs = mpisim::AlltoallvSegmentsOf(
-          n, sizeof(double), cfg_.segment_bytes);
-      for (int j = 1; j < s; ++j) {
-        const int dest = (t->MyRank() + j) % s;
-        for (std::int64_t g = 0; g < segs; ++g) {
-          const auto [at, len] = mpisim::AlltoallvSegmentRange(
-              n, sizeof(double), cfg_.segment_bytes, g);
-          t->tr->Send(t->data.data() + at, static_cast<int>(len),
-                      Datatype::kFloat64, dest, kTagDirect);
-        }
-      }
+    for (const auto& t : direct_) {
       if (stats_ != nullptr) {
-        stats_->messages_sent += s - 1;
-        stats_->elements_sent += (s - 1) * n;
-        stats_->segments_sent += (s - 1) * segs;
+        ++(t->layout.p == 1 ? stats_->base_tasks_1p : stats_->direct_tasks);
       }
+      t->data.reserve(static_cast<std::size_t>(t->layout.Total()));
+      if (t->layout.p > 1) SendRound(*t);
     }
-    for (auto& t : direct_) {
-      const int s = t->layout.p;
-      const int me = t->MyRank();
-      if (stats_ != nullptr) {
-        (s == 1 ? stats_->base_tasks_1p : stats_->direct_tasks) += 1;
-      }
-      std::vector<double> all = std::move(t->data);
-      all.reserve(static_cast<std::size_t>(t->layout.Total()));
-      for (int j = 1; j < s; ++j) {
-        const int src = (me - j + s) % s;
-        const std::int64_t cap = t->layout.CapOf(src);
-        const std::size_t at = all.size();
-        all.resize(at + static_cast<std::size_t>(cap));
-        const std::int64_t segs = mpisim::AlltoallvSegmentsOf(
-            cap, sizeof(double), cfg_.segment_bytes);
-        for (std::int64_t g = 0; g < segs; ++g) {
-          const auto [off, len] = mpisim::AlltoallvSegmentRange(
-              cap, sizeof(double), cfg_.segment_bytes, g);
-          t->tr->Recv(all.data() + at + off, static_cast<int>(len),
-                      Datatype::kFloat64, src, kTagDirect);
-        }
-      }
-      const auto lo = static_cast<std::size_t>(t->layout.PrefixBefore(me));
-      const auto hi = lo + static_cast<std::size_t>(t->MyCap());
-      QuickselectSmallest(all, hi, cfg_.seed ^ 0xB5297A4Du);
-      QuickselectSmallest(std::span<double>(all).first(hi), lo,
-                          cfg_.seed ^ 0xB5297A4Du);
-      all.resize(hi);
-      all.erase(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(lo));
-      std::sort(all.begin(), all.end());
-      EmitSlice(t->SliceKey(), std::move(all));
+    mpisim::WaitUntil(
+        [&] {
+          do {
+            std::erase_if(direct_, [&](const std::unique_ptr<Task>& t) {
+              if (t->round < Rounds(t->layout.p)) return false;
+              FinishDirect(*t);
+              return true;
+            });
+          } while (std::any_of(
+              direct_.begin(), direct_.end(),
+              [&](const std::unique_ptr<Task>& t) { return TakeRound(*t); }));
+          return direct_.empty();
+        },
+        "JQuick direct finish");
+  }
+
+  /// Rounds of an s-rank task's all-gather: ceil(log2 s).
+  static int Rounds(int s) {
+    return std::bit_width(static_cast<unsigned>(s - 1));
+  }
+
+  /// Elements that round r carries from member `from`: its first
+  /// min(d, s - d) blocks, d = 2^r -- the slices of members from, from + 1,
+  /// ... (mod s).
+  static std::int64_t RoundWords(const CapacityLayout& layout, int from,
+                                 int r) {
+    const int s = layout.p;
+    const int d = 1 << r;
+    std::int64_t words = 0;
+    for (int b = 0; b < std::min(d, s - d); ++b) {
+      words += layout.CapOf((from + b) % s);
     }
-    direct_.clear();
+    return words;
+  }
+
+  /// Sends the pending round's blocks to member me - d. The message
+  /// honours the segment limit like every other payload path: both sides
+  /// know its length from the capacities, so sender and receiver walk the
+  /// same segment ranges, sequenced by per-envelope FIFO order.
+  void SendRound(Task& t) {
+    const int s = t.layout.p;
+    const int dest = (t.MyRank() - (1 << t.round) + s) % s;
+    const std::int64_t n = RoundWords(t.layout, t.MyRank(), t.round);
+    const std::int64_t segs =
+        mpisim::AlltoallvSegmentsOf(n, sizeof(double), cfg_.segment_bytes);
+    for (std::int64_t g = 0; g < segs; ++g) {
+      const auto [at, len] = mpisim::AlltoallvSegmentRange(
+          n, sizeof(double), cfg_.segment_bytes, g);
+      t.tr->Send(t.data.data() + at, static_cast<int>(len),
+                 Datatype::kFloat64, dest, kTagDirect + t.round);
+    }
+    if (stats_ != nullptr) {
+      stats_->messages_sent += 1;
+      stats_->elements_sent += n;
+      stats_->segments_sent += segs;
+    }
+  }
+
+  /// Appends the pending round's blocks from member me + d, the one member
+  /// that sends this rank the round's tag in this task, once they are
+  /// there, and sends the next round, whose blocks this rank now holds;
+  /// returns whether they were there.
+  bool TakeRound(Task& t) {
+    const int tag = kTagDirect + t.round;
+    if (!t.tr->IprobeAny(tag, nullptr)) return false;
+    const int src = (t.MyRank() + (1 << t.round)) % t.layout.p;
+    const std::int64_t n = RoundWords(t.layout, src, t.round);
+    const std::size_t at = t.data.size();
+    t.data.resize(at + static_cast<std::size_t>(n));
+    const std::int64_t segs =
+        mpisim::AlltoallvSegmentsOf(n, sizeof(double), cfg_.segment_bytes);
+    for (std::int64_t g = 0; g < segs; ++g) {
+      const auto [off, len] = mpisim::AlltoallvSegmentRange(
+          n, sizeof(double), cfg_.segment_bytes, g);
+      t.tr->Recv(t.data.data() + at + off, static_cast<int>(len),
+                 Datatype::kFloat64, src, tag);
+    }
+    if (++t.round < Rounds(t.layout.p)) SendRound(t);
+    return true;
+  }
+
+  /// Keeps this member's slots of the gathered union, sorted.
+  void FinishDirect(Task& t) {
+    std::vector<double> all = std::move(t.data);
+    const auto lo =
+        static_cast<std::size_t>(t.layout.PrefixBefore(t.MyRank()));
+    const auto hi = lo + static_cast<std::size_t>(t.MyCap());
+    QuickselectSmallest(all, hi, cfg_.seed ^ 0xB5297A4Du);
+    QuickselectSmallest(std::span<double>(all).first(hi), lo,
+                        cfg_.seed ^ 0xB5297A4Du);
+    all.resize(hi);
+    all.erase(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(lo));
+    std::sort(all.begin(), all.end());
+    EmitSlice(t.SliceKey(), std::move(all));
   }
 
   void EmitSlice(std::int64_t key, std::vector<double> data) {
@@ -517,7 +585,6 @@ class Driver {
 
   JQuickConfig cfg_;
   JQuickStats* stats_;
-  std::mt19937_64 rng_;
   std::vector<std::unique_ptr<Task>> active_;
   std::vector<std::unique_ptr<Task>> direct_;
   std::vector<Slice> slices_;

@@ -28,17 +28,30 @@
 //
 // The paper's base case finishes a two-process task with one exchange and
 // a local selection (Section VII). Here every task that the runtime's
-// alpha-beta model prices cheaper to finish than to split does so: each
-// member sends its slice to every other member and quickselects its own
-// slots of the union -- the all-gather-then-rank shortcut of fast
-// work-inefficient sorting (Axtmann, Bingmann, Sanders, Schulz, "Practical
-// Massively Parallel Sorting", SPAA 2015). A member of an s-rank task pays
-// 2(s-1) messages of up to n/p words against one more level's sweep,
-// exchange and its children's finishes (the rule in jquick.cpp,
-// FinishesDirectly); tasks of <= 2 ranks always qualify, and under the
+// alpha-beta model prices cheaper to finish than to split does so: its
+// members all-gather their slices and each quickselects its own slots of
+// the union -- the all-gather-then-rank shortcut of fast work-inefficient
+// sorting (Axtmann, Bingmann, Sanders, Schulz, "Practical Massively
+// Parallel Sorting", SPAA 2015). The all-gather takes ceil(log2 s) rounds
+// (Bruck, Ho, Kipnis, Upfal & Weathersby, "Efficient algorithms for
+// all-to-all communications in multiport message-passing systems", IEEE
+// TPDS 1997): in round r, d = 2^r, member i sends the first min(d, s - d)
+// slices it holds -- its own, then those of i + 1, i + 2, ... -- to i - d
+// and appends as many from i + d, on a tag of the round's own. A member
+// of an s-rank task so pays ceil(log2 s) alpha + (s-1) beta n/p each way,
+// where sending its slice to every other member paid (s-1)(alpha + beta
+// n/p); s = 2 is the paper's pair exchange. The rule (jquick.cpp,
+// FinishesDirectly) still prices that linear exchange, which bounds the
+// rounds from above, against one more level's sweep, exchange and its
+// children's finishes: tasks of <= 2 ranks always qualify, and under the
 // default model tasks of up to 14 ranks do at n/p <= 32, 10 at n/p = 256,
 // 6 at 1,024 and 4 from 2,048 up. Such tasks are deferred to a second
-// phase so a janus never delays a larger subtask.
+// phase, after the rank's distributed tasks, so a janus never delays a
+// larger subtask. That phase polls all of the rank's direct tasks under
+// one wait: each task sends a round as soon as it holds the round's
+// blocks, and a receive is taken only once its message is there, so a
+// janus in two direct tasks runs both all-gathers at once and never holds
+// one task's partner behind the other task's receive.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +84,9 @@ struct JQuickConfig {
   /// Either way a level costs a rank one payload startup per destination
   /// it reaches (O(1) under the greedy assignment; the sparse route adds
   /// O(log p) barrier tokens) instead of the dense Alltoallv's 2(p-1).
-  /// The direct finish sends every slice in segments of this limit too,
-  /// and its rule prices each segment's startup. Defaults to the measured
-  /// crossover (see exchange::kDefaultSegmentBytes).
+  /// The direct finish sends every round's message in segments of this
+  /// limit too, and its rule prices each segment's startup. Defaults to
+  /// the measured crossover (see exchange::kDefaultSegmentBytes).
   std::int64_t segment_bytes = exchange::kDefaultSegmentBytes;
   std::uint64_t seed = 1;
 };
@@ -83,8 +96,8 @@ struct JQuickStats {
   int distributed_levels = 0;   // deepest level observed locally
   int janus_episodes = 0;       // times this rank was a janus process
   int base_tasks_1p = 0;        // single-rank tasks, sorted locally
-  /// Tasks of >= 2 ranks finished directly: one all-to-all of the
-  /// members' slices and a local selection, no split.
+  /// Tasks of >= 2 ranks finished directly: a ceil(log2 s)-round
+  /// all-gather of the members' slices and a local selection, no split.
   int direct_tasks = 0;
   std::int64_t elements_sent = 0;
   std::int64_t messages_sent = 0;

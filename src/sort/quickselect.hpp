@@ -2,7 +2,7 @@
 //
 // QuickselectSmallest is used by JQuick's direct finish, the paper's
 // two-process base case (Section VII) widened to every task the cost
-// model prices cheaper to finish than to split: after the all-to-all of
+// model prices cheaper to finish than to split: after the all-gather of
 // the members' slices, each member selects its own slots of the union --
 // the smallest PrefixBefore(r) + cap elements, then the largest cap of
 // those. The distributed top-k's heap route (src/query) selects each

@@ -210,12 +210,14 @@ const std::vector<Entry>& Entries() {
       // At n/p = 1,024 the 8 ranks split once (JQuick finishes tasks of up
       // to 6 ranks directly there): the root's candidate sweep and the
       // level's sweep, the exchange's one or two sends, then the halves'
-      // direct finishes, 3 or 4 sends each; 7 calls on ranks 0 and 7, 10
-      // on rank 3, the janus. At n/p = 64 the two entries above finish
-      // directly and sweep the direct finish's sends and receives alone.
+      // direct finishes, one send per round of their all-gathers -- 2 for
+      // the 4-rank half, 3 for the 5-rank one. That is 6 calls on ranks 0
+      // and 7, whose last is their last round's send, and 10 on rank 3,
+      // the janus. At n/p = 64 the two entries above finish directly and
+      // sweep the direct finish's sends and receives alone.
       {"JQuickSortSplits",
        [](const auto& tr, auto in) { jsort::JQuickSort(tr, std::move(in)); },
-       1024, 7},
+       1024, 6},
       {"SampleSort",
        [](const auto& tr, auto in) { jsort::SampleSort(tr, std::move(in)); }},
       {"MultilevelSampleSort",

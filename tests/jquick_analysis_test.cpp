@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "sort/checks.hpp"
 #include "sort/jquick.hpp"
@@ -144,6 +146,47 @@ TEST(JQuickAnalysis, ExchangeVolumeIsBoundedByQuotaPerLevel) {
               static_cast<std::int64_t>(stats.distributed_levels) * kQuota +
                   (kDirectMax - 1) * kQuota);
   });
+}
+
+TEST(JQuickAnalysis, SplitTreeRepeatsAcrossRuntimes) {
+  // Every task draws its pivot candidates from a generator seeded by its
+  // identity, and the coalesced exchange unpacks in source order, so one
+  // sort splits alike in every fresh runtime: each rank reports the same
+  // levels, janus episodes, tasks and traffic. Its end clock may still
+  // differ, since wildcard receives are charged in arrival order.
+  constexpr int kP = 64;
+  constexpr int kRuns = 5;
+  const auto key = [](const JQuickStats& s) {
+    return std::make_tuple(s.distributed_levels, s.janus_episodes,
+                           s.base_tasks_1p, s.direct_tasks, s.elements_sent,
+                           s.messages_sent, s.segments_sent);
+  };
+  for (const std::int64_t quota : {4, 256, 4096}) {
+    std::vector<std::vector<JQuickStats>> runs;
+    for (int run = 0; run < kRuns; ++run) {
+      testutil::PerRank<JQuickStats> stats(kP);
+      RunRanks(kP, [&](mpisim::Comm& world) {
+        rbc::Comm rw;
+        rbc::Create_RBC_Comm(world, &rw);
+        JQuickStats st;
+        jsort::JQuickSort(jsort::MakeRbcTransport(rw),
+                          jsort::GenerateInput(InputKind::kUniform,
+                                               world.Rank(), kP, quota, 1),
+                          JQuickConfig{}, &st);
+        stats.Set(world.Rank(), st);
+      });
+      runs.push_back(stats.Values());
+    }
+    EXPECT_GE(runs[0][0].distributed_levels, 1) << "n/p=" << quota;
+    for (int run = 1; run < kRuns; ++run) {
+      for (int r = 0; r < kP; ++r) {
+        EXPECT_EQ(key(runs[static_cast<std::size_t>(run)]
+                          [static_cast<std::size_t>(r)]),
+                  key(runs[0][static_cast<std::size_t>(r)]))
+            << "n/p=" << quota << " run " << run << " rank " << r;
+      }
+    }
+  }
 }
 
 TEST(JQuickAnalysis, DeterministicForFixedSeed) {

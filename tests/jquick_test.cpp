@@ -296,9 +296,20 @@ struct DirectShape {
 constexpr std::array<DirectShape, 5> kDirectShapes = {{
     {0, 14, 14}, {1, 14, 14}, {7, 14, 6}, {64, 12, 6}, {256, 10, 6}}};
 
+/// Per round of the all-gather of an s-rank direct finish, the slices it
+/// carries: min(2^r, s - 2^r) in round r, s - 1 over its ceil(log2 s)
+/// rounds.
+std::vector<std::int64_t> RoundSlices(int s) {
+  std::vector<std::int64_t> slices;
+  for (int d = 1; d < s; d *= 2) slices.push_back(std::min(d, s - d));
+  return slices;
+}
+
 /// The direct finish at every p from 3 up to the threshold, on every
-/// backend: one all-to-all of the p slices and a local selection, so no
-/// level, and p - 1 messages of n/p elements from every rank.
+/// backend: an all-gather of the p slices in ceil(log2 p) rounds and a
+/// local selection, so no level. Every rank sends one message per round,
+/// (p - 1) n/p elements in all, each round's in the segments of its own
+/// length.
 class JQuickDirect
     : public ::testing::TestWithParam<std::tuple<Backend, std::size_t>> {};
 
@@ -322,6 +333,13 @@ TEST_P(JQuickDirect, FinishesEveryTaskUpToTheThreshold) {
     const int direct_max =
         halved ? shape.direct_max_halved : shape.direct_max;
     for (int p = 3; p <= direct_max; ++p) {
+      const std::vector<std::int64_t> slices = RoundSlices(p);
+      std::int64_t segments = 0;
+      for (const std::int64_t b : slices) {
+        segments += mpisim::AlltoallvSegmentsOf(b * shape.quota,
+                                                sizeof(double),
+                                                cfg.segment_bytes);
+      }
       for (const InputKind kind : {InputKind::kUniform,
                                    InputKind::kFewDistinct,
                                    InputKind::kAllEqual}) {
@@ -335,12 +353,76 @@ TEST_P(JQuickDirect, FinishesEveryTaskUpToTheThreshold) {
               " rank " + std::to_string(r);
           EXPECT_EQ(st.distributed_levels, 0) << where;
           EXPECT_EQ(st.direct_tasks, 1) << where;
-          EXPECT_EQ(st.messages_sent, p - 1) << where;
+          EXPECT_EQ(st.messages_sent,
+                    static_cast<std::int64_t>(slices.size()))
+              << where;
           EXPECT_EQ(st.elements_sent, (p - 1) * shape.quota) << where;
-          EXPECT_EQ(st.segments_sent, (p - 1) * segs) << where;
+          EXPECT_EQ(st.segments_sent, segments) << where;
         }
         if (HasFailure()) return;
       }
+    }
+  }
+}
+
+TEST_P(JQuickDirect, LoneTaskEndsAtItsRoundsCost) {
+  // A lone direct task started at clock 0: in every round each member
+  // sends before it receives, and the round's message from me + d left at
+  // the same clock as mine to me - d, so each round costs every rank
+  // 2 (alpha segs_r + beta words_r) and every clock ends at the sum --
+  // 172.16 at p = 10 and n/p = 256, where the linear exchange took 272.16.
+  const auto [backend, at] = GetParam();
+  const DirectShape shape = kDirectShapes[at];
+  const mpisim::CostModel cost;
+  for (const bool halved : {false, true}) {
+    if (halved && shape.quota < 2) continue;
+    const std::int64_t limit =
+        halved ? 8 * ((shape.quota + 1) / 2) : JQuickConfig{}.segment_bytes;
+    const int direct_max =
+        halved ? shape.direct_max_halved : shape.direct_max;
+    for (int p = 3; p <= direct_max; ++p) {
+      double want = 0.0;
+      double segments = 0.0;
+      for (const std::int64_t b : RoundSlices(p)) {
+        const std::int64_t words = b * shape.quota;
+        const auto segs = static_cast<double>(
+            mpisim::AlltoallvSegmentsOf(words, sizeof(double), limit));
+        want += 2.0 * (cost.alpha * segs +
+                       cost.beta * static_cast<double>(words));
+        segments += segs;
+      }
+      if (p == 10 && shape.quota == 256 && !halved) {
+        EXPECT_NEAR(want, 172.16, 1e-9);
+      }
+      mpisim::Runtime::Options opts;
+      opts.num_ranks = p;
+      const auto feet =
+          testutil::EndFootprints(opts, [&](mpisim::Comm& world) {
+            JQuickConfig cfg;
+            cfg.segment_bytes = limit;
+            jsort::JQuickStats stats;
+            JQuickSort(MakeTransport(backend, world),
+                       jsort::GenerateInput(InputKind::kUniform,
+                                            world.Rank(), p, shape.quota, 5),
+                       cfg, &stats);
+            return std::vector<double>{
+                static_cast<double>(stats.distributed_levels)};
+          });
+      const double bytes = 8.0 * static_cast<double>((p - 1) * shape.quota);
+      for (int r = 0; r < p; ++r) {
+        const auto& f = feet[static_cast<std::size_t>(r)];
+        const std::string where = "p=" + std::to_string(p) + " n/p=" +
+                                  std::to_string(shape.quota) +
+                                  (halved ? " halved" : "") + " rank " +
+                                  std::to_string(r);
+        EXPECT_NEAR(f[0], want, 1e-9) << where;
+        EXPECT_EQ(f[1], segments) << where;  // messages sent
+        EXPECT_EQ(f[2], bytes) << where;     // bytes sent
+        EXPECT_EQ(f[3], segments) << where;  // messages received
+        EXPECT_EQ(f[4], bytes) << where;     // bytes received
+        EXPECT_EQ(f[7], 0.0) << where;       // distributed levels
+      }
+      if (HasFailure()) return;
     }
   }
 }
