@@ -22,12 +22,16 @@ namespace {
 
 using jsort::Backend;
 
+/// Median over `reps` sorts, each with its own JQuickConfig::seed (1, 2,
+/// ...), so a row times that many split trees, not one.
 benchutil::Measurement MeasureSort(mpisim::Comm& world, Backend backend,
                                    int quota, jsort::SplitSchedule schedule,
                                    int reps) {
   jsort::JQuickConfig cfg;
   cfg.schedule = schedule;
+  cfg.seed = 0;
   return benchutil::MeasureOnRanks(world, reps, [&] {
+    ++cfg.seed;
     auto input = jsort::GenerateInput(jsort::InputKind::kUniform,
                                       world.Rank(), world.Size(), quota, 7);
     std::shared_ptr<jsort::Transport> tr =

@@ -63,10 +63,6 @@ void RunPartition(benchutil::BenchContext& ctx) {
   for (int lg = 8; lg <= max_log; lg += 2) {
     const std::int64_t n = std::int64_t{1} << lg;
     const auto data = MakeInput(n);
-    Report(ctx, "kernel_partition", "two_way", n, n, reps, [&] {
-      auto r = jsort::Partition(data, 0.5, false);
-      benchutil::DoNotOptimize(&r);
-    });
     Report(ctx, "kernel_partition", "in_place", n, n, reps, [&] {
       auto copy = data;
       auto r = jsort::PartitionInPlace(copy, 0.5, true);

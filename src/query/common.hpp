@@ -14,9 +14,8 @@
 namespace jsort::query {
 
 /// Logical tags of the query collectives. Disjoint from the sorters'
-/// working tags and the service's verification tags (7050/7051); within
-/// one group the query kernels run their collectives strictly
-/// sequentially, so one small block per kernel suffices.
+/// working tags; within one group the query kernels run their collectives
+/// strictly sequentially, so one small block per kernel suffices.
 inline constexpr int kSelectTagBase = 7100;
 inline constexpr int kTopKTagBase = 7110;
 inline constexpr int kQuantileTagBase = 7120;

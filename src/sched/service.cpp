@@ -18,16 +18,6 @@
 
 namespace jsort::sched {
 
-namespace {
-
-/// Logical tags of the off-clock verification collectives. Safe against
-/// the sorters' tags because verification runs strictly after the job's
-/// sort completed on every member of the (private) job group.
-constexpr int kVerifyGatherTag = 7050;
-constexpr int kVerifyVerdictTag = 7051;
-
-}  // namespace
-
 /// Shared-memory coordination of the rank threads: a reusable barrier
 /// that polls the substrate's abort flag (so a failing rank cannot wedge
 /// the others) plus the per-rank report board. Both live outside mpisim
@@ -114,49 +104,6 @@ bool OffClock(F&& verify) {
   return ok;
 }
 
-/// Verification of one sort job's output on its own group: every member
-/// contributes (locally_sorted, count, first, last); the group root checks
-/// the boundary chain and element conservation and broadcasts the
-/// verdict. Run it off the clock.
-bool VerifyJob(const std::shared_ptr<Transport>& sub, const JobSpec& spec,
-               std::span<const double> out) {
-  const int p = sub->Size();
-  double desc[4] = {
-      std::is_sorted(out.begin(), out.end()) ? 1.0 : 0.0,
-      static_cast<double>(out.size()),
-      out.empty() ? 0.0 : out.front(),
-      out.empty() ? 0.0 : out.back(),
-  };
-  std::vector<double> all(static_cast<std::size_t>(4 * p));
-  mpisim::WaitUntil(sub->Igather(desc, 4, Datatype::kFloat64, all.data(), 0,
-                                 kVerifyGatherTag),
-                    "VerifyJob gather");
-  double verdict = 1.0;
-  if (sub->Rank() == 0) {
-    bool ok = true;
-    std::int64_t total = 0;
-    bool have_prev = false;
-    double prev = 0.0;
-    for (int r = 0; r < p; ++r) {
-      const double* d = &all[static_cast<std::size_t>(4 * r)];
-      ok = ok && d[0] != 0.0;
-      const std::int64_t count = static_cast<std::int64_t>(d[1]);
-      total += count;
-      if (count > 0) {
-        if (have_prev && d[2] < prev) ok = false;
-        prev = d[3];
-        have_prev = true;
-      }
-    }
-    ok = ok && total == spec.n_total;
-    verdict = ok ? 1.0 : 0.0;
-  }
-  mpisim::WaitUntil(
-      sub->Ibcast(&verdict, 1, Datatype::kFloat64, 0, kVerifyVerdictTag),
-      "VerifyJob verdict bcast");
-  return verdict != 0.0;
-}
-
 }  // namespace
 
 ServiceStats SortService::Run(mpisim::Comm& world) {
@@ -167,6 +114,8 @@ ServiceStats SortService::Run(mpisim::Comm& world) {
   const int me = world.Rank();
   mpisim::RankContext& rc = mpisim::Ctx();
   const std::shared_ptr<Transport> root = MakeTransport(cfg_.backend, world);
+  rbc::Comm rbc_world;  // sort jobs verify on their RBC range
+  rbc::Create_RBC_Comm(world, &rbc_world);
   Scheduler sched(ranks_, jobs_, cfg_.scheduler);
 
   ServiceStats stats;
@@ -250,7 +199,12 @@ ServiceStats SortService::Run(mpisim::Comm& world) {
             }
           }
           if (cfg_.verify) {
-            ok = OffClock([&] { return VerifyJob(sub, a.spec, result); });
+            rbc::Comm range;
+            rbc::Split_RBC_Comm(rbc_world, a.first, a.last, &range);
+            ok = OffClock([&] {
+              return IsGloballySorted(result, range) &&
+                     GlobalFingerprint(result, range).count == a.spec.n_total;
+            });
           }
           break;
         }

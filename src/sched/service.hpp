@@ -39,7 +39,8 @@ struct ServiceConfig {
   Backend backend = Backend::kRbc;
   SchedulerConfig scheduler{};
   /// Verify each job's result on its own group: sorts check global
-  /// sortedness + element conservation; queries re-establish the answer
+  /// sortedness + element count on the group's RBC range (checks.hpp,
+  /// built locally); queries re-establish the answer
   /// from the original input (checks.hpp query checkers). Runs off the
   /// virtual clock, so enabling it does not perturb reported timings.
   bool verify = false;

@@ -652,77 +652,44 @@ void Plan::Count(ExchangeStats* s) const {
   }
 }
 
-/// Delivers a blocking raw exchange and returns what it received.
-std::vector<double> Run(Plan& plan, Mode mode, ExchangeStats* stats,
-                        const char* what) {
-  plan.Start(mode, stats);
-  mpisim::WaitUntil([&] { return plan.Step(); }, what);
-  return std::move(plan.out);
-}
-
 }  // namespace
 
 std::vector<double> ExchangeBuckets(Transport& tr,
                                     std::span<const double> elements,
                                     std::span<const std::int64_t> offsets,
-                                    int tag, ExchangeStats* stats,
+                                    std::span<const int> dests, int tag,
+                                    ExchangeStats* stats,
                                     std::int64_t segment_bytes, Mode mode) {
   const int p = tr.Size();
-  if (static_cast<int>(offsets.size()) != p + 1) {
-    throw mpisim::UsageError(
-        "jsort::exchange::ExchangeBuckets: offsets must have Size()+1 "
-        "entries");
+  const auto usage = [](const char* what) {
+    return mpisim::UsageError(
+        std::string("jsort::exchange::ExchangeBuckets: ") + what);
+  };
+  if (offsets.size() != dests.size() + 1 || offsets.front() < 0 ||
+      offsets.back() > static_cast<std::int64_t>(elements.size())) {
+    throw usage("offsets must bound one bucket of elements per dest");
   }
-  // The buckets already are the raw messages, dest-ordered: the plan views
-  // them in place, the self bucket included.
+  // A destination's buckets are adjacent, so the buckets already are the
+  // raw messages, dest-ordered: the plan views them in place, the self
+  // message included.
   Plan plan(tr, tag, segment_bytes);
   plan.words = elements.data();
-  for (int d = 0; d < p; ++d) {
-    plan.at.push_back(offsets[d]);
-    plan.n.push_back(offsets[d + 1] - offsets[d]);
-  }
-  return Run(plan, Resolve(mode, tr, false, p, 0, segment_bytes), stats,
-             "ExchangeBuckets");
-}
-
-std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
-                                      std::span<const Outgoing> out, int tag,
-                                      Mode mode, ExchangeStats* stats,
-                                      std::int64_t segment_bytes) {
-  if (tr == nullptr) {
-    throw mpisim::UsageError("jsort::exchange::ExchangeGroupwise: null "
-                             "transport");
-  }
-  const int p = tr->Size();
-  Plan plan(*tr, tag, segment_bytes);
   plan.n.assign(static_cast<std::size_t>(p), 0);
-  for (const Outgoing& o : out) {
-    if (o.dest < 0 || o.dest >= p) {
-      throw mpisim::UsageError(
-          "jsort::exchange::ExchangeGroupwise: destination out of range");
-    }
-    if (o.count < 0) {
-      throw mpisim::UsageError(
-          "jsort::exchange::ExchangeGroupwise: negative count");
-    }
-    plan.n[o.dest] += o.count;
+  for (std::size_t b = 0; b < dests.size(); ++b) {
+    const int d = dests[b];
+    if (d < 0 || d >= p) throw usage("destination out of range");
+    if (b > 0 && d < dests[b - 1]) throw usage("destinations must ascend");
+    if (offsets[b + 1] < offsets[b]) throw usage("offsets must not decrease");
+    plan.n[d] += offsets[b + 1] - offsets[b];
   }
-  // Entries to one destination coalesce, in entry order, into its message.
-  std::int64_t total = 0;
   for (int d = 0; d < p; ++d) {
-    plan.at.push_back(total);
-    total += plan.n[d];
+    const auto first = std::lower_bound(dests.begin(), dests.end(), d);
+    plan.at.push_back(offsets[static_cast<std::size_t>(first - dests.begin())]);
   }
-  plan.owned.resize(static_cast<std::size_t>(total));
-  std::vector<std::int64_t> cursor = plan.at;
-  for (const Outgoing& o : out) {
-    CopyWords(plan.owned.data() + cursor[o.dest], o.data, o.count);
-    cursor[o.dest] += o.count;
-  }
-  plan.words = plan.owned.data();
-  const auto fanout = static_cast<std::int64_t>(out.size());
-  return Run(plan, Resolve(mode, *tr, false, fanout, 0, segment_bytes),
-             stats, "ExchangeGroupwise");
+  const auto fanout = static_cast<std::int64_t>(dests.size());
+  plan.Start(Resolve(mode, tr, false, fanout, 0, segment_bytes), stats);
+  mpisim::WaitUntil([&] { return plan.Step(); }, "ExchangeBuckets");
+  return std::move(plan.out);
 }
 
 Poll StartSegmentExchange(const std::shared_ptr<Transport>& tr,

@@ -2,18 +2,20 @@
 //
 // Every distributed sorter ends a level the same way: each rank holds runs
 // of elements whose destinations are defined by a global slot interval
-// (jquick) or by explicit per-destination buckets (sample sort, the
-// multilevel sorter's group-wise pieces), and the data must move so that
-// every rank ends up with exactly its share. This layer factors that step
-// out of the sorters and routes it over the jsort::Transport abstraction,
-// so the same code runs on RBC, native-MPI and Icomm backends.
+// (jquick) or by explicit buckets, each bound for one group rank (sample
+// sort's bucket per rank, the multilevel sorter's piece per group), and
+// the data must move so that every rank ends up with exactly its share.
+// This layer factors that step out of the sorters and routes it over the
+// jsort::Transport abstraction, so the same code runs on RBC, native-MPI
+// and Icomm backends.
 //
-// One plan, four deliveries. Every entry point lowers its exchange to one
-// plan: per destination one message of k int64 header words followed by
-// that destination's payload run. A segment exchange's header words are
-// its per-segment counts, and its layout gives every rank its receive
-// expectations, held per sink; the bucket and group-wise exchanges ship
-// raw payload (k = 0) and know no receive counts. The plan then goes out
+// Two entry points, one plan, four deliveries. Both entry points -- bucket
+// (ExchangeBuckets) and segment (StartSegmentExchange) -- lower their
+// exchange to one plan: per destination one message of k int64 header
+// words followed by that destination's payload run. A segment exchange's
+// header words are its per-segment counts, and its layout gives every
+// rank its receive expectations, held per sink; the bucket exchange ships
+// raw payload (k = 0) and knows no receive counts. The plan then goes out
 // through exactly one implementation of each path:
 //  * dense -- a counts round (the header rows, or each destination's
 //    count when k = 0), then one payload Transport::Ialltoallv. 2(p-1)
@@ -45,11 +47,11 @@
 // non-empty destination and no counts round, where the dense path pays
 // 2(p-1) startups per rank -- unless a single message could exceed the
 // segment limit, when it takes the chunk-capable sparse path; a raw
-// exchange estimates its non-empty-destination fraction as f = entries /
-// (p-1) (one entry per bucket) and goes dense at f >= 1/2, sparse below.
-// Every explicit mode is honoured at every entry point, except that
-// kCoalesced, whose drain ends on expectations, runs sparse on the two
-// entry points without receive counts.
+// exchange estimates its non-empty-destination fraction as f = buckets /
+// (p-1) and goes dense at f >= 1/2, sparse below. Every explicit mode is
+// honoured at both entry points, except that kCoalesced, whose drain ends
+// on expectations, runs sparse on the bucket entry point, which has no
+// receive counts.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +112,8 @@ struct ExchangeStats {
 enum class Mode {
   kAlltoallv,  // dense: counts round + one payload Transport::Ialltoallv
   kCoalesced,  // eager sends, expectation-terminated probe drain; runs
-               // kSparse where receive counts are unknown (bucket and
-               // group-wise exchanges)
+               // kSparse where receive counts are unknown (the bucket
+               // exchange)
   kSparse,     // one message per non-empty destination over the
                // transport's sparse collective (barrier-terminated, no
                // expectations, chunked under a segment limit)
@@ -139,59 +141,36 @@ enum class Mode {
 /// member computes the identical map.
 topo::VnodeMap VnodesOfGroup(const Transport& tr);
 
-/// Blocking bucket redistribution (single-level sample sort): bucket i
-/// occupies elements [offsets[i], offsets[i+1]) of `elements` (offsets
-/// has Size()+1 entries) -- the layout PartitionKWay produces -- and goes
-/// to rank i; every rank returns the concatenation of what it received,
-/// ordered by source rank. The buckets ship from `elements` in place: no
-/// send-side copy on any path. `stats`, if non-null, is incremented by
-/// this call's payload traffic (p-1 messages on the dense path, one per
-/// non-empty non-self bucket elsewhere). `segment_bytes` > 0 bounds every
-/// payload message (pipelined blocks on the dense path, chunks on the
-/// sparse path, frames on the hierarchical one). Every mode runs the
-/// path it names (kCoalesced: sparse); kAuto goes hierarchical exactly
-/// when the cost model is two-level and the group spans nodes, and dense
-/// otherwise.
+/// Blocking bucket redistribution for exchanges whose receive counts are
+/// not known in advance: bucket b occupies elements [offsets[b],
+/// offsets[b+1]) of `elements` and goes to group rank dests[b]. A
+/// destination's buckets are concatenated, in bucket order, into its one
+/// message, and every rank returns the concatenation of what it received,
+/// ordered by source rank. Single-level sample sort passes PartitionKWay's
+/// layout with dests 0..p-1; the multilevel sorter passes its k pieces,
+/// each bound for one member of its group. dests must ascend (equal
+/// neighbours allowed) and offsets must not decrease, or UsageError. The
+/// buckets ship from `elements` in place: no send-side copy on any path.
+/// Empty messages are not transmitted, except on the dense path.
+///
+/// kAuto reads the bucket count as the fanout (see the header comment), so
+/// every rank must pass the same number of buckets (include the empty
+/// ones); kSparse delivers over the transport's sparse collective,
+/// kAlltoallv runs the dense counts + payload rounds on every machine,
+/// kHierarchical the node-aware engine, and kCoalesced runs kSparse.
+/// `stats`, if non-null, is incremented by this call's payload traffic
+/// (p-1 messages on the dense path, one per non-empty non-self message
+/// elsewhere; barrier/counts metadata excluded, as everywhere in this
+/// layer). `segment_bytes` > 0 bounds every payload message (pipelined
+/// blocks on the dense path, chunks on the sparse path, frames on the
+/// hierarchical one).
 std::vector<double> ExchangeBuckets(Transport& tr,
                                     std::span<const double> elements,
                                     std::span<const std::int64_t> offsets,
-                                    int tag, ExchangeStats* stats = nullptr,
+                                    std::span<const int> dests, int tag,
+                                    ExchangeStats* stats = nullptr,
                                     std::int64_t segment_bytes = 0,
                                     Mode mode = Mode::kAuto);
-
-/// One outgoing payload of a group-wise (AMS-style) exchange: `count`
-/// elements to group rank `dest`. Entries may be empty; they are not
-/// transmitted.
-struct Outgoing {
-  int dest = 0;
-  const double* data = nullptr;
-  std::int64_t count = 0;
-};
-
-/// Blocking group-wise redistribution for exchanges whose receive counts
-/// are *not* known in advance -- the multilevel sorter routes each local
-/// piece to one deterministically assigned member of its destination
-/// group, and a receiver cannot predict how many elements (or which
-/// non-empty pieces) will arrive. Ships one message per non-empty non-self
-/// destination and returns everything received, concatenated in source-
-/// rank order (self-destined entries bypass the transport).
-///
-/// kSparse (and kAuto below the dense threshold) delivers over the
-/// transport's sparse collective; kAlltoallv runs the dense counts +
-/// payload rounds on every machine, kHierarchical the node-aware engine.
-/// kCoalesced runs kSparse: its expectation-driven termination requires
-/// known receive counts, which this entry point is for exchanges without.
-/// The kAuto decision uses `out.size()` and the group size, so every rank
-/// must pass the same number of entries (include the empty ones).
-/// `stats`, if non-null, is incremented by the payload traffic
-/// (barrier/counts metadata excluded, as everywhere in this layer).
-/// `segment_bytes` > 0 bounds every payload message (chunked / pipelined
-/// by the transport, framed by the hierarchical engine).
-std::vector<double> ExchangeGroupwise(const std::shared_ptr<Transport>& tr,
-                                      std::span<const Outgoing> out, int tag,
-                                      Mode mode = Mode::kAuto,
-                                      ExchangeStats* stats = nullptr,
-                                      std::int64_t segment_bytes = 0);
 
 /// One logically-contiguous run of elements to redistribute, plus where
 /// its incoming counterpart accumulates.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 
@@ -31,14 +29,18 @@ constexpr int kTagDirect = 128;
 // Every pivot is the median of weighted-reservoir winners folded by a
 // sweep. The root task sweeps its candidates alone (a sweep of zero scan
 // elements); every other task starts at kPartition, holding the pivot its
-// parent's sweep carried.
+// parent's sweep carried. A task that finishes directly starts at
+// kDirectStart instead. The phases before kDirectStart split.
 enum class Phase {
+  kQuotaWait,     // padded root only: waiting on the count and quota sweep
   kPivotBegin,    // root only: start the candidate sweep
   kPivotWait,     // root only: waiting on the candidate sweep
   kPartition,
   kTotalsWait,    // waiting on the prefix sums, totals and pivot winners
   kExchange,
   kSplit,
+  kDirectStart,   // waiting until no task of this rank is left to split
+  kDirectRounds,  // the all-gather's pending round
   kDone,
 };
 
@@ -63,11 +65,12 @@ struct Task {
   bool retried = false;          // degenerate-split retry performed
   double pivot = 0.0;
 
-  // Partition / prefix-sum state. `cands` holds k weighted-reservoir
-  // candidates per block -- the root's data before its first partition,
-  // then the small and the large side -- and the sweep replaces them with
-  // the global winners, whose medians are the pivots.
-  std::vector<double> small, large;
+  // Partition / prefix-sum state. The partition leaves the small side as
+  // the first counts[0] elements of `data` and the large side after it.
+  // `cands` holds k weighted-reservoir candidates per block -- the root's
+  // data before its first partition, then the small and the large side --
+  // and the sweep replaces them with the global winners, whose medians are
+  // the pivots.
   std::int64_t counts[2] = {0, 0};
   std::int64_t incl[2] = {0, 0};
   std::int64_t totals[2] = {0, 0};
@@ -93,33 +96,36 @@ struct Task {
 
 class Driver {
  public:
+  /// A padded sort first agrees on the global count and, as a kMax rider,
+  /// the padded quota -- the largest local size -- in one sweep, as the
+  /// root task's first phase.
   Driver(std::shared_ptr<Transport> world, std::vector<double> local,
-         const JQuickConfig& cfg, JQuickStats* stats)
-      : cfg_(cfg), stats_(stats) {
-    const std::int64_t quota = static_cast<std::int64_t>(local.size());
+         const JQuickConfig& cfg, JQuickStats* stats, bool padded)
+      : cfg_(cfg), stats_(stats), padded_(padded) {
+    if (stats_ != nullptr) *stats_ = JQuickStats{};
     auto root = std::make_unique<Task>();
     root->tr = std::move(world);
     root->data = std::move(local);
-    const int p = root->tr->Size();
-    root->layout = CapacityLayout{
-        .p = p,
-        .quota = quota,
-        .cap_first = quota,
-        .cap_last = quota,
-    };
-    Enqueue(std::move(root));
+    mine_ = quota_ = static_cast<std::int64_t>(root->data.size());
+    if (!padded_) {
+      SetRootLayout(*root);
+      Enqueue(std::move(root));
+      return;
+    }
+    root->poll = root->tr->IscanWithTotal(
+        &mine_, &incl_, &n_total_, 1, Datatype::kInt64, ReduceOp::kSum,
+        /*tag=*/96,
+        ScanRider{&mine_, &quota_, 1, Datatype::kInt64, ReduceOp::kMax});
+    root->phase = Phase::kQuotaWait;
+    active_.push_back(std::move(root));
   }
 
-  std::vector<double> Run() {
-    DistributedPhase();
-    DirectPhase();
-    return Assemble();
-  }
-
- private:
   /// Steps every active task for as long as any of them progresses; the
-  /// wait yields only after a pass that made no progress.
-  void DistributedPhase() {
+  /// wait yields only after a pass that made no progress. Returns this
+  /// rank's quota of the sorted sequence; a padded sort drops the global
+  /// slots past the input's count, which all land on the highest ranks.
+  std::vector<double> Run() {
+    const int rank = active_.front()->MyRank();
     mpisim::WaitUntil(
         [&] {
           bool progressed = true;
@@ -137,7 +143,21 @@ class Driver {
           }
           return active_.empty();
         },
-        "JQuick distributed phase");
+        "JQuick task machine");
+    std::vector<double> out = Assemble();
+    if (static_cast<std::int64_t>(out.size()) != quota_) {
+      throw mpisim::Error("JQuick: internal: output size != quota");
+    }
+    if (padded_) {
+      out.resize(static_cast<std::size_t>(std::clamp<std::int64_t>(
+          n_total_ - static_cast<std::int64_t>(rank) * quota_, 0, quota_)));
+    }
+    return out;
+  }
+
+ private:
+  void SetRootLayout(Task& root) const {
+    root.layout = CapacityLayout{root.tr->Size(), quota_, quota_, quota_};
   }
 
   /// Advances one task through as many phases as possible. Returns true if
@@ -146,6 +166,17 @@ class Driver {
     bool progressed = false;
     for (;;) {
       switch (t.phase) {
+        case Phase::kQuotaWait:
+          // Pads with +inf to the quota. Perfect balance puts the input's
+          // n_total_ slots, genuine +inf included, before the padding.
+          if (!t.poll()) return progressed;
+          t.data.resize(static_cast<std::size_t>(quota_),
+                        std::numeric_limits<double>::infinity());
+          SetRootLayout(t);
+          t.phase = Phase::kPivotBegin;
+          Admit(t);
+          progressed = true;
+          continue;
         case Phase::kPivotBegin:
           t.cands.clear();
           DrawCandidates(t, t.data);
@@ -162,14 +193,12 @@ class Driver {
           progressed = true;
           continue;
         case Phase::kPartition: {
-          PartitionResult pr = Partition(t.data, t.pivot, t.cmp_le);
-          t.small = std::move(pr.small);
-          t.large = std::move(pr.large);
-          t.counts[0] = static_cast<std::int64_t>(t.small.size());
-          t.counts[1] = static_cast<std::int64_t>(t.large.size());
+          const std::size_t cut = PartitionInPlace(t.data, t.pivot, t.cmp_le);
+          t.counts[0] = static_cast<std::int64_t>(cut);
+          t.counts[1] = static_cast<std::int64_t>(t.data.size() - cut);
           t.cands.clear();
-          DrawCandidates(t, t.small);
-          DrawCandidates(t, t.large);
+          DrawCandidates(t, std::span<const double>(t.data).first(cut));
+          DrawCandidates(t, std::span<const double>(t.data).subspan(cut));
           t.poll = t.tr->IscanWithTotal(t.counts, t.incl, t.totals, 2,
                                         Datatype::kInt64, ReduceOp::kSum,
                                         t.CollTag(), Rider(t));
@@ -191,12 +220,11 @@ class Driver {
               // degenerate, every element equals the pivot.
               t.retried = true;
               t.cmp_le = !t.cmp_le;
-              ReuniteData(t);
               t.phase = Phase::kPartition;
               progressed = true;
               continue;
             }
-            ReuniteData(t);  // all elements equal: already sorted & balanced
+            // All elements equal: already sorted and balanced.
             EmitSlice(t.SliceKey(), std::move(t.data));
             t.phase = Phase::kDone;
             return true;
@@ -213,6 +241,31 @@ class Driver {
           continue;
         case Phase::kSplit:
           SplitTask(t);
+          t.phase = Phase::kDone;
+          return true;
+        case Phase::kDirectStart:
+          if (std::any_of(active_.begin(), active_.end(),
+                          [](const std::unique_ptr<Task>& u) {
+                            return u->phase < Phase::kDirectStart;
+                          })) {
+            return progressed;
+          }
+          if (stats_ != nullptr) {
+            ++(t.layout.p == 1 ? stats_->base_tasks_1p : stats_->direct_tasks);
+          }
+          t.data.reserve(static_cast<std::size_t>(t.layout.Total()));
+          if (t.layout.p > 1) SendRound(t);
+          t.phase = Phase::kDirectRounds;
+          // No receive in this pass: every direct task the rank holds
+          // sends its round 0 before any of them takes a receive.
+          return true;
+        case Phase::kDirectRounds:
+          if (t.round < Rounds(t.layout.p)) {
+            if (!TakeRound(t)) return progressed;
+            progressed = true;
+            continue;
+          }
+          FinishDirect(t);
           t.phase = Phase::kDone;
           return true;
         case Phase::kDone:
@@ -261,17 +314,9 @@ class Driver {
     return MedianOf(values);
   }
 
-  /// Restores t.data = small ++ large (order irrelevant for sorting).
-  static void ReuniteData(Task& t) {
-    t.data = std::move(t.small);
-    t.data.insert(t.data.end(), t.large.begin(), t.large.end());
-    t.small.clear();
-    t.large.clear();
-  }
-
-  /// Hands the (small, large) sides to the redistribution layer: one
-  /// coalesced exchange per level covering both regions. The layer copies
-  /// the payload out synchronously, so the partition buffers are released
+  /// Hands the (small, large) sides of t.data to the redistribution layer:
+  /// one coalesced exchange per level covering both regions. The layer
+  /// copies the payload out synchronously, so t.data is released
   /// immediately; Phase::kExchange polls t.poll until the sinks are full.
   void StartExchange(Task& t) {
     const std::int64_t s_excl = t.incl[0] - t.counts[0];
@@ -285,12 +330,11 @@ class Driver {
     t.recv_large.reserve(static_cast<std::size_t>(expect_large));
 
     std::vector<exchange::Segment> segments(2);
-    segments[0] = exchange::Segment{
-        t.small.data(), static_cast<std::int64_t>(t.small.size()), s_excl,
-        &t.recv_small, expect_small};
-    segments[1] = exchange::Segment{
-        t.large.data(), static_cast<std::int64_t>(t.large.size()),
-        s_total + l_excl, &t.recv_large, expect_large};
+    segments[0] = exchange::Segment{t.data.data(), t.counts[0], s_excl,
+                                    &t.recv_small, expect_small};
+    segments[1] = exchange::Segment{t.data.data() + t.counts[0], t.counts[1],
+                                    s_total + l_excl, &t.recv_large,
+                                    expect_large};
     exchange::ExchangeStats es;
     t.poll = exchange::StartSegmentExchange(t.tr, t.layout,
                                             std::move(segments),
@@ -302,10 +346,6 @@ class Driver {
       stats_->elements_sent += es.elements_sent;
       stats_->segments_sent += es.segments;
     }
-    t.small.clear();
-    t.small.shrink_to_fit();
-    t.large.clear();
-    t.large.shrink_to_fit();
     t.data.clear();
     t.data.shrink_to_fit();
   }
@@ -396,24 +436,29 @@ class Driver {
     return child;
   }
 
-  /// A task that splits draws its candidates from a generator seeded by
-  /// its identity -- the sort's seed, this world rank, the task's global
-  /// offset, level and size -- so the split tree does not depend on the
-  /// order in which a janus steps its two tasks.
   void Enqueue(std::unique_ptr<Task> task) {
-    if (FinishesDirectly(task->layout)) {
-      direct_.push_back(std::move(task));
+    Admit(*task);
+    active_.push_back(std::move(task));
+  }
+
+  /// A task that finishes directly starts at kDirectStart. A task that
+  /// splits keeps its first phase and draws its candidates from a
+  /// generator seeded by its identity -- the sort's seed, this world rank,
+  /// the task's global offset, level and size -- so the split tree does
+  /// not depend on the order in which a janus steps its two tasks.
+  void Admit(Task& t) const {
+    if (FinishesDirectly(t.layout)) {
+      t.phase = Phase::kDirectStart;
       return;
     }
     // seed_seq keeps the low 32 bits of each value.
-    const auto off = static_cast<std::uint64_t>(task->global_off);
+    const auto off = static_cast<std::uint64_t>(t.global_off);
     std::seed_seq identity{
         cfg_.seed, cfg_.seed >> 32,
         static_cast<std::uint64_t>(mpisim::Ctx().world_rank), off, off >> 32,
-        static_cast<std::uint64_t>(task->level),
-        static_cast<std::uint64_t>(task->layout.p)};
-    task->rng.seed(identity);
-    active_.push_back(std::move(task));
+        static_cast<std::uint64_t>(t.level),
+        static_cast<std::uint64_t>(t.layout.p)};
+    t.rng.seed(identity);
   }
 
   /// Whether a task of s ranks is cheaper to finish directly than to
@@ -455,39 +500,17 @@ class Driver {
     return direct <= split;
   }
 
-  /// Second phase (Section VII): the tasks that finish directly, deferred
-  /// so a janus never delays a larger subtask. Each one all-gathers its
-  /// members' slices in ceil(log2 s) rounds (Bruck et al., see jquick.hpp)
-  /// and keeps slots [PrefixBefore(me), PrefixBefore(me) + cap) of the
-  /// union, selected by quickselect. Every task sends its first round up
-  /// front and each next round as soon as it holds the round's blocks, and
-  /// a receive is taken only once its message is there, so a janus runs
-  /// both its tasks' rounds at once and never holds one task's partner
-  /// behind the other task's receive. A single-rank task sends nothing and
-  /// sorts its own data; a two-rank task is the paper's pair exchange.
-  void DirectPhase() {
-    for (const auto& t : direct_) {
-      if (stats_ != nullptr) {
-        ++(t->layout.p == 1 ? stats_->base_tasks_1p : stats_->direct_tasks);
-      }
-      t->data.reserve(static_cast<std::size_t>(t->layout.Total()));
-      if (t->layout.p > 1) SendRound(*t);
-    }
-    mpisim::WaitUntil(
-        [&] {
-          do {
-            std::erase_if(direct_, [&](const std::unique_ptr<Task>& t) {
-              if (t->round < Rounds(t->layout.p)) return false;
-              FinishDirect(*t);
-              return true;
-            });
-          } while (std::any_of(
-              direct_.begin(), direct_.end(),
-              [&](const std::unique_ptr<Task>& t) { return TakeRound(*t); }));
-          return direct_.empty();
-        },
-        "JQuick direct finish");
-  }
+  // The direct finish (Section VII): a task that finishes directly waits
+  // in kDirectStart until no task of this rank is left to split, so a
+  // janus never delays a larger subtask, then all-gathers its members'
+  // slices in ceil(log2 s) rounds (Bruck et al., see jquick.hpp) and keeps
+  // slots [PrefixBefore(me), PrefixBefore(me) + cap) of the union,
+  // selected by quickselect. Each round is sent as soon as the task holds
+  // its blocks, and a receive is taken only once its message is there, so
+  // a janus runs both its tasks' rounds at once and never holds one task's
+  // partner behind the other task's receive. A single-rank task sends
+  // nothing and sorts its own data; a two-rank task is the paper's pair
+  // exchange.
 
   /// Rounds of an s-rank task's all-gather: ceil(log2 s).
   static int Rounds(int s) {
@@ -585,8 +608,11 @@ class Driver {
 
   JQuickConfig cfg_;
   JQuickStats* stats_;
+  bool padded_;
+  // The local size, its prefix sum, the global count and the quota (the
+  // padded sort's sweep fills the last three).
+  std::int64_t mine_ = 0, incl_ = 0, n_total_ = 0, quota_ = 0;
   std::vector<std::unique_ptr<Task>> active_;
-  std::vector<std::unique_ptr<Task>> direct_;
   std::vector<Slice> slices_;
 };
 
@@ -596,14 +622,7 @@ std::vector<double> JQuickSort(const std::shared_ptr<Transport>& world,
                                std::vector<double> local,
                                const JQuickConfig& cfg, JQuickStats* stats) {
   if (world == nullptr) throw mpisim::UsageError("JQuickSort: null transport");
-  if (stats != nullptr) *stats = JQuickStats{};
-  const std::size_t quota = local.size();
-  Driver driver(world, std::move(local), cfg, stats);
-  std::vector<double> out = driver.Run();
-  if (out.size() != quota) {
-    throw mpisim::Error("JQuick: internal: output size != quota");
-  }
-  return out;
+  return Driver(world, std::move(local), cfg, stats, false).Run();
 }
 
 std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
@@ -611,28 +630,7 @@ std::vector<double> JQuickSortPadded(const std::shared_ptr<Transport>& world,
                                      const JQuickConfig& cfg,
                                      JQuickStats* stats) {
   if (world == nullptr) throw mpisim::UsageError("JQuickSort: null transport");
-  // One sweep agrees on the global count and, as a kMax rider, the padded
-  // quota: the maximum local size over all ranks.
-  const std::int64_t mine = static_cast<std::int64_t>(local.size());
-  std::int64_t incl = 0;
-  std::int64_t n_total = 0;
-  std::int64_t quota = 0;
-  mpisim::WaitUntil(
-      world->IscanWithTotal(&mine, &incl, &n_total, 1, Datatype::kInt64,
-                            ReduceOp::kSum, /*tag=*/96,
-                            ScanRider{&mine, &quota, 1, Datatype::kInt64,
-                                      ReduceOp::kMax}),
-      "JQuickSortPadded quota");
-  local.resize(static_cast<std::size_t>(quota),
-               std::numeric_limits<double>::infinity());
-  std::vector<double> out = JQuickSort(world, std::move(local), cfg, stats);
-  // Perfect balance: this rank holds global slots [rank * quota, (rank + 1)
-  // * quota), and the first n_total of them are the input, genuine +inf
-  // elements included; the padding is the rest.
-  const std::int64_t keep = std::clamp<std::int64_t>(
-      n_total - static_cast<std::int64_t>(world->Rank()) * quota, 0, quota);
-  out.resize(static_cast<std::size_t>(keep));
-  return out;
+  return Driver(world, std::move(local), cfg, stats, true).Run();
 }
 
 }  // namespace jsort

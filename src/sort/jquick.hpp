@@ -7,7 +7,8 @@
 // both subtasks simultaneously, which is only possible because every
 // communication operation is nonblocking and every group split is cheap.
 //
-// One distributed level = local partition, one up-sweep/down-sweep
+// One distributed level = local partition (stable, in place: the small
+// side, then the large side, each in input order), one up-sweep/down-sweep
 // collective (Transport::IscanWithTotal) that returns the prefix sums and
 // totals of the (small, large) counts and, riding beside them, the
 // children's pivots, then greedy capacity-filling data assignment, a
@@ -45,13 +46,20 @@
 // rounds from above, against one more level's sweep, exchange and its
 // children's finishes: tasks of <= 2 ranks always qualify, and under the
 // default model tasks of up to 14 ranks do at n/p <= 32, 10 at n/p = 256,
-// 6 at 1,024 and 4 from 2,048 up. Such tasks are deferred to a second
-// phase, after the rank's distributed tasks, so a janus never delays a
-// larger subtask. That phase polls all of the rank's direct tasks under
-// one wait: each task sends a round as soon as it holds the round's
-// blocks, and a receive is taken only once its message is there, so a
-// janus in two direct tasks runs both all-gathers at once and never holds
-// one task's partner behind the other task's receive.
+// 6 at 1,024 and 4 from 2,048 up.
+//
+// One task machine runs it all, under one wait: every task, splitting or
+// finishing directly, is a sequence of polled phases, and a pass steps
+// every task the rank holds. The direct finish is a deferred phase of that
+// machine, not a second one: a direct task waits until the rank has no
+// task left to split, so a janus never delays a larger subtask, then sends
+// its round 0 and yields the pass, so every direct task the rank holds
+// sends its first round before any of them takes a receive. Each next
+// round goes out as soon as the task holds its blocks, and a receive is
+// taken only once its message is there, so a janus in two direct tasks
+// runs both all-gathers at once and never holds one task's partner behind
+// the other task's receive. The padded front end's count-and-quota sweep
+// is the root task's first phase.
 #pragma once
 
 #include <cstdint>

@@ -83,21 +83,21 @@ std::vector<double> MultilevelSampleSort(
 
     // 3) AMS-style group-wise exchange: sender r deterministically assigns
     //    piece g to group-g member Begin(g) + r % |group g|, spreading
-    //    senders evenly, and ships all pieces through the exchange layer.
-    //    Only non-empty pieces cost a message startup; receivers need no
-    //    precomputed expectations (the layer's sparse collective detects
-    //    termination), so empty pieces are simply never sent.
-    std::vector<exchange::Outgoing> out(static_cast<std::size_t>(k));
+    //    senders evenly, and ships the pieces in place as buckets through
+    //    the exchange layer. Only non-empty pieces cost a message startup;
+    //    receivers need no precomputed expectations (the layer's sparse
+    //    collective detects termination), so empty pieces are simply never
+    //    sent.
+    std::vector<int> members;
     for (int piece = 0; piece < k; ++piece) {
-      const int member =
-          groups.Begin(piece) + rank % groups.SizeOfGroup(piece);
-      out[static_cast<std::size_t>(piece)] = exchange::Outgoing{
-          member, pieces.Bucket(piece).data(), pieces.Count(piece)};
+      members.push_back(groups.Begin(piece) +
+                        rank % groups.SizeOfGroup(piece));
     }
     exchange::ExchangeStats es;
-    local = exchange::ExchangeGroupwise(tr, out, kTagPieceBase + level,
-                                        cfg.exchange_mode, &es,
-                                        exchange::kDefaultSegmentBytes);
+    local = exchange::ExchangeBuckets(*tr, pieces.elements, pieces.offsets,
+                                      members, kTagPieceBase + level, &es,
+                                      exchange::kDefaultSegmentBytes,
+                                      cfg.exchange_mode);
     if (stats != nullptr) {
       stats->messages_sent += es.messages_sent;
       stats->segments_sent += es.segments;

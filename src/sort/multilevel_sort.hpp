@@ -10,10 +10,12 @@
 //
 // The per-level piece routing follows the AMS multilevel k-way exchange
 // (Axtmann/Sanders): each sender deterministically assigns piece g to one
-// member of group g (spreading senders evenly over the group), and the
-// resulting group-wise exchange runs over jsort::exchange, which ships
-// only non-empty pieces -- no message startup is ever paid for an empty
-// piece, and termination comes from the exchange layer instead of a
+// member of group g (spreading senders evenly over the group), and ships
+// its k pieces in place through the bucket entry point of jsort::exchange
+// (of its two, bucket and segment, the one without receive counts), each
+// piece a bucket bound for its member. Below the dense threshold only
+// non-empty pieces travel -- no message startup is ever paid for an empty
+// piece -- and termination comes from the exchange layer instead of a
 // hand-rolled probe loop.
 #pragma once
 
@@ -34,8 +36,9 @@ struct MultilevelConfig {
   /// goes node-local after one exchange), else 4.
   int k = 4;
   std::uint64_t seed = 1;
-  /// Delivery path of the per-level group-wise exchange (kAuto: sparse
-  /// below the dense threshold -- see exchange.hpp).
+  /// Delivery path of the per-level bucket exchange (kAuto: sparse below
+  /// the dense threshold; kCoalesced runs sparse, as the bucket exchange
+  /// has no receive counts -- see exchange.hpp).
   exchange::Mode exchange_mode = exchange::Mode::kAuto;
 };
 
@@ -48,7 +51,7 @@ struct MultilevelStats {
   /// exchange::kDefaultSegmentBytes, across all levels.
   std::int64_t segments_sent = 0;
   std::int64_t final_elements = 0;
-  /// Per-level traffic of this rank's group-wise exchange.
+  /// Per-level traffic of this rank's bucket exchange.
   std::vector<exchange::ExchangeStats> level_stats;
 };
 

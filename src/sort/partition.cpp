@@ -20,23 +20,6 @@ void FillTree(std::span<const double> s, std::size_t lo, std::size_t hi,
 
 }  // namespace
 
-PartitionResult Partition(std::span<const double> data, double pivot,
-                          bool less_equal) {
-  PartitionResult r;
-  r.small.reserve(data.size());
-  r.large.reserve(data.size());
-  if (less_equal) {
-    for (double x : data) {
-      (x <= pivot ? r.small : r.large).push_back(x);
-    }
-  } else {
-    for (double x : data) {
-      (x < pivot ? r.small : r.large).push_back(x);
-    }
-  }
-  return r;
-}
-
 KWayBuckets PartitionKWay(std::span<const double> data,
                           std::span<const double> splitters) {
   const int k = static_cast<int>(splitters.size()) + 1;
@@ -99,10 +82,10 @@ std::size_t PartitionInPlace(std::span<double> data, double pivot,
                              bool less_equal) {
   auto mid =
       less_equal
-          ? std::partition(data.begin(), data.end(),
-                           [pivot](double x) { return x <= pivot; })
-          : std::partition(data.begin(), data.end(),
-                           [pivot](double x) { return x < pivot; });
+          ? std::stable_partition(data.begin(), data.end(),
+                                  [pivot](double x) { return x <= pivot; })
+          : std::stable_partition(data.begin(), data.end(),
+                                  [pivot](double x) { return x < pivot; });
   return static_cast<std::size_t>(mid - data.begin());
 }
 

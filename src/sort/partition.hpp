@@ -18,20 +18,10 @@
 
 namespace jsort {
 
-/// Result of a two-way partition: elements routed left/right of the pivot.
-struct PartitionResult {
-  std::vector<double> small;
-  std::vector<double> large;
-};
-
-/// Partitions `data` by `pivot`. With less_equal == false, small =
-/// {x | x < pivot}; with less_equal == true, small = {x | x <= pivot}.
-/// Stable within each side (irrelevant for sorting, convenient for tests).
-PartitionResult Partition(std::span<const double> data, double pivot,
-                          bool less_equal);
-
-/// In-place variant: reorders `data` so the small side occupies the prefix
-/// and returns its length.
+/// Partitions `data` in place by `pivot` and returns the length of the
+/// small side, which it leaves as the prefix. With less_equal == false,
+/// small = {x | x < pivot}; with less_equal == true, small = {x | x <=
+/// pivot}. Stable: each side keeps its input order.
 std::size_t PartitionInPlace(std::span<double> data, double pivot,
                              bool less_equal);
 

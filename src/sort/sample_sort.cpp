@@ -1,6 +1,7 @@
 #include "sort/sample_sort.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 
 #include "sort/exchange.hpp"
@@ -52,9 +53,11 @@ std::vector<double> SampleSort(const std::shared_ptr<Transport>& world,
   //    dense Alltoallv path. Empty buckets are exchanged too, so every
   //    rank pays exactly p-1 payload startups -- the p-1 startups of
   //    Section IV.
+  std::vector<int> ranks(static_cast<std::size_t>(p));
+  std::iota(ranks.begin(), ranks.end(), 0);
   exchange::ExchangeStats es;
   std::vector<double> out = exchange::ExchangeBuckets(
-      tr, buckets.elements, buckets.offsets, kTagBucket, &es,
+      tr, buckets.elements, buckets.offsets, ranks, kTagBucket, &es,
       cfg.segment_bytes, cfg.exchange_mode);
   buckets.elements.clear();
   if (stats != nullptr) {

@@ -10,18 +10,20 @@
 // drains take wildcard receives in wall-clock arrival order, so their
 // clocks are not repeatable and are left out.
 //
-// The grid: ExchangeBuckets (flat form), ExchangeGroupwise and
-// StartSegmentExchange; all five modes; the rbc, mpi and icomm backends;
-// segment_bytes 0, 61 and 1 MiB; flat p = 13 and p = 64, plus 8 nodes of
-// 8 and ragged nodes {3,1,4,2,6} under bench_topo's two-level model. One
-// golden hash per (entry point, mode, machine) covers its nine
-// (backend, segment size) cases.
+// The grid: ExchangeBuckets in its flat form (bucket d to rank d) and in
+// its group-wise form (entries to random members, the multilevel sorter's
+// shape), and StartSegmentExchange; all five modes; the rbc, mpi and
+// icomm backends; segment_bytes 0, 61 and 1 MiB; flat p = 13 and p = 64,
+// plus 8 nodes of 8 and ragged nodes {3,1,4,2,6} under bench_topo's
+// two-level model. One golden hash per (form, mode, machine) covers its
+// nine (backend, segment size) cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
@@ -86,31 +88,36 @@ Output RunBuckets(Transport& tr, Mode mode, std::int64_t seg,
       offsets.push_back(static_cast<std::int64_t>(elements.size()));
     }
   }
-  return jsort::exchange::ExchangeBuckets(tr, elements, offsets, kTag, es,
-                                          seg, mode);
+  std::vector<int> dests(static_cast<std::size_t>(p));
+  std::iota(dests.begin(), dests.end(), 0);
+  return jsort::exchange::ExchangeBuckets(tr, elements, offsets, dests, kTag,
+                                          es, seg, mode);
 }
 
 /// Group-wise exchange: four entries per rank, 0-10 doubles each to a
-/// random member (repeated and self destinations included).
-Output RunGroupwise(const std::shared_ptr<Transport>& tr, Mode mode,
-                    std::int64_t seg, ExchangeStats* es) {
-  const int p = tr->Size();
-  const int me = tr->Rank();
+/// random member (repeated and self destinations included), one bucket
+/// each.
+Output RunGroupwise(Transport& tr, Mode mode, std::int64_t seg,
+                    ExchangeStats* es) {
+  const int p = tr.Size();
+  const int me = tr.Rank();
   constexpr int kEntries = 4;
   std::mt19937_64 shared(11);
-  std::vector<std::vector<double>> payloads(kEntries);
-  std::vector<jsort::exchange::Outgoing> out;
+  std::vector<std::pair<int, std::vector<double>>> entries;
   for (int r = 0; r < p; ++r) {
     for (int e = 0; e < kEntries; ++e) {
       const auto dest = static_cast<int>(shared() % p);
       const auto n = static_cast<std::int64_t>(shared() % 11);
       if (r != me) continue;
-      auto& v = payloads[static_cast<std::size_t>(e)];
+      std::vector<double> v;
       for (std::int64_t i = 0; i < n; ++i) v.push_back(r * 1e4 + e * 1e3 + i);
-      out.push_back({dest, v.data(), n});
+      entries.emplace_back(dest, std::move(v));
     }
   }
-  return jsort::exchange::ExchangeGroupwise(tr, out, kTag, mode, es, seg);
+  const testutil::DestBuckets buckets(std::move(entries));
+  return jsort::exchange::ExchangeBuckets(tr, buckets.elements,
+                                          buckets.offsets, buckets.dests,
+                                          kTag, es, seg, mode);
 }
 
 /// Segment exchange of the JQuick shape: a skewed capacity layout, two
@@ -167,7 +174,7 @@ Output RunSegments(const std::shared_ptr<Transport>& tr, Mode mode,
 /// Whether the case runs a path whose clocks repeat: dense or
 /// hierarchical, forced or taken by kAuto (on a two-level machine every
 /// entry point's group spans nodes; flat, only the bucket exchange goes
-/// dense -- four group-wise entries stay below half the peers, and a
+/// dense -- four group-wise buckets stay below half the peers, and a
 /// segment exchange never goes dense).
 bool ClocksRepeat(Entry e, Mode mode, bool two_level) {
   if (mode == Mode::kAlltoallv || mode == Mode::kHierarchical) return true;
@@ -196,7 +203,7 @@ void RunCase(const Machine& m, Entry e, Mode mode, jsort::Backend b,
     Output out;
     switch (e) {
       case Entry::kBuckets: out = RunBuckets(*tr, mode, seg, &es); break;
-      case Entry::kGroupwise: out = RunGroupwise(tr, mode, seg, &es); break;
+      case Entry::kGroupwise: out = RunGroupwise(*tr, mode, seg, &es); break;
       case Entry::kSegments: out = RunSegments(tr, mode, seg, &es); break;
     }
     outs.Set(world.Rank(), std::move(out));

@@ -27,7 +27,6 @@ using jsort::CapacityLayout;
 using jsort::Transport;
 using jsort::exchange::ExchangeStats;
 using jsort::exchange::Mode;
-using jsort::exchange::Outgoing;
 using jsort::exchange::Segment;
 using testutil::RunRanks;
 
@@ -208,8 +207,7 @@ void RandomizedGroupwise(const std::shared_ptr<Transport>& tr,
   auto value = [](int r, int e, std::int64_t i) {
     return r * 10000.0 + e * 1000.0 + static_cast<double>(i);
   };
-  std::vector<std::vector<double>> payloads;
-  std::vector<Outgoing> out;
+  std::vector<std::pair<int, std::vector<double>>> mine;
   for (int e = 0; e < kEntries; ++e) {
     const auto [dest, count] = entries[static_cast<std::size_t>(me)]
                                       [static_cast<std::size_t>(e)];
@@ -217,16 +215,19 @@ void RandomizedGroupwise(const std::shared_ptr<Transport>& tr,
     for (std::int64_t i = 0; i < count; ++i) {
       payload.push_back(value(me, e, i));
     }
-    payloads.push_back(std::move(payload));
-    out.push_back(Outgoing{dest, payloads.back().data(), count});
+    mine.emplace_back(dest, std::move(payload));
   }
+  const testutil::DestBuckets out(std::move(mine));
   ExchangeStats ds, ss;
-  const auto dense = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kAlltoallv, &ds, seg_bytes);
-  const auto sparse = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kSparse, &ss, seg_bytes);
-  const auto aut = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kAuto, nullptr, seg_bytes);
+  const auto dense = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, &ds, seg_bytes,
+      Mode::kAlltoallv);
+  const auto sparse = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, &ss, seg_bytes,
+      Mode::kSparse);
+  const auto aut = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, nullptr, seg_bytes,
+      Mode::kAuto);
   EXPECT_EQ(dense, sparse);
   EXPECT_EQ(dense, aut);
   EXPECT_EQ(ds.elements_sent, ss.elements_sent);
@@ -288,7 +289,7 @@ void RandomizedBuckets(const std::shared_ptr<Transport>& tr,
   mpisim::Ctx().stats.max_message_bytes = 0;
   const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
   const std::vector<double> got = jsort::exchange::ExchangeBuckets(
-      *tr, flat.elements, flat.offsets, 43, &stats, seg_bytes);
+      *tr, flat.elements, flat.offsets, flat.dests, 43, &stats, seg_bytes);
   const std::uint64_t sent = mpisim::Ctx().stats.messages_sent - before;
   std::vector<double> expect;
   for (int r = 0; r < p; ++r) {

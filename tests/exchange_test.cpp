@@ -67,7 +67,7 @@ TEST_P(ExchangeSweep, BucketExchangeRoutesEverythingBySource) {
     ExchangeStats stats;
     const testutil::FlatBuckets flat(buckets);
     std::vector<double> got = jsort::exchange::ExchangeBuckets(
-        *tr, flat.elements, flat.offsets, 9, &stats);
+        *tr, flat.elements, flat.offsets, flat.dests, 9, &stats);
     // From each source s: s copies of 100*s + me, ordered by source rank.
     std::vector<double> expect;
     for (int s = 0; s < p; ++s) {
@@ -89,7 +89,8 @@ TEST_P(ExchangeSweep, BucketExchangeHandlesSkewToOneRank) {
     buckets[0] = {me * 1.0, me * 1.0 + 0.5};
     const testutil::FlatBuckets flat(buckets);
     std::vector<double> got =
-        jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets, 9);
+        jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets,
+                                         flat.dests, 9);
     if (me == 0) {
       std::vector<double> expect;
       for (int s = 0; s < p; ++s) {
@@ -380,17 +381,16 @@ TEST_P(ExchangeSweep, GroupwiseSparseMatchesDense) {
     // even, 2 copies to d = (r+2)%p; odd ranks pass that entry empty.
     std::vector<double> a(static_cast<std::size_t>(me),
                           100.0 * me + (me + 1) % p);
-    std::vector<double> c(2, 100.0 * me + (me + 2) % p);
-    std::vector<jsort::exchange::Outgoing> out(2);
-    out[0] = {(me + 1) % p, a.data(), static_cast<std::int64_t>(a.size())};
-    out[1] = {(me + 2) % p, me % 2 == 0 ? c.data() : nullptr,
-              me % 2 == 0 ? 2 : 0};
+    std::vector<double> c(me % 2 == 0 ? 2 : 0, 100.0 * me + (me + 2) % p);
+    const testutil::DestBuckets out({{(me + 1) % p, a}, {(me + 2) % p, c}});
+    const auto exchange = [&](Mode mode, ExchangeStats* es) {
+      return jsort::exchange::ExchangeBuckets(*tr, out.elements, out.offsets,
+                                              out.dests, 23, es, 0, mode);
+    };
     jsort::exchange::ExchangeStats ds, ss;
-    auto dense = jsort::exchange::ExchangeGroupwise(
-        tr, out, 23, Mode::kAlltoallv, &ds);
-    auto sparse = jsort::exchange::ExchangeGroupwise(
-        tr, out, 23, Mode::kSparse, &ss);
-    auto aut = jsort::exchange::ExchangeGroupwise(tr, out, 23, Mode::kAuto);
+    auto dense = exchange(Mode::kAlltoallv, &ds);
+    auto sparse = exchange(Mode::kSparse, &ss);
+    auto aut = exchange(Mode::kAuto, nullptr);
     EXPECT_EQ(dense, sparse);
     EXPECT_EQ(dense, aut);
     EXPECT_EQ(ds.elements_sent, ss.elements_sent);
@@ -419,16 +419,14 @@ TEST_P(ExchangeSweep, ForcedDenseGroupwiseStaysDenseOnTwoLevelMachines) {
     auto tr = Make(b, world);
     const int p = tr->Size();
     const int me = tr->Rank();
-    std::vector<double> values;
-    for (int d = 0; d < p; ++d) values.push_back(100.0 * me + d);
-    std::vector<jsort::exchange::Outgoing> out;
-    for (int d = 0; d < p; ++d) {
-      out.push_back({d, values.data() + d, 1});
-    }
+    std::vector<std::vector<double>> buckets;
+    for (int d = 0; d < p; ++d) buckets.push_back({100.0 * me + d});
+    const testutil::FlatBuckets flat(buckets);
     ExchangeStats es;
     const std::uint64_t before = mpisim::Ctx().stats.messages_sent;
-    const std::vector<double> got = jsort::exchange::ExchangeGroupwise(
-        tr, out, 25, Mode::kAlltoallv, &es);
+    const std::vector<double> got = jsort::exchange::ExchangeBuckets(
+        *tr, flat.elements, flat.offsets, flat.dests, 25, &es, 0,
+        Mode::kAlltoallv);
     EXPECT_EQ(mpisim::Ctx().stats.messages_sent - before,
               static_cast<std::uint64_t>(2 * (p - 1)))
         << "rank " << me;
@@ -477,19 +475,41 @@ TEST_P(ExchangeSweep, BucketExchangeHonoursSparse) {
         }
       }
       const std::vector<double> dense = jsort::exchange::ExchangeBuckets(
-          *tr, flat.elements, flat.offsets, 27, nullptr, seg,
+          *tr, flat.elements, flat.offsets, flat.dests, 27, nullptr, seg,
           Mode::kAlltoallv);
       for (const Mode mode : {Mode::kSparse, Mode::kCoalesced}) {
         ExchangeStats es;
         EXPECT_EQ(jsort::exchange::ExchangeBuckets(*tr, flat.elements,
-                                                   flat.offsets, 27, &es,
-                                                   seg, mode),
+                                                   flat.offsets, flat.dests,
+                                                   27, &es, seg, mode),
                   dense);
         EXPECT_EQ(es.messages_sent, messages);
         EXPECT_EQ(es.elements_sent, elements);
         EXPECT_EQ(es.segments, segments) << "segment_bytes " << seg;
       }
     }
+  });
+}
+
+/// ExchangeBuckets rejects malformed buckets before any traffic: a
+/// destination out of range, destinations that do not ascend, decreasing
+/// offsets, and offsets that do not bound one bucket per destination.
+TEST_P(ExchangeSweep, BucketExchangeRejectsMalformedBuckets) {
+  const Backend b = GetParam();
+  RunRanks(3, [&](mpisim::Comm& world) {
+    auto tr = Make(b, world);
+    const std::vector<double> elements{1.0, 2.0, 3.0};
+    const auto exchange = [&](std::vector<std::int64_t> offsets,
+                              std::vector<int> dests) {
+      return jsort::exchange::ExchangeBuckets(*tr, elements, offsets, dests,
+                                              31);
+    };
+    EXPECT_THROW(exchange({0, 1, 3}, {0, 3}), mpisim::UsageError);
+    EXPECT_THROW(exchange({0, 1, 3}, {-1, 2}), mpisim::UsageError);
+    EXPECT_THROW(exchange({0, 1, 3}, {2, 1}), mpisim::UsageError);
+    EXPECT_THROW(exchange({0, 2, 1}, {1, 2}), mpisim::UsageError);
+    EXPECT_THROW(exchange({0, 1, 4}, {1, 2}), mpisim::UsageError);
+    EXPECT_THROW(exchange({0, 1, 3}, {0, 1, 2}), mpisim::UsageError);
   });
 }
 

@@ -19,44 +19,46 @@ using jsort::CapacityLayout;
 using jsort::Chunk;
 
 TEST(Partition, StrictSplitsByLessThan) {
-  const std::vector<double> data{3, 1, 4, 1, 5, 9, 2, 6};
-  auto r = jsort::Partition(data, 4.0, /*less_equal=*/false);
-  EXPECT_EQ(r.small, (std::vector<double>{3, 1, 1, 2}));
-  EXPECT_EQ(r.large, (std::vector<double>{4, 5, 9, 6}));
+  std::vector<double> data{3, 1, 4, 1, 5, 9, 2, 6};
+  const std::size_t cut =
+      jsort::PartitionInPlace(data, 4.0, /*less_equal=*/false);
+  EXPECT_EQ(cut, 4u);
+  // Stable: each side keeps its input order.
+  EXPECT_EQ(data, (std::vector<double>{3, 1, 1, 2, 4, 5, 9, 6}));
 }
 
 TEST(Partition, LessEqualMovesPivotDuplicatesLeft) {
-  const std::vector<double> data{3, 4, 4, 5};
-  auto lt = jsort::Partition(data, 4.0, false);
-  auto le = jsort::Partition(data, 4.0, true);
-  EXPECT_EQ(lt.small.size(), 1u);
-  EXPECT_EQ(le.small.size(), 3u);
+  std::vector<double> lt{3, 4, 4, 5};
+  std::vector<double> le = lt;
+  EXPECT_EQ(jsort::PartitionInPlace(lt, 4.0, false), 1u);
+  EXPECT_EQ(jsort::PartitionInPlace(le, 4.0, true), 3u);
 }
 
-TEST(Partition, InPlaceMatchesOutOfPlaceCounts) {
+/// Both comparators on random input: the small side, then the large side,
+/// each exactly the input's elements of that side in input order.
+TEST(Partition, InPlaceIsStableOnRandomInput) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> d(0, 1);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> data(100);
     for (auto& x : data) x = d(rng);
     const double pivot = data[trial % data.size()];
-    auto copy = data;
-    const auto split = jsort::Partition(data, pivot, trial % 2 == 0);
-    const std::size_t cut =
-        jsort::PartitionInPlace(copy, pivot, trial % 2 == 0);
-    EXPECT_EQ(cut, split.small.size());
-    std::vector<double> lhs(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(cut));
-    auto small_sorted = split.small;
-    std::sort(lhs.begin(), lhs.end());
-    std::sort(small_sorted.begin(), small_sorted.end());
-    EXPECT_EQ(lhs, small_sorted);
+    const bool le = trial % 2 == 0;
+    const auto is_small = [&](double x) { return le ? x <= pivot : x < pivot; };
+    std::vector<double> expect;
+    std::copy_if(data.begin(), data.end(), std::back_inserter(expect),
+                 is_small);
+    const std::size_t small_count = expect.size();
+    std::copy_if(data.begin(), data.end(), std::back_inserter(expect),
+                 [&](double x) { return !is_small(x); });
+    EXPECT_EQ(jsort::PartitionInPlace(data, pivot, le), small_count);
+    EXPECT_EQ(data, expect);
   }
 }
 
 TEST(Partition, EmptyInput) {
-  auto r = jsort::Partition({}, 1.0, false);
-  EXPECT_TRUE(r.small.empty());
-  EXPECT_TRUE(r.large.empty());
+  std::vector<double> data;
+  EXPECT_EQ(jsort::PartitionInPlace(data, 1.0, false), 0u);
 }
 
 class QuickselectSweep

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -79,15 +80,40 @@ inline std::vector<std::vector<double>> EndFootprints(
 
 /// Per-destination buckets in the bucket-major flat layout
 /// exchange::ExchangeBuckets takes: bucket i is elements[offsets[i],
-/// offsets[i+1]).
+/// offsets[i+1]) and goes to rank dests[i] = i.
 struct FlatBuckets {
   std::vector<double> elements;
   std::vector<std::int64_t> offsets{0};
+  std::vector<int> dests;
 
   explicit FlatBuckets(const std::vector<std::vector<double>>& buckets) {
     for (const std::vector<double>& b : buckets) {
       elements.insert(elements.end(), b.begin(), b.end());
       offsets.push_back(static_cast<std::int64_t>(elements.size()));
+      dests.push_back(static_cast<int>(dests.size()));
+    }
+  }
+};
+
+/// (destination, payload) entries as exchange::ExchangeBuckets takes them:
+/// one bucket per entry, ordered by destination, a destination's entries
+/// in entry order -- so its message is their concatenation in entry
+/// order, and every rank passing the same number of entries (empty ones
+/// included) passes the same bucket count.
+struct DestBuckets {
+  std::vector<double> elements;
+  std::vector<std::int64_t> offsets{0};
+  std::vector<int> dests;
+
+  explicit DestBuckets(
+      std::vector<std::pair<int, std::vector<double>>> entries) {
+    std::stable_sort(
+        entries.begin(), entries.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [dest, payload] : entries) {
+      elements.insert(elements.end(), payload.begin(), payload.end());
+      offsets.push_back(static_cast<std::int64_t>(elements.size()));
+      dests.push_back(dest);
     }
   }
 };

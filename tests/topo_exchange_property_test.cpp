@@ -28,7 +28,6 @@ using jsort::CapacityLayout;
 using jsort::Transport;
 using jsort::exchange::ExchangeStats;
 using jsort::exchange::Mode;
-using jsort::exchange::Outgoing;
 using jsort::exchange::Segment;
 using testutil::RunRanks;
 
@@ -112,8 +111,7 @@ void RandomizedGroupwiseHier(const std::shared_ptr<Transport>& tr,
   auto value = [](int r, int e, std::int64_t i) {
     return r * 10000.0 + e * 1000.0 + static_cast<double>(i);
   };
-  std::vector<std::vector<double>> payloads;
-  std::vector<Outgoing> out;
+  std::vector<std::pair<int, std::vector<double>>> mine;
   for (int e = 0; e < kEntries; ++e) {
     const auto [dest, count] = entries[static_cast<std::size_t>(me)]
                                       [static_cast<std::size_t>(e)];
@@ -121,18 +119,22 @@ void RandomizedGroupwiseHier(const std::shared_ptr<Transport>& tr,
     for (std::int64_t i = 0; i < count; ++i) {
       payload.push_back(value(me, e, i));
     }
-    payloads.push_back(std::move(payload));
-    out.push_back(Outgoing{dest, payloads.back().data(), count});
+    mine.emplace_back(dest, std::move(payload));
   }
+  const testutil::DestBuckets out(std::move(mine));
   ExchangeStats hs;
-  const auto dense = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kAlltoallv, nullptr, seg_bytes);
-  const auto sparse = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kSparse, nullptr, seg_bytes);
-  const auto hier = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kHierarchical, &hs, seg_bytes);
-  const auto aut = jsort::exchange::ExchangeGroupwise(
-      tr, out, 41, Mode::kAuto, nullptr, seg_bytes);
+  const auto dense = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, nullptr, seg_bytes,
+      Mode::kAlltoallv);
+  const auto sparse = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, nullptr, seg_bytes,
+      Mode::kSparse);
+  const auto hier = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, &hs, seg_bytes,
+      Mode::kHierarchical);
+  const auto aut = jsort::exchange::ExchangeBuckets(
+      *tr, out.elements, out.offsets, out.dests, 41, nullptr, seg_bytes,
+      Mode::kAuto);
   EXPECT_EQ(dense, sparse);
   EXPECT_EQ(dense, hier);
   EXPECT_EQ(dense, aut);
@@ -191,12 +193,14 @@ void RandomizedBucketsHier(const std::shared_ptr<Transport>& tr,
   ExchangeStats ds, hs;
   const testutil::FlatBuckets flat(buckets);
   const auto dense = jsort::exchange::ExchangeBuckets(
-      *tr, flat.elements, flat.offsets, 43, &ds, seg_bytes, Mode::kAlltoallv);
+      *tr, flat.elements, flat.offsets, flat.dests, 43, &ds, seg_bytes,
+      Mode::kAlltoallv);
   const auto hier = jsort::exchange::ExchangeBuckets(
-      *tr, flat.elements, flat.offsets, 43, &hs, seg_bytes,
+      *tr, flat.elements, flat.offsets, flat.dests, 43, &hs, seg_bytes,
       Mode::kHierarchical);
   const auto aut = jsort::exchange::ExchangeBuckets(
-      *tr, flat.elements, flat.offsets, 43, nullptr, seg_bytes, Mode::kAuto);
+      *tr, flat.elements, flat.offsets, flat.dests, 43, nullptr, seg_bytes,
+      Mode::kAuto);
   EXPECT_EQ(dense, hier);
   EXPECT_EQ(dense, aut);
   EXPECT_EQ(ds.elements_sent, hs.elements_sent);
@@ -344,8 +348,8 @@ TEST(HierAutoRouting, FollowsCostModelAndNodeSpan) {
       buckets[static_cast<std::size_t>(d)].assign(4, world.Rank() * 1.0 + d);
     }
     const testutil::FlatBuckets flat(buckets);
-    jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets, 43,
-                                     stats, 0, Mode::kAuto);
+    jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets,
+                                     flat.dests, 43, stats, 0, Mode::kAuto);
   };
 
   testutil::PerRank<ExchangeStats> two_level(8);

@@ -103,8 +103,8 @@ std::vector<RankOutcome> RunBuckets(const topo::Topology& shape,
     ExchangeStats mine;
     const testutil::FlatBuckets flat(buckets);
     EXPECT_EQ(jsort::exchange::ExchangeBuckets(*tr, flat.elements,
-                                               flat.offsets, kTag, &mine,
-                                               seg_bytes, mode),
+                                               flat.offsets, flat.dests,
+                                               kTag, &mine, seg_bytes, mode),
               expect)
         << "rank " << me;
     es.Set(me, mine);
@@ -301,7 +301,7 @@ TEST(HierEngineAbort, PeerFailureNamesTheFailedRank) {
             kP, std::vector<double>(4, 1.0)));
         try {
           jsort::exchange::ExchangeBuckets(*tr, flat.elements, flat.offsets,
-                                           kTag, nullptr, 0,
+                                           flat.dests, kTag, nullptr, 0,
                                            Mode::kHierarchical);
         } catch (const mpisim::AbortedError& e) {
           origins.Set(world.Rank(), e.origin_rank());
